@@ -41,7 +41,7 @@ from .signal import (
 )
 from .augment import AugmentConfig, augment_one, coarse_dropout, expand_dataset
 from .capsnet import CapsNetParams, capsnet_forward, dynamic_routing, margin_loss, squash, total_loss, votes
-from .cnn import CnnParams, cnn_forward, cnn_loss, cnn_train_defaults
+from .cnn import CnnParams, cnn_forward, cnn_loss
 from .mlp import MlpParams, mlp_forward
 from .metrics import ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
 from .splits import SplitPlan, make_splits

@@ -8,14 +8,12 @@ to the nearest border pixel.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .signal import SpectrogramImage, write_pgm
+from .signal import SpectrogramImage
 
 __all__ = [
     "AugmentConfig",
@@ -26,7 +24,6 @@ __all__ = [
     "coarse_dropout",
     "augment_one",
     "expand_dataset",
-    "write_augmented",
     "audit_lineage",
 ]
 
@@ -157,23 +154,6 @@ def expand_dataset(train_images: Sequence[SpectrogramImage], cfg: AugmentConfig)
                 }
             )
     return images, lineage
-
-
-def write_augmented(images: Sequence[SpectrogramImage], lineage: Sequence[dict], out_dir: Path) -> Path:
-    """Write augmented copies as PGM plus the augmented.csv lineage manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_original = len(images) - len(lineage)
-    manifest = out_dir / "augmented.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["image_path", "parent_path", "parent_index", "copy_index", "seed"])
-        writer.writeheader()
-        for j, row in enumerate(lineage):
-            img = images[n_original + j]
-            fname = f"aug_{row['parent_index']:05d}_c{row['copy_index']}.pgm"
-            write_pgm(out_dir / fname, img.pixels)
-            writer.writerow({"image_path": fname, **row})
-    return manifest
 
 
 def audit_lineage(lineage: Sequence[dict], train_indices: Sequence[int], test_indices: Sequence[int]) -> None:

@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import Tensor, affine, conv2d, einsum2, relu, sigmoid, softmax_axis, truncated_normal
+from .checkpoint import check_fingerprint
+from .tensor import Tensor, affine, conv2d, einsum2, image_batch, relu, sigmoid, softmax_axis, truncated_normal
 
 __all__ = [
     "SQUASH_EPS",
@@ -84,6 +85,8 @@ class CapsNetParams:
     capsule_dim: int = 16
     secondary_dim: int = 10
     routing_iterations: int = ROUTING_ITERATIONS
+
+    ARCH = "capsnet-v1"
 
     @classmethod
     def init(
@@ -164,7 +167,7 @@ class CapsNetParams:
 
     def fingerprint(self) -> dict:
         return {
-            "arch": "capsnet-v1",
+            "arch": self.ARCH,
             "input_hw": list(self.input_hw),
             "conv1": [int(s) for s in self.conv1_w.shape] + [self.conv1_stride],
             "conv2": [int(s) for s in self.conv2_w.shape] + [self.conv2_stride],
@@ -176,6 +179,27 @@ class CapsNetParams:
             "dtype": str(self.conv1_w.dtype),
         }
 
+    @classmethod
+    def from_fingerprint(cls, fp: dict) -> "CapsNetParams":
+        """The architecture ``fp`` describes, with freshly initialised weights."""
+        dtype = check_fingerprint(
+            fp, ("capsule_dim", "secondary_dim", "routing_iterations"), {"input_hw": 2, "conv1": 5, "conv2": 5, "decoder_hidden": 2}
+        )
+        return cls.init(
+            tuple(fp["input_hw"]),
+            np.random.default_rng(0),
+            dtype=dtype,
+            conv1_filters=fp["conv1"][0],
+            conv1_kernel=fp["conv1"][2],
+            conv1_stride=fp["conv1"][4],
+            conv2_filters=fp["conv2"][0],
+            conv2_kernel=fp["conv2"][2],
+            conv2_stride=fp["conv2"][4],
+            capsule_dim=fp["capsule_dim"],
+            secondary_dim=fp["secondary_dim"],
+            decoder_hidden=tuple(fp["decoder_hidden"]),
+            routing_iterations=fp["routing_iterations"],
+        )
 
 # ---------------------------------------------------------------------------
 # capsule primitives
@@ -339,15 +363,9 @@ def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval"
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    pixels = np.asarray(image)
     dtype = params.conv1_w.dtype
-    if pixels.dtype == np.uint8:
-        pixels = pixels.astype(dtype) / 255.0
-    batched = pixels.ndim == 3
-    px = pixels if batched else pixels[None]
-    if px.shape[1:] != params.input_hw:
-        raise ValueError(f"image {px.shape[1:]} does not match model input {params.input_hw}")
-    x = Tensor(px[:, None, :, :].astype(dtype, copy=False))
+    px, batched = image_batch(image, dtype, params.input_hw)
+    x = Tensor(px[:, None, :, :])
 
     h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=params.conv1_stride))
     h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=params.conv2_stride))

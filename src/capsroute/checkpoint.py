@@ -2,22 +2,26 @@
 
 Layout: magic, little-endian uint64 header length, JSON header (version,
 fingerprint, tensor index with dtype/shape/offset), then the raw
-little-endian tensor blob. Loading refuses a fingerprint mismatch.
+little-endian tensor blob. Loading refuses a fingerprint mismatch, and any
+malformed or truncated file raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "check_fingerprint"]
 
 _MAGIC = b"CRCKPT01"
+_PREFIX = len(_MAGIC) + 8  # magic + uint64 header length
 _VERSION = 1
-_DTYPES = {"<f8", "<f4"}
+_DTYPES = ("<f8", "<f4")  # a tuple: membership must not hash JSON lists
+_PARAM_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 class CheckpointError(RuntimeError):
@@ -53,25 +57,60 @@ def load_checkpoint(path: Path, expected_fingerprint: dict | None = None) -> tup
     raw = path.read_bytes()
     if not raw.startswith(_MAGIC):
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<Q", raw[8:16])
+    if len(raw) < _PREFIX:
+        raise CheckpointError(f"{path} is truncated inside its header length")
+    (header_len,) = struct.unpack("<Q", raw[len(_MAGIC) : _PREFIX])
+    if len(raw) < _PREFIX + header_len:
+        raise CheckpointError(f"{path} is truncated inside its header")
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
-    if header.get("version") != _VERSION:
-        raise CheckpointError(f"{path} has unsupported version {header.get('version')}")
-    fingerprint = header["fingerprint"]
+    if not isinstance(header, dict) or header.get("version") != _VERSION:
+        raise CheckpointError(f"{path} has an unsupported header version")
+    fingerprint, tensors = header.get("fingerprint"), header.get("tensors")
+    if not isinstance(fingerprint, dict) or not isinstance(tensors, dict):
+        raise CheckpointError(f"{path} header lacks a fingerprint or tensor index")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise CheckpointError(
             f"fingerprint mismatch for {path}:\n  stored:   {fingerprint}\n  expected: {expected_fingerprint}"
         )
-    blob = raw[16 + header_len :]
+    blob = raw[_PREFIX + header_len :]
     arrays = {}
-    for name, meta in header["tensors"].items():
-        if meta["dtype"] not in _DTYPES:
-            raise CheckpointError(f"{path} tensor {name!r} has unsupported dtype {meta['dtype']}")
-        chunk = blob[meta["offset"] : meta["offset"] + meta["nbytes"]]
-        if len(chunk) != meta["nbytes"]:
-            raise CheckpointError(f"{path} is truncated at tensor {name!r}")
-        arrays[name] = np.frombuffer(chunk, dtype=meta["dtype"]).reshape(meta["shape"]).copy()
+    for name, meta in tensors.items():
+        arrays[name] = _read_tensor(path, name, meta, blob)
     return arrays, fingerprint
+
+
+def _read_tensor(path: Path, name: str, meta, blob: bytes) -> np.ndarray:
+    if not isinstance(meta, dict) or meta.get("dtype") not in _DTYPES:
+        raise CheckpointError(f"{path} tensor {name!r} has no supported dtype")
+    shape, offset, nbytes = meta.get("shape"), meta.get("offset"), meta.get("nbytes")
+    if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+        raise CheckpointError(f"{path} tensor {name!r} has a malformed shape {shape!r}")
+    if not (type(offset) is int and offset >= 0 and type(nbytes) is int):
+        raise CheckpointError(f"{path} tensor {name!r} has a malformed offset or size")
+    if nbytes != math.prod(shape) * np.dtype(meta["dtype"]).itemsize:
+        raise CheckpointError(f"{path} tensor {name!r} holds {nbytes} bytes, which does not fit shape {shape}")
+    chunk = blob[offset : offset + nbytes]
+    if len(chunk) != nbytes:
+        raise CheckpointError(f"{path} is truncated at tensor {name!r}")
+    return np.frombuffer(chunk, dtype=meta["dtype"]).reshape(shape).copy()
+
+
+def check_fingerprint(fp: dict, ints: tuple, lists: dict, numbers: tuple = ()) -> type:
+    """Refuse a fingerprint unless each of ``ints`` is a positive int, each of
+    ``lists`` a list of that many positive ints, each of ``numbers`` a number
+    and ``dtype`` a parameter dtype, which is returned."""
+    bad = [key for key in ints if not _positive(fp.get(key))]
+    bad += [key for key, n in lists.items() if not (isinstance(fp.get(key), list) and len(fp[key]) == n and all(map(_positive, fp[key])))]
+    bad += [key for key in numbers if type(fp.get(key)) not in (int, float)]
+    if fp.get("dtype") not in tuple(_PARAM_DTYPES):
+        bad.append("dtype")
+    if bad:
+        raise CheckpointError(f"{fp.get('arch')} fingerprint has missing or malformed entries: {', '.join(bad)}")
+    return _PARAM_DTYPES[fp["dtype"]]
+
+
+def _positive(value) -> bool:
+    return type(value) is int and value > 0

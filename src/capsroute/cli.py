@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .checkpoint import CheckpointError
-from .config import MODEL_KINDS, TrainConfig
-from .experiment import ExperimentError, config_snapshot_text, stage_eval, stage_report, stage_train
+from .config import KEYS, ConfigError, RunSettings, parse_bool, resolve_run_settings
+from .experiment import ExperimentError, stage_eval, stage_report, stage_train
 from .metrics import MetricsError
 from .signal import ChannelSet, PipelineError, build_dataset, build_synth_corpus, load_recordings_manifest, write_dataset
 from .tensor import NumericError
@@ -26,58 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_optional_float(raw: str) -> Optional[float]:
-    return None if raw.strip().lower() in ("", "none") else float(raw)
-
-
-# key -> (parser, default); the single source of truth for run-config keys
-_SCHEMA = {
-    "dataset": (str, None),
-    "out_dir": (str, None),
-    "model": (str, "capsnet"),
-    "seed": (int, 0),
-    "epochs": (int, 500),
-    "batch_size": (int, 32),
-    "learning_rate": (float, 1e-3),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps": (float, 1e-8),
-    "dropout_keep": (float, 0.5),
-    "l2_beta": (float, 0.001),
-    "precision": (str, "float64"),
-    "augment": (_parse_bool, False),
-    "augment_factor": (int, 3),
-    "early_stop_train_acc": (_parse_optional_float, None),
-    "folds": (int, 5),
-    "train_frac": (float, 0.8),
-    "split_mode": (str, "holdout"),
-    "subject_grouped": (_parse_bool, False),
-}
-
-
-@dataclass
-class RunSettings:
-    cfg: TrainConfig
-    dataset: Path
-    out_dir: Path
-    folds: int
-    train_frac: float
-    split_mode: str
-    subject_grouped: bool
-
-    def snapshot(self) -> str:
-        return config_snapshot_text(self.cfg, str(self.dataset), self.folds, self.train_frac, self.split_mode, self.subject_grouped)
 
 
 def read_config_file(path: Path) -> dict:
@@ -98,104 +44,14 @@ def read_config_file(path: Path) -> dict:
     return values
 
 
-class ConfigError(Exception):
-    def __init__(self, problems: list[str]):
-        super().__init__("\n".join(problems))
-        self.problems = problems
-
-
-def resolve_run_settings(file_values: dict, flag_values: dict) -> RunSettings:
-    """Defaults, then config file, then explicit CLI flags; all problems reported at once."""
-    problems = []
-    resolved = {key: default for key, (_, default) in _SCHEMA.items()}
-    for key, raw in file_values.items():
-        if key not in _SCHEMA:
-            problems.append(f"unknown config key {key!r}")
-            continue
-        parser, _ = _SCHEMA[key]
-        try:
-            resolved[key] = parser(raw)
-        except ValueError as exc:
-            problems.append(f"config key {key!r}: {exc}")
-    for key, value in flag_values.items():
-        if value is not None:
-            resolved[key] = value
-
-    if resolved["dataset"] is None:
-        problems.append("missing required setting 'dataset' (config key or --dataset)")
-    if resolved["out_dir"] is None:
-        problems.append("missing required setting 'out_dir' (config key or --out)")
-    if resolved["model"] not in MODEL_KINDS:
-        problems.append(f"model must be one of {MODEL_KINDS}, got {resolved['model']!r}")
-    if resolved["precision"] not in ("float32", "float64"):
-        problems.append(f"precision must be float32 or float64, got {resolved['precision']!r}")
-    if resolved["split_mode"] not in ("holdout", "partition"):
-        problems.append(f"split_mode must be holdout or partition, got {resolved['split_mode']!r}")
-    if resolved["epochs"] is not None and resolved["epochs"] < 1:
-        problems.append(f"epochs must be >= 1, got {resolved['epochs']}")
-    if resolved["batch_size"] is not None and resolved["batch_size"] < 1:
-        problems.append(f"batch_size must be >= 1, got {resolved['batch_size']}")
-    if resolved["folds"] is not None and resolved["folds"] < 2:
-        problems.append(f"folds must be >= 2, got {resolved['folds']}")
-    if resolved["train_frac"] is not None and not 0.0 < resolved["train_frac"] < 1.0:
-        problems.append(f"train_frac must be in (0, 1), got {resolved['train_frac']}")
-    if resolved["augment_factor"] is not None and resolved["augment_factor"] < 1:
-        problems.append(f"augment_factor must be >= 1, got {resolved['augment_factor']}")
-    if problems:
-        raise ConfigError(problems)
-
-    cfg = TrainConfig(
-        kind=resolved["model"],
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        learning_rate=resolved["learning_rate"],
-        beta1=resolved["beta1"],
-        beta2=resolved["beta2"],
-        eps=resolved["eps"],
-        dropout_keep=resolved["dropout_keep"],
-        l2_beta=resolved["l2_beta"],
-        augment=resolved["augment"],
-        augment_factor=resolved["augment_factor"],
-        seed=resolved["seed"],
-        precision=resolved["precision"],
-        early_stop_train_acc=resolved["early_stop_train_acc"],
-    )
-    return RunSettings(
-        cfg=cfg,
-        dataset=Path(resolved["dataset"]),
-        out_dir=Path(resolved["out_dir"]),
-        folds=resolved["folds"],
-        train_frac=resolved["train_frac"],
-        split_mode=resolved["split_mode"],
-        subject_grouped=resolved["subject_grouped"],
-    )
-
-
 def _settings_from_args(args) -> RunSettings:
     file_values = read_config_file(args.config) if args.config else {}
-    flags = {
-        "dataset": args.dataset,
-        "out_dir": args.out,
-        "model": args.model,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "precision": args.precision,
-        "augment": args.augment,
-        "augment_factor": args.augment_factor,
-        "folds": args.folds,
-        "train_frac": args.train_frac,
-        "split_mode": args.split_mode,
-        "subject_grouped": args.subject_grouped,
-        "early_stop_train_acc": args.early_stop_train_acc,
-    }
+    flags = {key.name: getattr(args, key.name) for key in KEYS.values() if key.option}
     return resolve_run_settings(file_values, flags)
 
 
-def _write_snapshot(settings: RunSettings) -> None:
-    settings.out_dir.mkdir(parents=True, exist_ok=True)
-    (settings.out_dir / "config.snapshot").write_text(settings.snapshot())
+def _split_args(settings: RunSettings) -> dict:
+    return dict(folds=settings.folds, train_frac=settings.train_frac, split_mode=settings.split_mode, subject_grouped=settings.subject_grouped)
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +86,14 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _settings_from_args(args)
-    _write_snapshot(settings)
-    stage_train(
-        settings.dataset,
-        settings.cfg,
-        settings.out_dir,
-        folds=settings.folds,
-        train_frac=settings.train_frac,
-        split_mode=settings.split_mode,
-        subject_grouped=settings.subject_grouped,
-    )
+    stage_train(settings.dataset, settings.cfg, settings.out_dir, **_split_args(settings))
     print(f"trained {settings.folds} folds of {settings.cfg.kind} into {settings.out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     settings = _settings_from_args(args)
-    _write_snapshot(settings)
-    confusions = stage_eval(
-        settings.dataset,
-        settings.cfg,
-        settings.out_dir,
-        folds=settings.folds,
-        train_frac=settings.train_frac,
-        split_mode=settings.split_mode,
-        subject_grouped=settings.subject_grouped,
-    )
+    confusions = stage_eval(settings.dataset, settings.cfg, settings.out_dir, **_split_args(settings))
     accs = [(cm.tp + cm.tn) / cm.total for cm in confusions]
     print(f"evaluated {len(confusions)} folds; accuracies: {', '.join(f'{a:.4f}' for a in accs)}")
     return EXIT_OK
@@ -263,7 +101,6 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     settings = _settings_from_args(args)
-    _write_snapshot(settings)
     agg = stage_report(settings.out_dir, folds=settings.folds)
     print("metric,mean,std")
     for name, (mean, std) in agg.items():
@@ -273,21 +110,16 @@ def cmd_report(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value run config file")
-    p.add_argument("--dataset", help="dataset.csv manifest path")
-    p.add_argument("--out", help="output directory for all artifacts")
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--precision", choices=("float32", "float64"))
-    p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--augment-factor", dest="augment_factor", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--split-mode", dest="split_mode", choices=("holdout", "partition"))
-    p.add_argument("--subject-grouped", dest="subject_grouped", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--early-stop-train-acc", dest="early_stop_train_acc", type=float)
+    for key in sorted(KEYS.values(), key=lambda key: not key.required):  # --dataset and --out first
+        if not key.option:
+            continue
+        if key.parse is parse_bool:
+            kind = dict(action=argparse.BooleanOptionalAction, default=None)
+        elif key.choices:
+            kind = dict(choices=key.choices)
+        else:
+            kind = dict(type=key.parse)
+        p.add_argument(key.option, dest=key.name, help=key.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

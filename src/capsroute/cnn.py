@@ -14,11 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TrainConfig
-from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, maxpool2d, pad2d, relu, truncated_normal
+from .checkpoint import check_fingerprint
+from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, relu, truncated_normal
 
-__all__ = ["CnnParams", "cnn_forward", "cnn_loss", "cnn_train_defaults"]
+__all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
+# the published head settings; TrainConfig takes its defaults from here
 DROPOUT_KEEP = 0.5
 L2_BETA = 0.001
 
@@ -37,8 +38,10 @@ class CnnParams:
     out_b: Tensor
     input_hw: tuple
     pool_window: tuple
-    dropout_keep: float = DROPOUT_KEEP
-    l2_beta: float = L2_BETA
+    dropout_keep: float
+    l2_beta: float
+
+    ARCH = "cnn-v1"
 
     @classmethod
     def init(
@@ -104,7 +107,7 @@ class CnnParams:
 
     def fingerprint(self) -> dict:
         return {
-            "arch": "cnn-v1",
+            "arch": self.ARCH,
             "input_hw": list(self.input_hw),
             "filters": [int(self.conv1_w.shape[0]), int(self.conv2_w.shape[0]), int(self.conv3_w.shape[0])],
             "fc_hidden": int(self.fc1_w.shape[0]),
@@ -113,6 +116,20 @@ class CnnParams:
             "l2_beta": self.l2_beta,
             "dtype": str(self.conv1_w.dtype),
         }
+
+    @classmethod
+    def from_fingerprint(cls, fp: dict) -> "CnnParams":
+        """The architecture ``fp`` describes, with freshly initialised weights."""
+        dtype = check_fingerprint(fp, ("fc_hidden",), {"input_hw": 2, "filters": 3}, numbers=("dropout_keep", "l2_beta"))
+        return cls.init(
+            tuple(fp["input_hw"]),
+            np.random.default_rng(0),
+            dtype=dtype,
+            filters=tuple(fp["filters"]),
+            fc_hidden=fp["fc_hidden"],
+            dropout_keep=fp["dropout_keep"],
+            l2_beta=fp["l2_beta"],
+        )
 
 
 def _block(x: Tensor, kernels: Tensor, bias: Tensor, pool_window: tuple) -> Tensor:
@@ -127,15 +144,8 @@ def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rn
     Dropout uses inverted scaling, so inference applies no rescale and is
     deterministic.
     """
-    pixels = np.asarray(image)
-    dtype = params.conv1_w.dtype
-    if pixels.dtype == np.uint8:
-        pixels = pixels.astype(dtype) / 255.0
-    batched = pixels.ndim == 3
-    px = pixels if batched else pixels[None]
-    if px.shape[1:] != params.input_hw:
-        raise ValueError(f"image {px.shape[1:]} does not match model input {params.input_hw}")
-    x = Tensor(px[:, None, :, :].astype(dtype, copy=False))
+    px, batched = image_batch(image, params.conv1_w.dtype, params.input_hw)
+    x = Tensor(px[:, None, :, :])
 
     x = _block(x, params.conv1_w, params.conv1_b, params.pool_window)
     x = _block(x, params.conv2_w, params.conv2_b, params.pool_window)
@@ -158,15 +168,3 @@ def cnn_loss(logits: Tensor, labels, params: CnnParams) -> Tensor:
         term = w.square().sum()
         l2 = term if l2 is None else l2 + term
     return ce + params.l2_beta * l2
-
-
-def cnn_train_defaults() -> TrainConfig:
-    """The comparison model's published training settings."""
-    return TrainConfig(
-        kind="cnn",
-        epochs=500,
-        batch_size=32,
-        learning_rate=1e-3,
-        dropout_keep=DROPOUT_KEEP,
-        l2_beta=L2_BETA,
-    )

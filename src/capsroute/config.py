@@ -1,49 +1,172 @@
-"""Training configuration shared by the model and harness modules."""
+"""The run configuration, every key declared once.
+
+``TrainConfig`` holds the keys one training run reads; ``RunSettings`` adds
+the experiment's keys. Each key is a dataclass field: its annotation picks
+the config-file parser, its default is the key's default, and ``_key``
+metadata adds validation, the CLI flag and snapshot membership. The
+config-file reader, the run flags, the validation and the config snapshot
+are all derived from these fields.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-__all__ = ["MODEL_KINDS", "TrainConfig"]
+from .cnn import DROPOUT_KEEP, L2_BETA
+from .training import MODEL_KINDS
 
-MODEL_KINDS = ("capsnet", "cnn", "mlp")
+__all__ = ["ConfigError", "Key", "KEYS", "RunSettings", "TrainConfig", "config_problems", "parse_bool", "resolve_run_settings"]
+
+
+class ConfigError(Exception):
+    def __init__(self, problems: list[str]):
+        super().__init__("\n".join(problems))
+        self.problems = problems
+
+
+def parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def optional_float(raw: str) -> Optional[float]:
+    return None if raw.strip().lower() in ("", "none") else float(raw)
+
+
+# field annotation -> parser of a config-file value
+_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_bool, "Path": Path, "Optional[float]": optional_float}
+
+
+def _key(default, **spec):
+    """A field with ``Key`` attributes beyond its name, parser and default."""
+    return field(default=default, metadata=spec)
+
+
+def _at_least(low):
+    return (lambda value: value >= low), f">= {low}"
 
 
 @dataclass
 class TrainConfig:
-    kind: str = "capsnet"
-    epochs: int = 500
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    dropout_keep: float = 0.5  # cnn head only
-    l2_beta: float = 0.001  # cnn head only
-    augment: bool = False
-    augment_factor: int = 3
+    kind: str = _key("capsnet", name="model", choices=MODEL_KINDS)
     seed: int = 0
+    epochs: int = _key(500, check=_at_least(1))
+    batch_size: int = _key(32, check=_at_least(1))
+    learning_rate: float = 1e-3
+    beta1: float = _key(0.9, file_only=True)
+    beta2: float = _key(0.999, file_only=True)
+    eps: float = _key(1e-8, file_only=True)
+    # cnn head only
+    dropout_keep: float = _key(DROPOUT_KEEP, check=(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), file_only=True)
+    l2_beta: float = _key(L2_BETA, check=_at_least(0.0), file_only=True)
     # float64 is the verifiable default; float32 trades precision for speed
-    precision: str = "float64"
+    precision: str = _key("float64", choices=("float32", "float64"))
+    augment: bool = False
+    augment_factor: int = _key(3, check=_at_least(1))
     early_stop_train_acc: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"precision must be float32 or float64, got {self.precision!r}")
-        if not 0.0 < self.dropout_keep <= 1.0:
-            raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
-        if self.l2_beta < 0.0:
-            raise ValueError(f"l2_beta must be non-negative, got {self.l2_beta}")
+        problems = config_problems(vars(self))
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def dtype(self):
         return np.float32 if self.precision == "float32" else np.float64
+
+
+@dataclass
+class RunSettings(TrainConfig):
+    dataset: Path = _key(None, required=True, help="dataset.csv manifest path")
+    out_dir: Path = _key(None, required=True, flag="--out", snapshot=False, help="output directory for all artifacts")
+    folds: int = _key(5, check=_at_least(2))
+    train_frac: float = _key(0.8, check=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+    split_mode: str = _key("holdout", choices=("holdout", "partition"))
+    subject_grouped: bool = False
+
+    @property
+    def cfg(self) -> TrainConfig:
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
+    def snapshot(self) -> str:
+        """Sorted ``key=value`` lines: a config file that, given ``--out``, reruns this experiment."""
+        keys = sorted((key for key in KEYS.values() if key.snapshot), key=lambda key: key.name)
+        return "".join(f"{key.name}={getattr(self, key.attr)}\n" for key in keys)
+
+
+@dataclass(frozen=True)
+class Key:
+    """One run key, read from a field of RunSettings."""
+
+    attr: str
+    name: str  # config-file and snapshot key, and the argparse dest
+    parse: Callable[[str], Any]
+    default: Any
+    choices: Optional[tuple] = None
+    check: Optional[tuple] = None  # (predicate, rule text)
+    required: bool = False
+    flag: Optional[str] = None  # when not derived from the name
+    file_only: bool = False
+    snapshot: bool = True
+    help: Optional[str] = None
+
+    @classmethod
+    def of(cls, f) -> "Key":
+        spec = dict(f.metadata)
+        return cls(attr=f.name, name=spec.pop("name", f.name), parse=_PARSERS[f.type], default=f.default, **spec)
+
+    @property
+    def option(self) -> Optional[str]:
+        """The CLI flag, or None for a config-file-only key."""
+        if self.file_only:
+            return None
+        return self.flag or "--" + self.name.replace("_", "-")
+
+    def problem(self, value) -> Optional[str]:
+        if value is None:
+            return f"missing required setting {self.name!r} (config key or {self.option})" if self.required else None
+        if self.choices is not None and value not in self.choices:
+            return f"{self.name} must be one of {self.choices}, got {value!r}"
+        if self.check is not None and not self.check[0](value):
+            return f"{self.name} must be {self.check[1]}, got {value!r}"
+        return None
+
+
+KEYS = {f.name: Key.of(f) for f in fields(RunSettings)}  # by field name
+_BY_NAME = {key.name: key for key in KEYS.values()}
+
+
+def config_problems(values: dict) -> list[str]:
+    """Every problem with ``values`` (field name -> value)."""
+    problems = [KEYS[attr].problem(value) for attr, value in values.items()]
+    return [p for p in problems if p is not None]
+
+
+def resolve_run_settings(file_values: dict, flag_values: dict) -> RunSettings:
+    """Defaults, then config-file values (raw strings), then the CLI flags that were given.
+
+    Both inputs are keyed by key name. Raises ConfigError listing every problem.
+    """
+    problems = []
+    resolved = {key.attr: key.default for key in KEYS.values()}
+    for name, raw in file_values.items():
+        if name not in _BY_NAME:
+            problems.append(f"unknown config key {name!r}")
+            continue
+        try:
+            resolved[_BY_NAME[name].attr] = _BY_NAME[name].parse(raw)
+        except ValueError as exc:
+            problems.append(f"config key {name!r}: {exc}")
+    resolved.update((_BY_NAME[name].attr, value) for name, value in flag_values.items() if value is not None)
+    problems += config_problems(resolved)
+    if problems:
+        raise ConfigError(problems)
+    return RunSettings(**resolved)

@@ -1,8 +1,9 @@
 """Five-fold holdout experiments: orchestration, report files, staged reruns.
 
 An experiment directory is reproducible byte-for-byte from its config
-snapshot: split plans derive from the dataset labels and the seed, training
-is deterministic per fold, and every emitted file uses fixed formatting.
+snapshot and its output path (the snapshot omits ``out_dir``): split plans
+derive from the dataset labels and the seed, training is deterministic per
+fold, and every emitted file uses fixed formatting.
 
 Stages (train -> eval -> report) can run separately through the stage
 functions; ``run_experiment`` composes all three in one pass.
@@ -19,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .augment import AugmentConfig, audit_lineage, expand_dataset
-from .config import TrainConfig
+from .config import RunSettings, TrainConfig
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
 from .signal import SpectrogramImage, load_dataset
 from .splits import SplitPlan, make_splits
@@ -30,7 +31,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentError",
     "worker_count",
-    "config_snapshot_text",
     "plan_for",
     "run_experiment",
     "stage_train",
@@ -73,38 +73,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def config_snapshot_text(
-    cfg: TrainConfig,
-    dataset_ref: str,
-    folds: int,
-    train_frac: float,
-    split_mode: str,
-    subject_grouped: bool,
-) -> str:
-    entries = {
-        "augment": cfg.augment,
-        "augment_factor": cfg.augment_factor,
-        "batch_size": cfg.batch_size,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "dataset": dataset_ref,
-        "dropout_keep": cfg.dropout_keep,
-        "early_stop_train_acc": cfg.early_stop_train_acc,
-        "epochs": cfg.epochs,
-        "eps": cfg.eps,
-        "folds": folds,
-        "l2_beta": cfg.l2_beta,
-        "learning_rate": cfg.learning_rate,
-        "model": cfg.kind,
-        "precision": cfg.precision,
-        "seed": cfg.seed,
-        "split_mode": split_mode,
-        "subject_grouped": subject_grouped,
-        "train_frac": train_frac,
-    }
-    return "".join(f"{k}={entries[k]}\n" for k in sorted(entries))
-
-
 def _load_images(dataset: Union[Path, str, Sequence[SpectrogramImage]]) -> tuple[list[SpectrogramImage], str]:
     if isinstance(dataset, (str, Path)):
         return load_dataset(dataset), str(dataset)
@@ -130,7 +98,7 @@ def _train_one_fold(fold_idx: int, images, plan: SplitPlan, cfg: TrainConfig, ou
         train_images, lineage = expand_dataset(train_images, aug_cfg)
         audit_lineage(lineage, fold.train_indices, fold.test_indices)
         _write_lineage(out_dir / f"augmented_fold{fold_idx}.csv", lineage)
-    params, curve = train_model(cfg.kind, train_images, fold_cfg)
+    params, curve = train_model(train_images, fold_cfg)
     save_model(out_dir / f"model_fold{fold_idx}.ckpt", params)
     _write_curve(out_dir / f"curve_fold{fold_idx}.csv", curve)
     return params, curve, train_images
@@ -219,9 +187,11 @@ def stage_train(
     out_dir.mkdir(parents=True, exist_ok=True)
     images, dataset_ref = _load_images(dataset)
     plan = plan_for(images, cfg.seed, folds, train_frac, split_mode, subject_grouped)
-    (out_dir / "config.snapshot").write_text(
-        config_snapshot_text(cfg, dataset_ref, folds, train_frac, split_mode, subject_grouped)
+    settings = RunSettings(
+        **vars(cfg), dataset=dataset_ref, out_dir=out_dir,
+        folds=folds, train_frac=train_frac, split_mode=split_mode, subject_grouped=subject_grouped,
     )
+    (out_dir / "config.snapshot").write_text(settings.snapshot())
 
     def work(i):
         return _train_one_fold(i, images, plan, cfg, out_dir)

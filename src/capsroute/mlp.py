@@ -7,7 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, affine, relu, truncated_normal
+from .checkpoint import check_fingerprint
+from .tensor import Tensor, affine, image_batch, relu, truncated_normal
 
 __all__ = ["MlpParams", "mlp_forward"]
 
@@ -19,6 +20,8 @@ class MlpParams:
     out_w: Tensor
     out_b: Tensor
     input_hw: tuple
+
+    ARCH = "mlp-v1"
 
     @classmethod
     def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64, hidden: int = 512) -> "MlpParams":
@@ -38,23 +41,22 @@ class MlpParams:
 
     def fingerprint(self) -> dict:
         return {
-            "arch": "mlp-v1",
+            "arch": self.ARCH,
             "input_hw": list(self.input_hw),
             "hidden": int(self.fc1_w.shape[0]),
             "dtype": str(self.fc1_w.dtype),
         }
 
+    @classmethod
+    def from_fingerprint(cls, fp: dict) -> "MlpParams":
+        """The architecture ``fp`` describes, with freshly initialised weights."""
+        dtype = check_fingerprint(fp, ("hidden",), {"input_hw": 2})
+        return cls.init(tuple(fp["input_hw"]), np.random.default_rng(0), dtype=dtype, hidden=fp["hidden"])
+
 
 def mlp_forward(image: np.ndarray, params: MlpParams) -> Tensor:
-    pixels = np.asarray(image)
-    dtype = params.fc1_w.dtype
-    if pixels.dtype == np.uint8:
-        pixels = pixels.astype(dtype) / 255.0
-    batched = pixels.ndim == 3
-    px = pixels if batched else pixels[None]
-    if px.shape[1:] != params.input_hw:
-        raise ValueError(f"image {px.shape[1:]} does not match model input {params.input_hw}")
-    flat = Tensor(px.reshape(px.shape[0], -1).astype(dtype, copy=False))
+    px, batched = image_batch(image, params.fc1_w.dtype, params.input_hw)
+    flat = Tensor(px.reshape(px.shape[0], -1))
     hidden = relu(affine(flat, params.fc1_w, params.fc1_b))
     logits = affine(hidden, params.out_w, params.out_b)
     return logits if batched else logits.reshape(2)

@@ -33,6 +33,7 @@ __all__ = [
     "dropout",
     "cross_entropy_logits",
     "truncated_normal",
+    "image_batch",
 ]
 
 
@@ -601,3 +602,18 @@ def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.1, d
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
     return out.astype(dtype)
+
+
+def image_batch(image, dtype, input_hw: tuple) -> tuple[np.ndarray, bool]:
+    """Model input as a [B, H, W] ``dtype`` array, and whether it came batched.
+
+    ``image`` is [H, W] or [B, H, W], uint8 (scaled to [0, 1]) or floats.
+    """
+    pixels = np.asarray(image)
+    if pixels.dtype == np.uint8:
+        pixels = pixels.astype(dtype) / 255.0
+    batched = pixels.ndim == 3
+    px = pixels if batched else pixels[None]
+    if px.shape[1:] != input_hw:
+        raise ValueError(f"image {px.shape[1:]} does not match model input {input_hw}")
+    return px.astype(dtype, copy=False), batched

@@ -2,26 +2,31 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .capsnet import CapsNetParams, capsnet_forward, total_loss
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .cnn import CnnParams, cnn_forward, cnn_loss
-from .config import TrainConfig
 from .metrics import ConfusionMatrix
 from .mlp import MlpParams, mlp_forward
 from .optim import adam_init, adam_step
 from .signal import Label, SpectrogramImage
 from .tensor import NumericError, cross_entropy_logits, no_grad
 
+if TYPE_CHECKING:  # config imports MODEL_KINDS from here
+    from .config import TrainConfig
+
 __all__ = [
     "TrainingError",
     "LeakageError",
+    "Model",
+    "MODELS",
+    "MODEL_KINDS",
     "images_to_arrays",
-    "build_params",
     "train_model",
     "predict",
     "evaluate",
@@ -40,6 +45,68 @@ class LeakageError(RuntimeError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# model registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Model:
+    """One model kind. ``params`` is its Params class (``init``, ``from_fingerprint``,
+    ``fingerprint``, ``named_parameters``, the ``ARCH`` tag); pixels are uint8 [B, H, W]."""
+
+    params: type
+    init: Callable[[TrainConfig, tuple, np.random.Generator], ModelParams]
+    loss: Callable[..., tuple]  # (params, pixels, labels, dropout rng) -> (loss tensor, predicted classes)
+    predict: Callable[[ModelParams, np.ndarray], np.ndarray]  # (params, pixels) -> predicted classes
+
+
+# The model functions are looked up as this module's globals at call time, so
+# a caller that rebinds them here (a profiler, a test) sees every call.
+
+
+def _capsnet_loss(params: CapsNetParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
+    out = capsnet_forward(px, params, mode="train", labels=labels)
+    target = (px.astype(params.conv1_w.dtype) / 255.0).reshape(px.shape[0], -1)
+    return total_loss(target, out.v, out.reconstruction, labels), out.predictions
+
+
+def _cnn_loss(params: CnnParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
+    logits = cnn_forward(px, params, training=True, rng=dropout_rng)
+    return cnn_loss(logits, labels, params), logits.data.argmax(axis=-1)
+
+
+def _mlp_loss(params: MlpParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
+    logits = mlp_forward(px, params)
+    return cross_entropy_logits(logits, labels), logits.data.argmax(axis=-1)
+
+
+MODELS: dict[str, Model] = {
+    "capsnet": Model(
+        CapsNetParams,
+        init=lambda cfg, input_hw, rng: CapsNetParams.init(input_hw, rng, dtype=cfg.dtype),
+        loss=_capsnet_loss,
+        predict=lambda params, px: capsnet_forward(px, params, mode="eval").predictions,
+    ),
+    "cnn": Model(
+        CnnParams,
+        init=lambda cfg, input_hw, rng: CnnParams.init(
+            input_hw, rng, dtype=cfg.dtype, dropout_keep=cfg.dropout_keep, l2_beta=cfg.l2_beta
+        ),
+        loss=_cnn_loss,
+        predict=lambda params, px: cnn_forward(px, params, training=False).data.argmax(axis=-1),
+    ),
+    "mlp": Model(
+        MlpParams,
+        init=lambda cfg, input_hw, rng: MlpParams.init(input_hw, rng, dtype=cfg.dtype),
+        loss=_mlp_loss,
+        predict=lambda params, px: mlp_forward(px, params).data.argmax(axis=-1),
+    ),
+}
+MODEL_KINDS = tuple(MODELS)
+_KIND_BY_ARCH = {model.params.ARCH: kind for kind, model in MODELS.items()}
+
+
 def images_to_arrays(images: Sequence[SpectrogramImage]) -> tuple[np.ndarray, np.ndarray]:
     """Stack pixels to [N, H, W] uint8 and labels to [N] (Alert 0, Drowsy 1)."""
     if not images:
@@ -53,33 +120,7 @@ def images_to_arrays(images: Sequence[SpectrogramImage]) -> tuple[np.ndarray, np
     return pixels, labels
 
 
-def build_params(kind: str, input_hw: tuple, rng: np.random.Generator, dtype=np.float64, cfg: Optional[TrainConfig] = None) -> ModelParams:
-    if kind == "capsnet":
-        return CapsNetParams.init(input_hw, rng, dtype=dtype)
-    if kind == "cnn":
-        if cfg is not None:
-            return CnnParams.init(input_hw, rng, dtype=dtype, dropout_keep=cfg.dropout_keep, l2_beta=cfg.l2_beta)
-        return CnnParams.init(input_hw, rng, dtype=dtype)
-    if kind == "mlp":
-        return MlpParams.init(input_hw, rng, dtype=dtype)
-    raise TrainingError(f"unknown model kind {kind!r}")
-
-
-def _forward_loss(kind: str, params: ModelParams, px: np.ndarray, labels: np.ndarray, dropout_rng: Optional[np.random.Generator]):
-    if kind == "capsnet":
-        out = capsnet_forward(px, params, mode="train", labels=labels)
-        dtype = params.conv1_w.dtype
-        target = (px.astype(dtype) / 255.0).reshape(px.shape[0], -1)
-        loss = total_loss(target, out.v, out.reconstruction, labels)
-        return loss, out.predictions
-    if kind == "cnn":
-        logits = cnn_forward(px, params, training=True, rng=dropout_rng)
-        return cnn_loss(logits, labels, params), logits.data.argmax(axis=-1)
-    logits = mlp_forward(px, params)
-    return cross_entropy_logits(logits, labels), logits.data.argmax(axis=-1)
-
-
-def train_model(kind: str, train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
+def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     """Adam-driven epochs over shuffled mini-batches; deterministic in cfg.seed.
 
     Returns trained parameters and the per-epoch curve (mean loss, train
@@ -87,7 +128,8 @@ def train_model(kind: str, train_images: Sequence[SpectrogramImage], cfg: TrainC
     """
     pixels, labels = images_to_arrays(train_images)
     n = len(labels)
-    params = build_params(kind, pixels.shape[1:], np.random.default_rng((cfg.seed, 0x1)), dtype=cfg.dtype, cfg=cfg)
+    model = MODELS[cfg.kind]
+    params = model.init(cfg, pixels.shape[1:], np.random.default_rng((cfg.seed, 0x1)))
     named = params.named_parameters()
     state = adam_init([p.data for _, p in named], lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     shuffle_rng = np.random.default_rng((cfg.seed, 0x2))
@@ -101,7 +143,7 @@ def train_model(kind: str, train_images: Sequence[SpectrogramImage], cfg: TrainC
         for batch_start in range(0, n, cfg.batch_size):
             idx = perm[batch_start : batch_start + cfg.batch_size]
             try:
-                loss, preds = _forward_loss(kind, params, pixels[idx], labels[idx], dropout_rng)
+                loss, preds = model.loss(params, pixels[idx], labels[idx], dropout_rng)
                 for _, p in named:
                     p.zero_grad()
                 loss.backward()
@@ -122,23 +164,12 @@ def train_model(kind: str, train_images: Sequence[SpectrogramImage], cfg: TrainC
     return params, curve
 
 
-def predict(kind: str, params: ModelParams, pixels: np.ndarray, batch_size: int = 128) -> np.ndarray:
+def predict(params: ModelParams, pixels: np.ndarray, batch_size: int = 128) -> np.ndarray:
     """Class indices for [N, H, W] pixels; inference mode, no recorded graph."""
-    preds = []
+    model = MODELS[_KIND_BY_ARCH[params.ARCH]]
     with no_grad():
-        for start in range(0, len(pixels), batch_size):
-            chunk = pixels[start : start + batch_size]
-            if kind == "capsnet":
-                preds.append(capsnet_forward(chunk, params, mode="eval").predictions)
-            elif kind == "cnn":
-                preds.append(cnn_forward(chunk, params, training=False).data.argmax(axis=-1))
-            else:
-                preds.append(mlp_forward(chunk, params).data.argmax(axis=-1))
+        preds = [model.predict(params, pixels[start : start + batch_size]) for start in range(0, len(pixels), batch_size)]
     return np.concatenate(preds)
-
-
-def _kind_of(params: ModelParams) -> str:
-    return {"CapsNetParams": "capsnet", "CnnParams": "cnn", "MlpParams": "mlp"}[type(params).__name__]
 
 
 def evaluate(
@@ -152,16 +183,13 @@ def evaluate(
     ``train_paths`` is given, any test image whose source path appears there
     is a lineage violation.
     """
-    if isinstance(model, (str, Path)):
-        kind, params = load_model(model)
-    else:
-        params, kind = model, _kind_of(model)
+    params = load_model(model)[1] if isinstance(model, (str, Path)) else model
     if train_paths is not None:
         for img in test_images:
             if img.source_path and img.source_path in train_paths:
                 raise LeakageError(f"test image {img.source_path} appears in the training lineage")
     pixels, labels = images_to_arrays(test_images)
-    preds = predict(kind, params, pixels)
+    preds = predict(params, pixels)
     tp = int(((preds == 1) & (labels == 1)).sum())
     fn = int(((preds == 0) & (labels == 1)).sum())
     fp = int(((preds == 1) & (labels == 0)).sum())
@@ -178,47 +206,17 @@ def save_model(path: Path, params: ModelParams) -> None:
     save_checkpoint(path, {name: p.data for name, p in params.named_parameters()}, params.fingerprint())
 
 
-def _dtype_from(fp: dict):
-    return np.float32 if fp["dtype"] == "float32" else np.float64
-
-
 def load_model(path: Union[Path, str]) -> tuple[str, ModelParams]:
-    """Rebuild a model from its checkpoint, validating the stored fingerprint."""
+    """Rebuild a model and its kind from a checkpoint, validating the stored fingerprint."""
     arrays, fp = load_checkpoint(path)
     arch = fp.get("arch")
-    if arch == "capsnet-v1":
-        params = CapsNetParams.init(
-            tuple(fp["input_hw"]),
-            np.random.default_rng(0),
-            dtype=_dtype_from(fp),
-            conv1_filters=fp["conv1"][0],
-            conv1_kernel=fp["conv1"][2],
-            conv1_stride=fp["conv1"][4],
-            conv2_filters=fp["conv2"][0],
-            conv2_kernel=fp["conv2"][2],
-            conv2_stride=fp["conv2"][4],
-            capsule_dim=fp["capsule_dim"],
-            secondary_dim=fp["secondary_dim"],
-            decoder_hidden=tuple(fp["decoder_hidden"]),
-            routing_iterations=fp["routing_iterations"],
-        )
-        kind = "capsnet"
-    elif arch == "cnn-v1":
-        params = CnnParams.init(
-            tuple(fp["input_hw"]),
-            np.random.default_rng(0),
-            dtype=_dtype_from(fp),
-            filters=tuple(fp["filters"]),
-            fc_hidden=fp["fc_hidden"],
-            dropout_keep=fp["dropout_keep"],
-            l2_beta=fp["l2_beta"],
-        )
-        kind = "cnn"
-    elif arch == "mlp-v1":
-        params = MlpParams.init(tuple(fp["input_hw"]), np.random.default_rng(0), dtype=_dtype_from(fp), hidden=fp["hidden"])
-        kind = "mlp"
-    else:
+    kind = _KIND_BY_ARCH.get(arch) if isinstance(arch, str) else None
+    if kind is None:
         raise CheckpointError(f"unknown architecture {arch!r} in {path}")
+    try:
+        params = MODELS[kind].params.from_fingerprint(fp)
+    except ValueError as exc:  # a geometry the architecture cannot build
+        raise CheckpointError(f"{path}: {exc}") from exc
     if params.fingerprint() != fp:
         raise CheckpointError(f"rebuilt fingerprint disagrees with stored one for {path}")
     for name, p in params.named_parameters():

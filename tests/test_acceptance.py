@@ -205,7 +205,7 @@ class TestCriterion7OverfitSanity:
         alert = [i for i in images if i.label == Label.ALERT][:8]
         drowsy = [i for i in images if i.label == Label.DROWSY][:8]
         cfg = TrainConfig(kind="capsnet", epochs=200, batch_size=8, seed=5, early_stop_train_acc=1.0)
-        _, curve = train_model("capsnet", alert + drowsy, cfg)
+        _, curve = train_model(alert + drowsy, cfg)
         reached = any(row["train_accuracy"] == 1.0 for row in curve)
         elapsed = time.perf_counter() - start
         ok = reached and len(curve) <= 200 and elapsed < 600.0

@@ -13,7 +13,6 @@ from capsroute.augment import (
     coarse_dropout,
     drop_blocks,
     expand_dataset,
-    write_augmented,
 )
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
 
@@ -208,12 +207,3 @@ class TestLineage:
         lineage = [{"parent_index": 1, "copy_index": 1, "seed": 0, "parent_path": "x"}]
         with pytest.raises(AugmentError):
             audit_lineage(lineage, train_indices=[10, 3], test_indices=[3])
-
-    def test_write_augmented_manifest(self, tmp_path):
-        train = TestExpandDataset()._train_set(3)
-        images, lineage = expand_dataset(train, AugmentConfig(expansion_factor=2, seed=0))
-        manifest = write_augmented(images, lineage, tmp_path)
-        lines = manifest.read_text().strip().splitlines()
-        assert lines[0] == "image_path,parent_path,parent_index,copy_index,seed"
-        assert len(lines) == 1 + 3
-        assert len(list(tmp_path.glob("*.pgm"))) == 3

@@ -1,8 +1,11 @@
 """CLI commands, config precedence, and exit-code categories."""
 
+from pathlib import Path
+
 import pytest
 
-from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config_file
+from capsroute.config import KEYS, resolve_run_settings
 from capsroute.signal import load_dataset
 
 
@@ -145,11 +148,20 @@ class TestTrainEvalReport:
 
     def test_unknown_config_key_listed(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dataset=x\nout_dir=y\nbogus_key=1\nepochs=0\n")
+        cfg.write_text("dataset=x\nout_dir=y\nbogus_key=1\nepochs=0\ndropout_keep=2\nl2_beta=-1\naugment_factor=0\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "bogus_key" in err
-        assert "epochs" in err  # all problems listed, not just the first
+        # all problems listed, not just the first
+        for key in ("bogus_key", "epochs", "dropout_keep", "l2_beta", "augment_factor"):
+            assert key in err
+
+    def test_eval_of_truncated_checkpoint_is_data_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "cut"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        ckpt = out / "model_fold0.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:12])
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        assert "truncated" in capsys.readouterr().err
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG
@@ -165,3 +177,42 @@ class TestTrainEvalReport:
         cfg.write_text(snapshot.replace("model=", "model="))
         assert main(["train", "--config", str(cfg), "--out", str(out_b)]) == EXIT_OK
         assert (out_a / "model_fold0.ckpt").read_bytes() == (out_b / "model_fold0.ckpt").read_bytes()
+
+
+class TestConfigSchema:
+    NON_DEFAULT = {
+        "dataset": Path("data/ds.csv"),
+        "model": "cnn",
+        "seed": 7,
+        "epochs": 3,
+        "batch_size": 5,
+        "learning_rate": 0.02,
+        "beta1": 0.8,
+        "beta2": 0.99,
+        "eps": 1e-6,
+        "dropout_keep": 0.7,
+        "l2_beta": 0.01,
+        "precision": "float32",
+        "augment": True,
+        "augment_factor": 2,
+        "early_stop_train_acc": 0.9,
+        "folds": 3,
+        "train_frac": 0.6,
+        "split_mode": "partition",
+        "subject_grouped": True,
+    }
+
+    def test_every_snapshot_key_is_covered(self):
+        snapshot_keys = {key.name for key in KEYS.values() if key.snapshot}
+        assert snapshot_keys == set(self.NON_DEFAULT)
+        assert all(key.default != self.NON_DEFAULT[key.name] for key in KEYS.values() if key.snapshot)
+
+    @pytest.mark.parametrize("values", [{"dataset": Path("ds.csv")}, NON_DEFAULT], ids=["defaults", "non-defaults"])
+    def test_snapshot_round_trips_as_config_file(self, tmp_path, values):
+        out = tmp_path / "out"
+        settings = resolve_run_settings({}, {**values, "out_dir": out})
+        snapshot = settings.snapshot()
+        assert "out_dir" not in {line.split("=")[0] for line in snapshot.splitlines()}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(snapshot)
+        assert resolve_run_settings(read_config_file(cfg), {"out_dir": out}) == settings

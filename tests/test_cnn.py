@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from capsroute.cnn import CnnParams, cnn_forward, cnn_loss, cnn_train_defaults
+from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
+from capsroute.config import TrainConfig
 from capsroute.gradcheck import check_gradients
 from capsroute.mlp import MlpParams, mlp_forward
 from capsroute.tensor import Tensor, maxpool2d
@@ -110,12 +111,12 @@ class TestCnnLoss:
 
 class TestDefaults:
     def test_published_settings(self):
-        cfg = cnn_train_defaults()
-        assert cfg.kind == "cnn"
+        cfg = TrainConfig(kind="cnn")
         assert cfg.epochs == 500
         assert cfg.dropout_keep == 0.5
         assert cfg.l2_beta == 0.001
         assert cfg.batch_size == 32
+        assert cfg.learning_rate == 1e-3
 
 
 class TestGradients:

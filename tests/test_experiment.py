@@ -2,10 +2,9 @@
 
 import pytest
 
-from capsroute.config import TrainConfig
+from capsroute.config import RunSettings, TrainConfig
 from capsroute.experiment import (
     ExperimentError,
-    config_snapshot_text,
     run_experiment,
     stage_eval,
     stage_report,
@@ -175,7 +174,7 @@ class TestWorkerCount:
 
 class TestSnapshotText:
     def test_sorted_key_value_lines(self):
-        text = config_snapshot_text(quick_cfg(), "ds.csv", 5, 0.8, "holdout", False)
+        text = RunSettings(**vars(quick_cfg()), dataset="ds.csv", out_dir="out").snapshot()
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert keys == sorted(keys)
         assert "dataset=ds.csv" in text

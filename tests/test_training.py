@@ -1,7 +1,13 @@
 """Training loops, checkpoint persistence, and evaluation."""
 
+import json
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capsroute.capsnet import CapsNetParams
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -11,9 +17,9 @@ from capsroute.metrics import ConfusionMatrix
 from capsroute.mlp import MlpParams
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
 from capsroute.training import (
+    MODELS,
     LeakageError,
     TrainingError,
-    build_params,
     evaluate,
     images_to_arrays,
     load_model,
@@ -67,7 +73,7 @@ class TestImagesToArrays:
 class TestTrainModel:
     def test_mlp_learns_toy_data(self):
         cfg = TrainConfig(kind="mlp", epochs=30, batch_size=8, seed=1)
-        params, curve = train_model("mlp", toy_images(20), cfg)
+        params, curve = train_model(toy_images(20), cfg)
         assert len(curve) == 30
         assert all(np.isfinite(row["mean_loss"]) for row in curve)
         assert curve[-1]["train_accuracy"] == 1.0
@@ -76,64 +82,66 @@ class TestTrainModel:
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(kind="mlp", epochs=3, batch_size=8, seed=5)
         imgs = toy_images(12)
-        p1, c1 = train_model("mlp", imgs, cfg)
-        p2, c2 = train_model("mlp", imgs, cfg)
+        p1, c1 = train_model(imgs, cfg)
+        p2, c2 = train_model(imgs, cfg)
         assert c1 == c2
         for (_, a), (_, b) in zip(p1.named_parameters(), p2.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_early_stop(self):
         cfg = TrainConfig(kind="mlp", epochs=200, batch_size=8, seed=1, early_stop_train_acc=1.0)
-        _, curve = train_model("mlp", toy_images(20), cfg)
+        _, curve = train_model(toy_images(20), cfg)
         assert len(curve) < 200
         assert curve[-1]["train_accuracy"] == 1.0
 
     def test_capsnet_small_run(self):
         cfg = TrainConfig(kind="capsnet", epochs=2, batch_size=4, seed=2)
-        params, curve = train_model("capsnet", toy_images(8, hw=(32, 32)), cfg)
+        params, curve = train_model(toy_images(8, hw=(32, 32)), cfg)
         assert isinstance(params, CapsNetParams)
         assert len(curve) == 2
         assert all(np.isfinite(row["mean_loss"]) for row in curve)
 
     def test_cnn_small_run(self):
         cfg = TrainConfig(kind="cnn", epochs=2, batch_size=4, seed=3)
-        params, curve = train_model("cnn", toy_images(8, hw=(32, 32)), cfg)
+        params, curve = train_model(toy_images(8, hw=(32, 32)), cfg)
         assert isinstance(params, CnnParams)
         assert len(curve) == 2
 
     def test_float32_precision_switch(self):
         cfg = TrainConfig(kind="mlp", epochs=1, batch_size=8, seed=1, precision="float32")
-        params, _ = train_model("mlp", toy_images(12), cfg)
+        params, _ = train_model(toy_images(12), cfg)
         assert params.fc1_w.dtype == np.float32
 
     def test_nan_abort_names_epoch_and_batch(self, monkeypatch):
         import capsroute.training as training_mod
 
-        def poisoned_build(kind, input_hw, rng, dtype=np.float64, cfg=None):
-            params = build_params(kind, input_hw, rng, dtype)
+        mlp = training_mod.MODELS["mlp"]
+
+        def poisoned_init(cfg, input_hw, rng):
+            params = mlp.init(cfg, input_hw, rng)
             params.fc1_w.data[0, 0] = np.inf
             return params
 
-        monkeypatch.setattr(training_mod, "build_params", poisoned_build)
+        monkeypatch.setitem(training_mod.MODELS, "mlp", replace(mlp, init=poisoned_init))
         cfg = TrainConfig(kind="mlp", epochs=1, batch_size=8, seed=1)
         with pytest.raises(TrainingError, match="epoch 0 batch 0"):
-            train_model("mlp", toy_images(8), cfg)
+            train_model(toy_images(8), cfg)
 
     def test_cnn_regularizer_settings_reach_params(self):
         cfg = TrainConfig(kind="cnn", epochs=1, batch_size=4, seed=3, dropout_keep=0.7, l2_beta=0.01)
-        params, _ = train_model("cnn", toy_images(8, hw=(32, 32)), cfg)
+        params, _ = train_model(toy_images(8, hw=(32, 32)), cfg)
         assert params.dropout_keep == 0.7
         assert params.l2_beta == 0.01
 
     def test_unknown_kind(self):
-        with pytest.raises(TrainingError):
-            build_params("svm", (32, 32), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="model must be one of"):
+            TrainConfig(kind="svm")
 
 
 class TestCheckpoints:
     def test_roundtrip_all_kinds(self, tmp_path):
         for kind, hw in (("capsnet", (32, 32)), ("cnn", (64, 32)), ("mlp", (32, 32))):
-            params = build_params(kind, hw, np.random.default_rng(4))
+            params = MODELS[kind].init(TrainConfig(kind=kind), hw, np.random.default_rng(4))
             path = tmp_path / f"{kind}.ckpt"
             save_model(path, params)
             loaded_kind, loaded = load_model(path)
@@ -144,12 +152,12 @@ class TestCheckpoints:
     def test_predictions_survive_roundtrip(self, tmp_path):
         cfg = TrainConfig(kind="mlp", epochs=5, batch_size=8, seed=6)
         imgs = toy_images(12)
-        params, _ = train_model("mlp", imgs, cfg)
+        params, _ = train_model(imgs, cfg)
         px, _ = images_to_arrays(imgs)
-        before = predict("mlp", params, px)
+        before = predict(params, px)
         save_model(tmp_path / "m.ckpt", params)
         _, loaded = load_model(tmp_path / "m.ckpt")
-        np.testing.assert_array_equal(before, predict("mlp", loaded, px))
+        np.testing.assert_array_equal(before, predict(loaded, px))
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         params32 = MlpParams.init((32, 32), np.random.default_rng(7))
@@ -182,24 +190,100 @@ class TestCheckpoints:
         np.testing.assert_array_equal(arrays["a"], tensors["a"])
         np.testing.assert_array_equal(arrays["b"], tensors["b"])
 
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(lambda raw: raw[:12], id="inside-header-length"),
+            pytest.param(lambda raw: raw[:40], id="inside-header"),
+            pytest.param(lambda raw: raw[:-5], id="inside-tensor"),
+        ],
+    )
+    def test_truncated_file_refused(self, tmp_path, cut):
+        path = tmp_path / "m.ckpt"
+        save_model(path, MlpParams.init((4, 4), np.random.default_rng(1), hidden=3))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ({"version": 1, "tensors": {}}, "lacks a fingerprint"),
+            ({"version": 1, "fingerprint": [1], "tensors": {}}, "lacks a fingerprint"),
+            ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64"}, "tensors": {}}, "hidden, input_hw"),
+            ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64", "input_hw": [4, 4], "hidden": "x"}, "tensors": {}}, "hidden"),
+            ({"version": 1, "fingerprint": {"arch": "capsnet-v1", "dtype": "float32", "input_hw": [32, 32]}, "tensors": {}}, "conv1"),
+            ({"version": 1, "fingerprint": {"arch": ["mlp-v1"]}, "tensors": {}}, "unknown architecture"),
+            (
+                {
+                    "version": 1,
+                    "fingerprint": {
+                        "arch": "capsnet-v1", "dtype": "float32", "input_hw": [32, 32], "conv1": [64, 1, 5, 5, 2],
+                        "conv2": [128, 64, 9, 9, 2], "capsule_dim": 7, "secondary_dim": 10, "decoder_hidden": [512, 1024],
+                        "routing_iterations": 3,
+                    },
+                    "tensors": {},
+                },
+                "not divisible",
+            ),
+            (
+                {"version": 1, "fingerprint": {}, "tensors": {"w": {"dtype": "<f8", "shape": [3, 4], "offset": 0, "nbytes": 8}}},
+                "does not fit shape",
+            ),
+        ],
+    )
+    def test_malformed_header_refused(self, tmp_path, header, match):
+        body = json.dumps(header).encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"CRCKPT01" + struct.pack("<Q", len(body)) + body + bytes(8))
+        with pytest.raises(CheckpointError, match=match):
+            load_model(path)
+
+    def test_stored_fingerprint_format_loads(self, tmp_path):
+        # the cnn-v1 fingerprint exactly as existing checkpoints store it
+        fp = {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [2, 3, 4], "fc_hidden": 5, "pool_window": [4, 2], "dropout_keep": 0.5, "l2_beta": 0.001, "dtype": "float32"}
+        params = CnnParams.init((64, 32), np.random.default_rng(2), dtype=np.float32, filters=(2, 3, 4), fc_hidden=5)
+        assert params.fingerprint() == fp
+        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in params.named_parameters()}, fp)
+        kind, loaded = load_model(tmp_path / "c.ckpt")
+        assert kind == "cnn"
+        np.testing.assert_array_equal(loaded.fc1_w.data, params.fc1_w.data)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_or_raises_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        save_model(path, MlpParams.init((4, 4), np.random.default_rng(3), hidden=3))
+        raw = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+        path.write_bytes(damaged)
+        try:
+            load_model(path)
+        except CheckpointError:
+            pass
+
 
 class TestEvaluate:
     def test_counts_sum_to_test_size(self):
         cfg = TrainConfig(kind="mlp", epochs=10, batch_size=8, seed=10)
         imgs = toy_images(20)
-        params, _ = train_model("mlp", imgs, cfg)
+        params, _ = train_model(imgs, cfg)
         cm = evaluate(params, toy_images(10, seed=99))
         assert cm.total == 10
 
     def test_trained_model_separates_toy_classes(self):
         cfg = TrainConfig(kind="mlp", epochs=30, batch_size=8, seed=11)
-        params, _ = train_model("mlp", toy_images(20), cfg)
+        params, _ = train_model(toy_images(20), cfg)
         cm = evaluate(params, toy_images(12, seed=50))
         assert cm.fn == 0 and cm.fp == 0
 
     def test_evaluate_from_checkpoint_path(self, tmp_path):
         cfg = TrainConfig(kind="mlp", epochs=5, batch_size=8, seed=12)
-        params, _ = train_model("mlp", toy_images(12), cfg)
+        params, _ = train_model(toy_images(12), cfg)
         save_model(tmp_path / "m.ckpt", params)
         direct = evaluate(params, toy_images(8, seed=60))
         via_path = evaluate(tmp_path / "m.ckpt", toy_images(8, seed=60))
