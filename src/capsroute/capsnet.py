@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, einsum2, image_batch, relu, sigmoid, softmax_axis, truncated_normal
+from .tensor import Tensor, affine, conv2d, einsum2, image_batch, parameter, relu, sigmoid, softmax_axis
 
 __all__ = [
     "SQUASH_EPS",
@@ -52,17 +52,17 @@ N_CLASSES = 2
 class RoutingState:
     """Snapshot of the agreement logits and couplings after routing."""
 
-    logits: np.ndarray  # b, [P, 2] (or [B, P, 2])
-    couplings: np.ndarray  # c, rows sum to 1 over the secondary index
+    logits: np.ndarray  # b, [B, P, 2]
+    couplings: np.ndarray  # c, [B, P, 2], rows sum to 1 over the secondary index
     iteration: int
 
 
 @dataclass
 class CapsNetOutput:
-    v: Tensor  # secondary capsules, [2, 10] or [B, 2, 10]
-    probabilities: np.ndarray  # capsule lengths
-    predictions: np.ndarray  # argmax class indices (ties -> 0, Alert)
-    reconstruction: Tensor  # decoder output in (0, 1)
+    v: Tensor  # secondary capsules, [B, 2, 10]
+    probabilities: np.ndarray  # capsule lengths, [B, 2]
+    predictions: np.ndarray  # argmax class indices (ties -> 0, Alert), [B]
+    reconstruction: Tensor  # decoder output in (0, 1), [B, pixels]
     routing: RoutingState
 
 
@@ -105,8 +105,7 @@ class CapsNetParams:
         decoder_hidden: tuple = (512, 1024),
         routing_iterations: int = ROUTING_ITERATIONS,
     ) -> "CapsNetParams":
-        if rng is None:
-            rng = np.random.default_rng(0)
+        """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         if conv2_filters % capsule_dim != 0:
             raise ValueError(f"conv2 filters {conv2_filters} not divisible by capsule dim {capsule_dim}")
         h, w = input_hw
@@ -119,25 +118,19 @@ class CapsNetParams:
         num_primary = h2 * w2 * (conv2_filters // capsule_dim)
         pixels = h * w
 
-        def weight(shape):
-            return Tensor(truncated_normal(rng, shape, std=0.1, dtype=dtype), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
         d1, d2 = decoder_hidden
         return cls(
-            conv1_w=weight((conv1_filters, 1, conv1_kernel, conv1_kernel)),
-            conv1_b=zeros(conv1_filters),
-            conv2_w=weight((conv2_filters, conv1_filters, conv2_kernel, conv2_kernel)),
-            conv2_b=zeros(conv2_filters),
-            routing_w=weight((num_primary, N_CLASSES, secondary_dim, capsule_dim)),
-            dec1_w=weight((d1, N_CLASSES * secondary_dim)),
-            dec1_b=zeros(d1),
-            dec2_w=weight((d2, d1)),
-            dec2_b=zeros(d2),
-            dec3_w=weight((pixels, d2)),
-            dec3_b=zeros(pixels),
+            conv1_w=parameter((conv1_filters, 1, conv1_kernel, conv1_kernel), rng, dtype),
+            conv1_b=parameter(conv1_filters, None, dtype),
+            conv2_w=parameter((conv2_filters, conv1_filters, conv2_kernel, conv2_kernel), rng, dtype),
+            conv2_b=parameter(conv2_filters, None, dtype),
+            routing_w=parameter((num_primary, N_CLASSES, secondary_dim, capsule_dim), rng, dtype),
+            dec1_w=parameter((d1, N_CLASSES * secondary_dim), rng, dtype),
+            dec1_b=parameter(d1, None, dtype),
+            dec2_w=parameter((d2, d1), rng, dtype),
+            dec2_b=parameter(d2, None, dtype),
+            dec3_w=parameter((pixels, d2), rng, dtype),
+            dec3_b=parameter(pixels, None, dtype),
             input_hw=tuple(input_hw),
             conv1_stride=conv1_stride,
             conv2_stride=conv2_stride,
@@ -181,13 +174,12 @@ class CapsNetParams:
 
     @classmethod
     def from_fingerprint(cls, fp: dict) -> "CapsNetParams":
-        """The architecture ``fp`` describes, with freshly initialised weights."""
+        """The architecture ``fp`` describes, with zero-filled weights."""
         dtype = check_fingerprint(
             fp, ("capsule_dim", "secondary_dim", "routing_iterations"), {"input_hw": 2, "conv1": 5, "conv2": 5, "decoder_hidden": 2}
         )
         return cls.init(
             tuple(fp["input_hw"]),
-            np.random.default_rng(0),
             dtype=dtype,
             conv1_filters=fp["conv1"][0],
             conv1_kernel=fp["conv1"][2],
@@ -218,64 +210,55 @@ def squash(s: Tensor) -> Tensor:
 
 
 def primary_capsules(conv2_out: Tensor, capsule_dim: int = 16) -> Tensor:
-    """Regroup [C, h, w] conv features into h*w*(C/capsule_dim) squashed capsules.
+    """Regroup [B, C, h, w] conv features into [B, h*w*(C/capsule_dim), capsule_dim]
+    squashed capsules.
 
     Channels split into capsule types of ``capsule_dim`` consecutive channels;
     capsules are ordered cell-major, then by type.
     """
-    batched = conv2_out.ndim == 4
-    x = conv2_out if batched else conv2_out.reshape((1,) + conv2_out.shape)
-    b, c, h, w = x.shape
+    if conv2_out.ndim != 4:
+        raise ValueError(f"primary capsules need [B, C, h, w] features, got {conv2_out.shape}")
+    b, c, h, w = conv2_out.shape
     if c % capsule_dim != 0:
         raise ValueError(f"channel count {c} not divisible by capsule dim {capsule_dim}")
     types = c // capsule_dim
     u = (
-        x.reshape(b, types, capsule_dim, h, w)
+        conv2_out.reshape(b, types, capsule_dim, h, w)
         .transpose((0, 3, 4, 1, 2))
         .reshape(b, h * w * types, capsule_dim)
     )
-    u = squash(u)
-    return u if batched else u.reshape(u.shape[1], u.shape[2])
+    return squash(u)
 
 
 def votes(u: Tensor, w: Tensor) -> Tensor:
-    """Per-pair predictions u_hat[p, j] = W[p, j] @ u[p]."""
-    if w.ndim != 4 or u.shape[-1] != w.shape[-1] or u.shape[-2] != w.shape[0]:
-        raise ValueError(f"votes shapes disagree: u {u.shape}, W {w.shape}")
-    if u.ndim == 2:
-        return einsum2("pjdk,pk->pjd", w, u)
-    if u.ndim == 3:
-        return einsum2("pjdk,bpk->bpjd", w, u)
-    raise ValueError(f"votes expects [P, dim] or [B, P, dim] capsules, got {u.shape}")
+    """Per-pair predictions u_hat[b, p, j] = W[p, j] @ u[b, p] for capsules u [B, P, dim]."""
+    if w.ndim != 4 or u.ndim != 3 or u.shape[2] != w.shape[3] or u.shape[1] != w.shape[0]:
+        raise ValueError(f"votes needs [B, P, dim] capsules for W [P, J, D, dim]: u {u.shape}, W {w.shape}")
+    return einsum2("pjdk,bpk->bpjd", w, u)
 
 
 def dynamic_routing(u_hat: Tensor, iterations: int = ROUTING_ITERATIONS) -> tuple[Tensor, RoutingState]:
-    """Iterative agreement routing over votes [P, J, D] (or batched [B, P, J, D]).
+    """Iterative agreement routing over votes [B, P, J, D]; returns capsules [B, J, D].
 
     Logits start at zero; each iteration takes the coupling softmax over the
     secondary index, forms the weighted vote sum, squashes it, and adds the
-    vote/output agreement back onto the logits.
+    vote/output agreement back onto the logits. Samples never mix.
     """
     if iterations < 1:
         raise ValueError(f"routing needs at least 1 iteration, got {iterations}")
-    batched = u_hat.ndim == 4
-    uh = u_hat if batched else u_hat.reshape((1,) + u_hat.shape)
-    bsz, p, j, d = uh.shape
-    b = Tensor(np.zeros((bsz, p, j), dtype=uh.dtype))
+    if u_hat.ndim != 4:
+        raise ValueError(f"routing needs [B, P, J, D] votes, got {u_hat.shape}")
+    bsz, p, j, d = u_hat.shape
+    b = Tensor(np.zeros((bsz, p, j), dtype=u_hat.dtype))
     v = None
     c = None
     for _ in range(iterations):
         c = softmax_axis(b, axis=2)
-        s = einsum2("bpj,bpjd->bjd", c, uh)
+        s = einsum2("bpj,bpjd->bjd", c, u_hat)
         v = squash(s)
-        agreement = einsum2("bpjd,bjd->bpj", uh, v)
+        agreement = einsum2("bpjd,bjd->bpj", u_hat, v)
         b = b + agreement
-    state = RoutingState(
-        logits=b.data if batched else b.data[0],
-        couplings=c.data if batched else c.data[0],
-        iteration=iterations,
-    )
-    return (v if batched else v.reshape(j, d)), state
+    return v, RoutingState(logits=b.data, couplings=c.data, iteration=iterations)
 
 
 def capsule_lengths(v: Union[Tensor, np.ndarray]) -> np.ndarray:
@@ -292,18 +275,16 @@ def classify(v: Union[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def margin_loss(v: Tensor, labels) -> Tensor:
-    """Hinge-squared loss on capsule lengths, averaged over the batch.
+    """Hinge-squared loss on [B, J, D] capsule lengths against B labels, averaged over the batch.
 
     L = sum_k T_k max(0, 0.9 - |v_k|)^2 + 0.5 (1 - T_k) max(0, |v_k| - 0.1)^2
     """
-    batched = v.ndim == 3
-    vv = v if batched else v.reshape((1,) + v.shape)
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if lab.shape[0] != vv.shape[0]:
-        raise ValueError(f"margin_loss got {lab.shape[0]} labels for {vv.shape[0]} samples")
-    n2 = vv.square().sum(axis=-1)
+    lab = np.asarray(labels, dtype=np.int64)
+    if v.ndim != 3 or lab.shape != v.shape[:1]:
+        raise ValueError(f"margin_loss needs [B, J, D] capsules and B labels, got {v.shape} and labels {lab.shape}")
+    n2 = v.square().sum(axis=-1)
     length = (n2 + _NORM_GUARD).sqrt()
-    onehot = np.zeros(length.shape, dtype=vv.dtype)
+    onehot = np.zeros(length.shape, dtype=v.dtype)
     onehot[np.arange(lab.shape[0]), lab] = 1.0
     t = Tensor(onehot)
     anti = Tensor(1.0 - onehot)
@@ -314,17 +295,16 @@ def margin_loss(v: Tensor, labels) -> Tensor:
 
 
 def decoder_input(v: Tensor, mask: np.ndarray) -> Tensor:
-    """Masked concatenation: the non-selected capsule is zeroed, then flattened.
+    """Masked concatenation: capsules [B, J, D] times a [B, J] mask, flattened to [B, J*D].
 
     This is the one place that fixes the decoder-input convention (20-dim
     masked pair rather than the bare 10-dim winner).
     """
-    batched = v.ndim == 3
-    vv = v if batched else v.reshape((1,) + v.shape)
-    m = np.atleast_2d(np.asarray(mask, dtype=vv.dtype))
-    masked = vv * Tensor(m[:, :, None])
-    flat = masked.reshape(vv.shape[0], vv.shape[1] * vv.shape[2])
-    return flat if batched else flat.reshape(flat.shape[1])
+    m = np.asarray(mask, dtype=v.dtype)
+    if v.ndim != 3 or m.shape != v.shape[:2]:
+        raise ValueError(f"decoder input needs [B, J, D] capsules and a [B, J] mask, got {v.shape} and {m.shape}")
+    masked = v * Tensor(m[:, :, None])
+    return masked.reshape(v.shape[0], v.shape[1] * v.shape[2])
 
 
 def decode(v: Tensor, mask: np.ndarray, params: CapsNetParams) -> Tensor:
@@ -336,13 +316,13 @@ def decode(v: Tensor, mask: np.ndarray, params: CapsNetParams) -> Tensor:
 
 
 def total_loss(image, v: Tensor, reconstruction: Tensor, labels) -> Tensor:
-    """Margin loss plus 0.0005 * summed squared reconstruction error.
+    """Margin loss plus 0.0005 * summed squared reconstruction error, both batch means.
 
-    ``image`` must already be scaled to [0, 1] and flattened to match the
-    reconstruction (leading batch axis optional).
+    ``image`` is the [B, pixels] target: scaled to [0, 1] and flattened to
+    match the reconstruction.
     """
     target = np.asarray(image, dtype=reconstruction.dtype)
-    if target.shape != reconstruction.shape:
+    if target.ndim != 2 or target.shape != reconstruction.shape:
         raise ValueError(f"image {target.shape} does not match reconstruction {reconstruction.shape}")
     margin = margin_loss(v, labels)
     per_sample = (reconstruction - Tensor(target)).square().sum(axis=-1)
@@ -356,15 +336,15 @@ def _one_hot(indices: np.ndarray, dtype) -> np.ndarray:
 
 
 def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval", labels=None) -> CapsNetOutput:
-    """Full forward pass; images are [H, W] or [B, H, W], uint8 or [0, 1] floats.
+    """Full forward pass; images are [B, H, W], uint8 or [0, 1] floats.
 
-    In ``train`` mode the decoder sees the true capsule (labels required); in
+    In ``train`` mode the decoder sees the true capsule (B labels required); in
     ``eval`` mode it sees the predicted one.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     dtype = params.conv1_w.dtype
-    px, batched = image_batch(image, dtype, params.input_hw)
+    px = image_batch(image, dtype, params.input_hw)
     x = Tensor(px[:, None, :, :])
 
     h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=params.conv1_stride))
@@ -375,17 +355,10 @@ def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval"
     probabilities, predictions = classify(v)
 
     if mode == "train":
-        if labels is None:
-            raise ValueError("train mode needs labels for decoder masking")
-        mask_idx = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        if labels is None or np.shape(labels) != predictions.shape:
+            raise ValueError("train mode needs one label per image for decoder masking")
+        mask_idx = np.asarray(labels, dtype=np.int64)
     else:
-        mask_idx = np.atleast_1d(predictions)
-    mask = _one_hot(mask_idx, dtype)
-    recon = decode(v, mask, params)
-    if not batched:
-        v = v.reshape(v.shape[1], v.shape[2])
-        recon = recon.reshape(recon.shape[1])
-        probabilities = probabilities[0]
-        predictions = predictions[0]
-        state = RoutingState(logits=state.logits[0], couplings=state.couplings[0], iteration=state.iteration)
+        mask_idx = predictions
+    recon = decode(v, _one_hot(mask_idx, dtype), params)
     return CapsNetOutput(v=v, probabilities=probabilities, predictions=predictions, reconstruction=recon, routing=state)

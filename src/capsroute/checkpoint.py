@@ -2,8 +2,8 @@
 
 Layout: magic, little-endian uint64 header length, JSON header (version,
 fingerprint, tensor index with dtype/shape/offset), then the raw
-little-endian tensor blob. Loading refuses a fingerprint mismatch, and any
-malformed or truncated file raises ``CheckpointError``.
+little-endian tensor blob. Any malformed or truncated file raises
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def save_checkpoint(path: Path, named_arrays: dict[str, np.ndarray], fingerprint
             fh.write(blob)
 
 
-def load_checkpoint(path: Path, expected_fingerprint: dict | None = None) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     raw = path.read_bytes()
     if not raw.startswith(_MAGIC):
@@ -71,10 +71,6 @@ def load_checkpoint(path: Path, expected_fingerprint: dict | None = None) -> tup
     fingerprint, tensors = header.get("fingerprint"), header.get("tensors")
     if not isinstance(fingerprint, dict) or not isinstance(tensors, dict):
         raise CheckpointError(f"{path} header lacks a fingerprint or tensor index")
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise CheckpointError(
-            f"fingerprint mismatch for {path}:\n  stored:   {fingerprint}\n  expected: {expected_fingerprint}"
-        )
     blob = raw[_PREFIX + header_len :]
     arrays = {}
     for name, meta in tensors.items():

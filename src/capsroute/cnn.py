@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, relu, truncated_normal
+from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
@@ -54,8 +54,7 @@ class CnnParams:
         dropout_keep: float = DROPOUT_KEEP,
         l2_beta: float = L2_BETA,
     ) -> "CnnParams":
-        if rng is None:
-            rng = np.random.default_rng(0)
+        """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         h, w = input_hw
         pool_window = (4, 2) if h == 2 * w else (2, 2)
         ph, pw = h, w
@@ -64,24 +63,18 @@ class CnnParams:
             pw = -(-pw // 2)
         flat = filters[2] * ph * pw
 
-        def weight(shape):
-            return Tensor(truncated_normal(rng, shape, std=0.1, dtype=dtype), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
         f1, f2, f3 = filters
         return cls(
-            conv1_w=weight((f1, 1, 3, 3)),
-            conv1_b=zeros(f1),
-            conv2_w=weight((f2, f1, 3, 3)),
-            conv2_b=zeros(f2),
-            conv3_w=weight((f3, f2, 3, 3)),
-            conv3_b=zeros(f3),
-            fc1_w=weight((fc_hidden, flat)),
-            fc1_b=zeros(fc_hidden),
-            out_w=weight((2, fc_hidden)),
-            out_b=zeros(2),
+            conv1_w=parameter((f1, 1, 3, 3), rng, dtype),
+            conv1_b=parameter(f1, None, dtype),
+            conv2_w=parameter((f2, f1, 3, 3), rng, dtype),
+            conv2_b=parameter(f2, None, dtype),
+            conv3_w=parameter((f3, f2, 3, 3), rng, dtype),
+            conv3_b=parameter(f3, None, dtype),
+            fc1_w=parameter((fc_hidden, flat), rng, dtype),
+            fc1_b=parameter(fc_hidden, None, dtype),
+            out_w=parameter((2, fc_hidden), rng, dtype),
+            out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
             pool_window=pool_window,
             dropout_keep=dropout_keep,
@@ -119,11 +112,10 @@ class CnnParams:
 
     @classmethod
     def from_fingerprint(cls, fp: dict) -> "CnnParams":
-        """The architecture ``fp`` describes, with freshly initialised weights."""
+        """The architecture ``fp`` describes, with zero-filled weights."""
         dtype = check_fingerprint(fp, ("fc_hidden",), {"input_hw": 2, "filters": 3}, numbers=("dropout_keep", "l2_beta"))
         return cls.init(
             tuple(fp["input_hw"]),
-            np.random.default_rng(0),
             dtype=dtype,
             filters=tuple(fp["filters"]),
             fc_hidden=fp["fc_hidden"],
@@ -135,16 +127,16 @@ class CnnParams:
 def _block(x: Tensor, kernels: Tensor, bias: Tensor, pool_window: tuple) -> Tensor:
     padded = pad2d(x, (1, 1, 1, 1))
     activated = relu(conv2d(padded, kernels, bias, stride=1))
-    return maxpool2d(activated, pool_window, stride=2, zero_pad=True)
+    return maxpool2d(activated, pool_window, stride=2)
 
 
 def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Three conv/pool blocks, flatten, FC head. Dropout only when training.
+    """[B, H, W] images to [B, 2] logits: three conv/pool blocks, flatten, FC head.
 
-    Dropout uses inverted scaling, so inference applies no rescale and is
-    deterministic.
+    Dropout acts only when training. It uses inverted scaling, so inference
+    applies no rescale and is deterministic.
     """
-    px, batched = image_batch(image, params.conv1_w.dtype, params.input_hw)
+    px = image_batch(image, params.conv1_w.dtype, params.input_hw)
     x = Tensor(px[:, None, :, :])
 
     x = _block(x, params.conv1_w, params.conv1_b, params.pool_window)
@@ -157,7 +149,7 @@ def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rn
             raise ValueError("training-mode forward needs an rng for dropout")
         hidden = dropout(hidden, params.dropout_keep, rng)
     logits = affine(hidden, params.out_w, params.out_b)
-    return logits if batched else logits.reshape(2)
+    return logits
 
 
 def cnn_loss(logits: Tensor, labels, params: CnnParams) -> Tensor:

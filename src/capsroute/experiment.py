@@ -85,6 +85,25 @@ def plan_for(images: Sequence[SpectrogramImage], seed: int, folds: int, train_fr
     return make_splits(labels, k=folds, train_frac=train_frac, seed=seed, mode=split_mode, groups=groups)
 
 
+def _snapshot(cfg: TrainConfig, dataset_ref: str, out_dir: Path, folds: int, train_frac: float, split_mode: str, subject_grouped: bool) -> str:
+    settings = RunSettings(
+        **vars(cfg), dataset=dataset_ref, out_dir=out_dir,
+        folds=folds, train_frac=train_frac, split_mode=split_mode, subject_grouped=subject_grouped,
+    )
+    return settings.snapshot()
+
+
+def _check_snapshot(path: Path, expected: str) -> None:
+    """Refuse to score checkpoints under settings other than the ones they were trained with."""
+    if not path.exists():
+        raise ExperimentError(f"missing {path}; run the train stage first")
+    stored = dict(line.partition("=")[::2] for line in path.read_text().splitlines())
+    wanted = dict(line.partition("=")[::2] for line in expected.splitlines())
+    differing = sorted(key for key in stored.keys() | wanted.keys() if stored.get(key) != wanted.get(key))
+    if differing:
+        raise ExperimentError(f"settings differ from {path} in: {', '.join(differing)}")
+
+
 def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.default_rng((seed, 0xF0, fold)).integers(0, 2**31))
 
@@ -187,11 +206,8 @@ def stage_train(
     out_dir.mkdir(parents=True, exist_ok=True)
     images, dataset_ref = _load_images(dataset)
     plan = plan_for(images, cfg.seed, folds, train_frac, split_mode, subject_grouped)
-    settings = RunSettings(
-        **vars(cfg), dataset=dataset_ref, out_dir=out_dir,
-        folds=folds, train_frac=train_frac, split_mode=split_mode, subject_grouped=subject_grouped,
-    )
-    (out_dir / "config.snapshot").write_text(settings.snapshot())
+    snapshot = _snapshot(cfg, dataset_ref, out_dir, folds, train_frac, split_mode, subject_grouped)
+    (out_dir / "config.snapshot").write_text(snapshot)
 
     def work(i):
         return _train_one_fold(i, images, plan, cfg, out_dir)
@@ -215,9 +231,13 @@ def stage_eval(
     subject_grouped: bool = False,
     trained: Optional[list] = None,
 ) -> list[ConfusionMatrix]:
-    """Evaluate each fold's checkpoint; writes confusion files and report.csv."""
+    """Evaluate each fold's checkpoint; writes confusion files and report.csv.
+
+    Checkpoints read from ``out_dir`` are scored only if these settings match
+    its ``config.snapshot``, so the split plan is the one they were trained on.
+    """
     out_dir = Path(out_dir)
-    images, _ = _load_images(dataset)
+    images, dataset_ref = _load_images(dataset)
     plan = plan_for(images, cfg.seed, folds, train_frac, split_mode, subject_grouped)
     confusions = []
     for i in range(folds):
@@ -230,6 +250,8 @@ def stage_eval(
             stored_kind, model = load_model(ckpt)
             if stored_kind != cfg.kind:
                 raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {cfg.kind}")
+            if i == 0:  # after the kind check, which names the model the directory holds
+                _check_snapshot(out_dir / "config.snapshot", _snapshot(cfg, dataset_ref, out_dir, folds, train_frac, split_mode, subject_grouped))
             train_images = [images[j] for j in plan.folds[i].train_indices]
         train_paths = {img.source_path for img in train_images if img.source_path}
         cm = _eval_one_fold(i, images, plan, model, train_paths)

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, image_batch, relu, truncated_normal
+from .tensor import Tensor, affine, image_batch, parameter, relu
 
 __all__ = ["MlpParams", "mlp_forward"]
 
@@ -25,14 +25,13 @@ class MlpParams:
 
     @classmethod
     def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64, hidden: int = 512) -> "MlpParams":
-        if rng is None:
-            rng = np.random.default_rng(0)
+        """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         pixels = input_hw[0] * input_hw[1]
         return cls(
-            fc1_w=Tensor(truncated_normal(rng, (hidden, pixels), std=0.1, dtype=dtype), requires_grad=True),
-            fc1_b=Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-            out_w=Tensor(truncated_normal(rng, (2, hidden), std=0.1, dtype=dtype), requires_grad=True),
-            out_b=Tensor(np.zeros(2, dtype=dtype), requires_grad=True),
+            fc1_w=parameter((hidden, pixels), rng, dtype),
+            fc1_b=parameter(hidden, None, dtype),
+            out_w=parameter((2, hidden), rng, dtype),
+            out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
         )
 
@@ -49,14 +48,14 @@ class MlpParams:
 
     @classmethod
     def from_fingerprint(cls, fp: dict) -> "MlpParams":
-        """The architecture ``fp`` describes, with freshly initialised weights."""
+        """The architecture ``fp`` describes, with zero-filled weights."""
         dtype = check_fingerprint(fp, ("hidden",), {"input_hw": 2})
-        return cls.init(tuple(fp["input_hw"]), np.random.default_rng(0), dtype=dtype, hidden=fp["hidden"])
+        return cls.init(tuple(fp["input_hw"]), dtype=dtype, hidden=fp["hidden"])
 
 
 def mlp_forward(image: np.ndarray, params: MlpParams) -> Tensor:
-    px, batched = image_batch(image, params.fc1_w.dtype, params.input_hw)
+    """[B, H, W] images to [B, 2] logits."""
+    px = image_batch(image, params.fc1_w.dtype, params.input_hw)
     flat = Tensor(px.reshape(px.shape[0], -1))
     hidden = relu(affine(flat, params.fc1_w, params.fc1_b))
-    logits = affine(hidden, params.out_w, params.out_b)
-    return logits if batched else logits.reshape(2)
+    return affine(hidden, params.out_w, params.out_b)

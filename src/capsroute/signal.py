@@ -513,7 +513,12 @@ def read_pgm(path: Path) -> np.ndarray:
     parts = raw.split(b"\n", 3)
     if len(parts) != 4:
         raise PipelineError(f"{path} has a malformed PGM header")
-    w, h = (int(v) for v in parts[1].split())
+    try:
+        w, h = (int(v) for v in parts[1].split())
+    except ValueError:
+        raise PipelineError(f"{path} has a malformed PGM size line {parts[1][:40]!r}") from None
+    if w < 1 or h < 1:
+        raise PipelineError(f"{path} has a non-positive PGM size {w}x{h}")
     if parts[2] != b"255":
         raise PipelineError(f"{path} must use maxval 255")
     data = parts[3][: h * w]
@@ -555,13 +560,17 @@ def load_dataset(manifest_path: Path) -> list[SpectrogramImage]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise PipelineError(f"dataset manifest must have columns {sorted(expected)}, got {reader.fieldnames}")
         for row in reader:
+            try:
+                label, channel_set, segment_index = Label(row["label"]), ChannelSet(row["channel_set"]), int(row["segment_index"])
+            except (ValueError, TypeError) as exc:
+                raise PipelineError(f"bad dataset row {row} in {manifest_path}: {exc}") from exc
             images.append(
                 SpectrogramImage(
                     pixels=read_pgm(base / row["image_path"]),
-                    label=Label(row["label"]),
+                    label=label,
                     subject_id=row["subject_id"],
-                    channel_set=ChannelSet(row["channel_set"]),
-                    segment_index=int(row["segment_index"]),
+                    channel_set=channel_set,
+                    segment_index=segment_index,
                     source_path=row["image_path"],
                 )
             )

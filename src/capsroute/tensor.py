@@ -33,6 +33,7 @@ __all__ = [
     "dropout",
     "cross_entropy_logits",
     "truncated_normal",
+    "parameter",
     "image_batch",
 ]
 
@@ -372,23 +373,20 @@ def softmax_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """out = weights @ x + bias for a vector x, or batched rows of x."""
+    """out = x @ weights.T + bias for the rows of x: [B, in] -> [B, out]."""
     if weights.ndim != 2 or bias.ndim != 1 or weights.shape[0] != bias.shape[0]:
         raise ValueError(f"affine parameter shapes disagree: {weights.shape}, {bias.shape}")
-    if x.shape[-1] != weights.shape[1]:
-        raise ValueError(f"affine input {x.shape} does not match weights {weights.shape}")
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ValueError(f"affine input {x.shape} is not [B, {weights.shape[1]}] for weights {weights.shape}")
     out_data = x.data @ weights.data.T + bias.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g @ weights.data, "affine")
         if weights.requires_grad:
-            if g.ndim == 1:
-                weights._accumulate(np.outer(g, x.data), "affine")
-            else:
-                weights._accumulate(g.T @ x.data, "affine")
+            weights._accumulate(g.T @ x.data, "affine")
         if bias.requires_grad:
-            bias._accumulate(g if g.ndim == 1 else g.sum(axis=0), "affine")
+            bias._accumulate(g.sum(axis=0), "affine")
 
     return Tensor._result(out_data, (x, weights, bias), backward, "affine")
 
@@ -418,43 +416,37 @@ def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 2-D cross-correlation summed over input channels, plus bias.
 
-    ``x`` is [C_in, H, W] or [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw].
-    Output spatial extents are floor((H - kh) / stride) + 1 and likewise for W.
+    ``x`` is [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw]. The output is
+    [N, C_out, Ho, Wo] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
-    batched = x.ndim == 4
-    if not batched and x.ndim != 3:
-        raise ValueError(f"conv2d input must be 3-D or 4-D, got shape {x.shape}")
+    if x.ndim != 4:
+        raise ValueError(f"conv2d input must be [N, C, H, W], got shape {x.shape}")
     cout, cin, kh, kw = kernels.shape
-    xs = x.shape if batched else (1,) + x.shape
-    if xs[1] != cin:
-        raise ValueError(f"conv2d channels disagree: input {xs[1]}, kernels {cin}")
-    if kh > xs[2] or kw > xs[3]:
-        raise ValueError(f"conv2d kernel {kh}x{kw} larger than input {xs[2]}x{xs[3]}")
+    n, c, h, w = x.shape
+    if c != cin:
+        raise ValueError(f"conv2d channels disagree: input {c}, kernels {cin}")
+    if kh > h or kw > w:
+        raise ValueError(f"conv2d kernel {kh}x{kw} larger than input {h}x{w}")
     if bias.shape != (cout,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
-    xd = x.data if batched else x.data[None]
-    cols, ho, wo = _im2col(xd, kh, kw, stride)
+    cols, ho, wo = _im2col(x.data, kh, kw, stride)
     kmat = kernels.data.reshape(cout, cin * kh * kw)
     out = cols @ kmat.T + bias.data  # [n, ho*wo, cout]
-    out = out.transpose(0, 2, 1).reshape(xd.shape[0], cout, ho, wo)
-    if not batched:
-        out = out[0]
+    out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
     def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
-        gmat = gb.reshape(gb.shape[0], cout, ho * wo).transpose(0, 2, 1)  # [n, ho*wo, cout]
+        gmat = g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # [n, ho*wo, cout]
         if kernels.requires_grad:
             gk = np.einsum("npo,npk->ok", gmat, cols, optimize=True)
             kernels._accumulate(gk.reshape(kernels.shape), "conv2d")
         if bias.requires_grad:
-            bias._accumulate(gb.sum(axis=(0, 2, 3)), "conv2d")
+            bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
         if x.requires_grad:
             gcols = gmat @ kmat  # [n, ho*wo, cin*kh*kw]
-            gx = _col2im(gcols, xd.shape, kh, kw, stride)
-            x._accumulate(gx if batched else gx[0], "conv2d")
+            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride), "conv2d")
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
@@ -472,51 +464,40 @@ def pad2d(x: Tensor, pad: tuple) -> Tensor:
     return Tensor._result(out_data, (x,), backward, "pad2d")
 
 
-def maxpool2d(x: Tensor, window: tuple, stride: int, zero_pad: bool = False) -> Tensor:
-    """Max pooling over [C, H, W] or [N, C, H, W].
+def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
+    """Ceil-mode max pooling over [N, C, H, W].
 
-    With ``zero_pad`` the input is zero-extended on the bottom/right so output
-    extents are ceil(H / stride) x ceil(W / stride); otherwise valid mode.
+    The input is zero-extended on the bottom/right so output extents are
+    ceil(H / stride) x ceil(W / stride).
     """
+    if x.ndim != 4:
+        raise ValueError(f"maxpool2d input must be [N, C, H, W], got shape {x.shape}")
     ph, pw = window
-    batched = x.ndim == 4
-    if not batched and x.ndim != 3:
-        raise ValueError(f"maxpool2d input must be 3-D or 4-D, got shape {x.shape}")
-    xd = x.data if batched else x.data[None]
-    n, c, h, w = xd.shape
-    if zero_pad:
-        ho = -(-h // stride)
-        wo = -(-w // stride)
-        hp = max((ho - 1) * stride + ph, h)
-        wp = max((wo - 1) * stride + pw, w)
-        xp = np.zeros((n, c, hp, wp), dtype=xd.dtype)
-        xp[:, :, :h, :w] = xd
-    else:
-        if ph > h or pw > w:
-            raise ValueError(f"maxpool2d window {window} larger than input {h}x{w}")
-        ho = (h - ph) // stride + 1
-        wo = (w - pw) // stride + 1
-        xp = xd
+    n, c, h, w = x.shape
+    ho = -(-h // stride)
+    wo = -(-w // stride)
+    hp = max((ho - 1) * stride + ph, h)
+    wp = max((wo - 1) * stride + pw, w)
+    xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+    xp[:, :, :h, :w] = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (ph, pw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]  # [n, c, ho, wo, ph, pw]
     flat = win.reshape(n, c, ho, wo, ph * pw)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out_final = out if batched else out[0]
 
     def backward(g: np.ndarray) -> None:
-        gb = g if batched else g[None]
         hi = (np.arange(ho) * stride)[None, None, :, None] + arg // pw
         wi = (np.arange(wo) * stride)[None, None, None, :] + arg % pw
         ni, ci = np.indices((n, c))[:, :, :, None, None]
         ni = np.broadcast_to(ni, arg.shape)
         ci = np.broadcast_to(ci, arg.shape)
         valid = (hi < h) & (wi < w)  # a zero-pad cell winning the max gets no gradient
-        gx = np.zeros((n, c, h, w), dtype=gb.dtype)
-        np.add.at(gx, (ni[valid], ci[valid], hi[valid], wi[valid]), gb[valid])
-        x._accumulate(gx if batched else gx[0], "maxpool2d")
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        np.add.at(gx, (ni[valid], ci[valid], hi[valid], wi[valid]), g[valid])
+        x._accumulate(gx, "maxpool2d")
 
-    return Tensor._result(out_final, (x,), backward, "maxpool2d")
+    return Tensor._result(out, (x,), backward, "maxpool2d")
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +546,11 @@ def dropout(x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy; scalar mean over the batch.
-
-    ``logits`` is [K] with an int label or [B, K] with B int labels.
-    """
-    single = logits.ndim == 1
-    ld = logits.data[None] if single else logits.data
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if lab.shape[0] != ld.shape[0]:
-        raise ValueError(f"cross_entropy_logits labels {lab.shape} do not match logits {logits.shape}")
+    """Softmax cross-entropy of [B, K] logits against B int labels; scalar mean over the batch."""
+    ld = logits.data
+    lab = np.asarray(labels, dtype=np.int64)
+    if ld.ndim != 2 or lab.shape != ld.shape[:1]:
+        raise ValueError(f"cross_entropy_logits needs [B, K] logits and B labels, got {logits.shape} and labels {lab.shape}")
     shifted = ld - ld.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + ld.max(axis=1)
     picked = ld[np.arange(ld.shape[0]), lab]
@@ -584,7 +561,7 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(ld.shape[0]), lab] -= 1.0
         p *= g / ld.shape[0]
-        logits._accumulate(p[0] if single else p, "cross_entropy_logits")
+        logits._accumulate(p, "cross_entropy_logits")
 
     return Tensor._result(out, (logits,), backward, "cross_entropy_logits")
 
@@ -604,16 +581,20 @@ def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.1, d
     return out.astype(dtype)
 
 
-def image_batch(image, dtype, input_hw: tuple) -> tuple[np.ndarray, bool]:
-    """Model input as a [B, H, W] ``dtype`` array, and whether it came batched.
+def parameter(shape, rng: Optional[np.random.Generator], dtype) -> Tensor:
+    """A trainable tensor: truncated-normal (std 0.1) draws from ``rng``, or zeros without one."""
+    data = np.zeros(shape, dtype=dtype) if rng is None else truncated_normal(rng, shape, std=0.1, dtype=dtype)
+    return Tensor(data, requires_grad=True)
 
-    ``image`` is [H, W] or [B, H, W], uint8 (scaled to [0, 1]) or floats.
+
+def image_batch(images, dtype, input_hw: tuple) -> np.ndarray:
+    """Model input as a [B, H, W] ``dtype`` array.
+
+    ``images`` is [B, H, W], uint8 (scaled to [0, 1]) or floats.
     """
-    pixels = np.asarray(image)
+    pixels = np.asarray(images)
+    if pixels.ndim != 3 or pixels.shape[1:] != input_hw:
+        raise ValueError(f"images {pixels.shape} are not a [B, H, W] batch of model input {input_hw}")
     if pixels.dtype == np.uint8:
         pixels = pixels.astype(dtype) / 255.0
-    batched = pixels.ndim == 3
-    px = pixels if batched else pixels[None]
-    if px.shape[1:] != input_hw:
-        raise ValueError(f"image {px.shape[1:]} does not match model input {input_hw}")
-    return px.astype(dtype, copy=False), batched
+    return pixels.astype(dtype, copy=False)

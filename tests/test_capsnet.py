@@ -97,47 +97,47 @@ class TestSquash:
 
 class TestPrimaryCapsules:
     def test_72_capsules_for_3x3(self):
-        conv_out = Tensor(np.random.default_rng(3).normal(size=(128, 3, 3)))
+        conv_out = Tensor(np.random.default_rng(3).normal(size=(128, 3, 3))[None])
         u = primary_capsules(conv_out, 16)
-        assert u.shape == (72, 16)
+        assert u.shape == (1, 72, 16)
 
     def test_264_capsules_for_11x3(self):
-        conv_out = Tensor(np.random.default_rng(4).normal(size=(128, 11, 3)))
+        conv_out = Tensor(np.random.default_rng(4).normal(size=(128, 11, 3))[None])
         u = primary_capsules(conv_out, 16)
-        assert u.shape == (264, 16)
+        assert u.shape == (1, 264, 16)
 
     def test_all_norms_below_one(self):
-        conv_out = Tensor(np.random.default_rng(5).normal(scale=10.0, size=(32, 4, 4)))
+        conv_out = Tensor(np.random.default_rng(5).normal(scale=10.0, size=(32, 4, 4))[None])
         u = primary_capsules(conv_out, 16)
         assert (capsule_lengths(u) < 1.0).all()
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError):
-            primary_capsules(Tensor(np.zeros((30, 3, 3))), 16)
+            primary_capsules(Tensor(np.zeros((1, 30, 3, 3))), 16)
 
     def test_channel_grouping_is_consecutive(self):
         # capsule type t at cell (i, j) reads channels [t*dim, (t+1)*dim)
         c, h, w, dim = 8, 2, 2, 4
         data = np.zeros((c, h, w))
         data[4:8, 1, 0] = [1.0, 2.0, 3.0, 4.0]  # type 1 at cell (1, 0)
-        u = primary_capsules(Tensor(data), dim)
+        u = primary_capsules(Tensor(data[None]), dim).data[0]
         p = (1 * w + 0) * (c // dim) + 1  # cell-major, then type
-        np.testing.assert_allclose(u.data[p], squash_oracle(np.array([1.0, 2.0, 3.0, 4.0])), rtol=1e-12)
-        others = np.delete(u.data, p, axis=0)
+        np.testing.assert_allclose(u[p], squash_oracle(np.array([1.0, 2.0, 3.0, 4.0])), rtol=1e-12)
+        others = np.delete(u, p, axis=0)
         np.testing.assert_array_equal(others, np.zeros_like(others))
 
 
 class TestVotes:
     def test_zero_weights_zero_votes(self):
-        u = Tensor(np.random.default_rng(6).normal(size=(5, 4)))
+        u = Tensor(np.random.default_rng(6).normal(size=(5, 4))[None])
         w = Tensor(np.zeros((5, 2, 3, 4)))
-        np.testing.assert_array_equal(votes(u, w).data, np.zeros((5, 2, 3)))
+        np.testing.assert_array_equal(votes(u, w).data, np.zeros((1, 5, 2, 3)))
 
     def test_identity_padded_truncates(self):
         u_data = np.random.default_rng(7).normal(size=(3, 5))
         w = np.zeros((3, 2, 3, 5))
         w[:, :, :, :3] = np.eye(3)
-        out = votes(Tensor(u_data), Tensor(w)).data
+        out = votes(Tensor(u_data[None]), Tensor(w)).data[0]
         for p in range(3):
             for j in range(2):
                 np.testing.assert_allclose(out[p, j], u_data[p, :3], rtol=1e-15)
@@ -146,7 +146,7 @@ class TestVotes:
         u_data = np.random.default_rng(8).normal(size=(2, 3))
         w = np.zeros((2, 2, 5, 3))
         w[:, :, :3, :] = np.eye(3)
-        out = votes(Tensor(u_data), Tensor(w)).data
+        out = votes(Tensor(u_data[None]), Tensor(w)).data[0]
         for p in range(2):
             for j in range(2):
                 np.testing.assert_allclose(out[p, j, :3], u_data[p], rtol=1e-15)
@@ -156,7 +156,7 @@ class TestVotes:
         rng = np.random.default_rng(9)
         u = rng.normal(size=(6, 4))
         w = rng.normal(size=(6, 2, 3, 4))
-        got = votes(Tensor(u), Tensor(w)).data
+        got = votes(Tensor(u[None]), Tensor(w)).data[0]
         for p in range(6):
             for j in range(2):
                 want = np.zeros(3)
@@ -167,7 +167,7 @@ class TestVotes:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            votes(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 2, 3, 9))))
+            votes(Tensor(np.zeros((1, 5, 4))), Tensor(np.zeros((5, 2, 3, 9))))
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +179,20 @@ class TestDynamicRouting:
     def test_single_iteration_is_uniform_coupling(self):
         rng = np.random.default_rng(10)
         u_hat = rng.normal(size=(6, 2, 5))
-        v, state = dynamic_routing(Tensor(u_hat), iterations=1)
+        v, state = dynamic_routing(Tensor(u_hat[None]), iterations=1)
         np.testing.assert_allclose(state.couplings, 0.5, atol=1e-15)
         for j in range(2):
             expected = squash_oracle(0.5 * u_hat[:, j, :].sum(axis=0))
-            np.testing.assert_allclose(v.data[j], expected, rtol=1e-12)
+            np.testing.assert_allclose(v.data[0, j], expected, rtol=1e-12)
 
     def test_identical_votes_symmetry(self):
         q = np.array([0.3, -0.2, 0.5])
         p_count = 8
         u_hat = np.tile(q, (p_count, 2, 1))
-        v, _ = dynamic_routing(Tensor(u_hat), iterations=1)
+        v, _ = dynamic_routing(Tensor(u_hat[None]), iterations=1)
         expected = squash_oracle((p_count / 2.0) * q)
-        np.testing.assert_allclose(v.data[0], expected, rtol=1e-12)
-        np.testing.assert_allclose(v.data[1], expected, rtol=1e-12)
+        np.testing.assert_allclose(v.data[0, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(v.data[0, 1], expected, rtol=1e-12)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(11)
@@ -200,12 +200,12 @@ class TestDynamicRouting:
             p_count = int(rng.integers(1, 9))
             d = int(rng.integers(1, 5))
             u_hat = rng.normal(size=(p_count, 2, d))
-            v, _ = dynamic_routing(Tensor(u_hat), iterations=5)
-            np.testing.assert_allclose(v.data, routing_oracle(u_hat, 5), atol=1e-12, rtol=1e-12)
+            v, _ = dynamic_routing(Tensor(u_hat[None]), iterations=5)
+            np.testing.assert_allclose(v.data[0], routing_oracle(u_hat, 5), atol=1e-12, rtol=1e-12)
 
     def test_coupling_rows_sum_to_one_every_iteration(self):
         rng = np.random.default_rng(12)
-        u_hat = Tensor(rng.normal(size=(7, 2, 4)))
+        u_hat = Tensor(rng.normal(size=(7, 2, 4))[None])
         for k in range(1, 6):
             _, state = dynamic_routing(u_hat, iterations=k)
             np.testing.assert_allclose(state.couplings.sum(axis=-1), 1.0, atol=1e-12)
@@ -216,12 +216,12 @@ class TestDynamicRouting:
         u_hat = rng.normal(size=(3, 5, 2, 4))
         v_batch, _ = dynamic_routing(Tensor(u_hat), iterations=5)
         for i in range(3):
-            v_one, _ = dynamic_routing(Tensor(u_hat[i]), iterations=5)
-            np.testing.assert_allclose(v_batch.data[i], v_one.data, rtol=1e-12, atol=1e-14)
+            v_one, _ = dynamic_routing(Tensor(u_hat[i : i + 1]), iterations=5)
+            np.testing.assert_allclose(v_batch.data[i], v_one.data[0], rtol=1e-12, atol=1e-14)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
-            dynamic_routing(Tensor(np.zeros((3, 2, 4))), iterations=0)
+            dynamic_routing(Tensor(np.zeros((1, 3, 2, 4))), iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +256,28 @@ class TestMarginLoss:
         v = np.zeros((2, 10))
         v[0, 0] = len0
         v[1, 0] = len1
-        return Tensor(v)
+        return Tensor(v[None])
 
     def test_inside_both_margins_is_zero(self):
-        loss = margin_loss(self._v(0.95, 0.05), 0)
+        loss = margin_loss(self._v(0.95, 0.05), [0])
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-15)
 
     def test_all_zero_capsules(self):
-        loss = margin_loss(self._v(0.0, 0.0), 0)
+        loss = margin_loss(self._v(0.0, 0.0), [0])
         np.testing.assert_allclose(loss.item(), 0.81, rtol=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
-            v = Tensor(rng.normal(size=(2, 10)))
-            assert margin_loss(v, int(rng.integers(0, 2))).item() >= 0.0
+            v = Tensor(rng.normal(size=(2, 10))[None])
+            assert margin_loss(v, [int(rng.integers(0, 2))]).item() >= 0.0
 
     def test_batched_is_mean_of_singles(self):
         rng = np.random.default_rng(16)
         v = rng.normal(size=(3, 2, 10))
         labels = np.array([0, 1, 0])
         batched = margin_loss(Tensor(v), labels).item()
-        singles = [margin_loss(Tensor(v[i]), labels[i]).item() for i in range(3)]
+        singles = [margin_loss(Tensor(v[i : i + 1]), labels[i : i + 1]).item() for i in range(3)]
         np.testing.assert_allclose(batched, np.mean(singles), rtol=1e-12)
 
 
@@ -292,54 +292,54 @@ class TestDecoder:
         v1 = rng.normal(size=(2, 10))
         v2 = v1.copy()
         v2[1] = rng.normal(size=10)  # perturb the masked-out capsule
-        mask = np.array([1.0, 0.0])
-        out1 = decode(Tensor(v1), mask, params).data
-        out2 = decode(Tensor(v2), mask, params).data
+        mask = np.array([[1.0, 0.0]])
+        out1 = decode(Tensor(v1[None]), mask, params).data
+        out2 = decode(Tensor(v2[None]), mask, params).data
         np.testing.assert_array_equal(out1, out2)
 
     def test_output_length_matches_input_pixels(self):
         params64 = CapsNetParams.init((64, 32), np.random.default_rng(19))
-        v = Tensor(np.random.default_rng(20).normal(size=(2, 10)))
-        assert decode(v, np.array([1.0, 0.0]), params64).shape == (2048,)
+        v = Tensor(np.random.default_rng(20).normal(size=(2, 10))[None])
+        assert decode(v, np.array([[1.0, 0.0]]), params64).shape == (1, 2048)
 
     def test_zero_capsules_give_bias_path(self, params):
-        out = decode(Tensor(np.zeros((2, 10))), np.array([1.0, 0.0]), params).data
+        out = decode(Tensor(np.zeros((1, 2, 10))), np.array([[1.0, 0.0]]), params).data
         # zero-initialized biases: every pixel is sigmoid(0) = 0.5
         np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
     def test_decoder_input_is_masked_concatenation(self):
-        v = Tensor(np.arange(20, dtype=np.float64).reshape(2, 10))
-        flat = decoder_input(v, np.array([0.0, 1.0])).data
-        np.testing.assert_array_equal(flat[:10], np.zeros(10))
-        np.testing.assert_array_equal(flat[10:], np.arange(10, 20))
+        v = Tensor(np.arange(20, dtype=np.float64).reshape(1, 2, 10))
+        flat = decoder_input(v, np.array([[0.0, 1.0]])).data
+        np.testing.assert_array_equal(flat[0, :10], np.zeros(10))
+        np.testing.assert_array_equal(flat[0, 10:], np.arange(10, 20))
 
 
 class TestTotalLoss:
     def test_perfect_reconstruction_leaves_margin(self):
         rng = np.random.default_rng(21)
-        v = Tensor(rng.normal(scale=0.3, size=(2, 10)))
-        image = rng.uniform(size=1024)
+        v = Tensor(rng.normal(scale=0.3, size=(2, 10))[None])
+        image = rng.uniform(size=1024)[None]
         recon = Tensor(image.copy())
-        total = total_loss(image, v, recon, 1).item()
-        np.testing.assert_allclose(total, margin_loss(v, 1).item(), rtol=1e-12)
+        total = total_loss(image, v, recon, [1]).item()
+        np.testing.assert_allclose(total, margin_loss(v, [1]).item(), rtol=1e-12)
 
     def test_off_by_one_everywhere(self):
-        v = Tensor(np.zeros((2, 10)))
-        image = np.zeros(1024)
-        recon = Tensor(np.ones(1024))
-        total = total_loss(image, v, recon, 0).item()
-        np.testing.assert_allclose(total - margin_loss(v, 0).item(), 0.0005 * 1024, rtol=1e-12)
+        v = Tensor(np.zeros((1, 2, 10)))
+        image = np.zeros((1, 1024))
+        recon = Tensor(np.ones((1, 1024)))
+        total = total_loss(image, v, recon, [0]).item()
+        np.testing.assert_allclose(total - margin_loss(v, [0]).item(), 0.0005 * 1024, rtol=1e-12)
 
     def test_total_at_least_margin(self):
         rng = np.random.default_rng(22)
-        v = Tensor(rng.normal(size=(2, 10)))
-        image = rng.uniform(size=64)
-        recon = Tensor(rng.uniform(size=64).clip(1e-3, 1 - 1e-3))
-        assert total_loss(image, v, recon, 0).item() >= margin_loss(v, 0).item()
+        v = Tensor(rng.normal(size=(2, 10))[None])
+        image = rng.uniform(size=64)[None]
+        recon = Tensor(rng.uniform(size=64).clip(1e-3, 1 - 1e-3)[None])
+        assert total_loss(image, v, recon, [0]).item() >= margin_loss(v, [0]).item()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            total_loss(np.zeros(100), Tensor(np.zeros((2, 10))), Tensor(np.zeros(99).clip(0.1, 0.9) + 0.5), 0)
+            total_loss(np.zeros((1, 100)), Tensor(np.zeros((1, 2, 10))), Tensor(np.zeros((1, 99)).clip(0.1, 0.9) + 0.5), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +354,22 @@ class TestForward:
         assert params.conv2_w.shape == (128, 64, 9, 9)
         assert params.num_primary == 72
         image = np.random.default_rng(24).integers(0, 256, size=(32, 32)).astype(np.uint8)
-        out = capsnet_forward(image, params, mode="eval")
-        assert out.v.shape == (2, 10)
-        assert out.reconstruction.shape == (1024,)
-        assert out.routing.couplings.shape == (72, 2)
+        out = capsnet_forward(image[None], params, mode="eval")
+        assert out.v.shape == (1, 2, 10)
+        assert out.reconstruction.shape == (1, 1024)
+        assert out.routing.couplings.shape == (1, 72, 2)
 
     def test_shape_trace_64x32(self):
         params = CapsNetParams.init((64, 32), np.random.default_rng(25))
         assert params.num_primary == 264
         image = np.random.default_rng(26).integers(0, 256, size=(64, 32)).astype(np.uint8)
-        out = capsnet_forward(image, params, mode="eval")
-        assert out.v.shape == (2, 10)
-        assert out.reconstruction.shape == (2048,)
+        out = capsnet_forward(image[None], params, mode="eval")
+        assert out.v.shape == (1, 2, 10)
+        assert out.reconstruction.shape == (1, 2048)
 
     def test_deterministic(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(27))
-        image = np.random.default_rng(28).integers(0, 256, size=(32, 32)).astype(np.uint8)
+        image = np.random.default_rng(28).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
         a = capsnet_forward(image, params, mode="eval")
         b = capsnet_forward(image, params, mode="eval")
         np.testing.assert_array_equal(a.v.data, b.v.data)
@@ -385,14 +385,14 @@ class TestForward:
 
     def test_train_mode_requires_labels(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(31))
-        image = np.zeros((32, 32), dtype=np.uint8)
+        image = np.zeros((1, 32, 32), dtype=np.uint8)
         with pytest.raises(ValueError):
             capsnet_forward(image, params, mode="train")
 
     def test_wrong_input_size(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(32))
         with pytest.raises(ValueError):
-            capsnet_forward(np.zeros((64, 32), dtype=np.uint8), params)
+            capsnet_forward(np.zeros((1, 64, 32), dtype=np.uint8), params)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +414,12 @@ class TestGradientsThroughRouting:
             secondary_dim=3,
             decoder_hidden=(6, 7),
         )
-        image = rng.uniform(size=(12, 12))
-        label = 1
+        image = rng.uniform(size=(12, 12))[None]
+        labels = np.array([1])
 
         def loss_fn():
-            out = capsnet_forward(image, params, mode="train", labels=label)
-            return total_loss(image.reshape(-1), out.v, out.reconstruction, label)
+            out = capsnet_forward(image, params, mode="train", labels=labels)
+            return total_loss(image.reshape(1, -1), out.v, out.reconstruction, labels)
 
         worst = check_gradients(loss_fn, params.named_parameters(), rng, samples_per_param=10, tol=1e-4)
         assert max(worst.values()) < 1e-4

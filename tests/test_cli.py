@@ -1,5 +1,6 @@
 """CLI commands, config precedence, and exit-code categories."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,21 @@ class TestTrainEvalReport:
         ckpt.write_bytes(ckpt.read_bytes()[:12])
         assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
         assert "truncated" in capsys.readouterr().err
+
+    def test_eval_with_other_settings_refused(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "seeded"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK  # --seed 1
+        assert main(["eval", *_run_args(dataset_dir, out), "--seed", "2"]) == EXIT_DATA
+        assert "in: seed" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_malformed_dataset_is_data_error(self, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        pgm = sorted(broken.glob("*.pgm"))[0]
+        pgm.write_bytes(pgm.read_bytes().replace(b"\n32 32\n", b"\nx 32\n", 1))
+        assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
+        assert "malformed PGM size line" in capsys.readouterr().err
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG

@@ -20,24 +20,24 @@ class TestShapes:
         params = CnnParams.init((32, 32), np.random.default_rng(0))
         assert params.pool_window == (2, 2)
         assert params.fc1_w.shape == (512, 128 * 4 * 4)
-        logits = cnn_forward(np.zeros((32, 32), dtype=np.uint8), params)
-        assert logits.shape == (2,)
+        logits = cnn_forward(np.zeros((1, 32, 32), dtype=np.uint8), params)
+        assert logits.shape == (1, 2)
 
     def test_trace_64x32(self):
         params = CnnParams.init((64, 32), np.random.default_rng(1))
         assert params.pool_window == (4, 2)
         assert params.fc1_w.shape == (512, 128 * 8 * 4)
-        logits = cnn_forward(np.zeros((64, 32), dtype=np.uint8), params)
-        assert logits.shape == (2,)
+        logits = cnn_forward(np.zeros((1, 64, 32), dtype=np.uint8), params)
+        assert logits.shape == (1, 2)
 
     def test_pooling_halves_every_block(self):
         # ceil-division with zero padding halves exactly for both input sizes
         for h, w, window in ((32, 32, (2, 2)), (64, 32, (4, 2))):
-            x = Tensor(np.random.default_rng(2).normal(size=(1, h, w)))
+            x = Tensor(np.random.default_rng(2).normal(size=(1, h, w))[None])
             for _ in range(3):
-                x = maxpool2d(x, window, stride=2, zero_pad=True)
+                x = maxpool2d(x, window, stride=2)
                 h, w = -(-h // 2), -(-w // 2)
-                assert x.shape == (1, h, w)
+                assert x.shape == (1, 1, h, w)
         assert (h, w) == (8, 4) or (h, w) == (4, 4)
 
     def test_batched(self):
@@ -48,13 +48,13 @@ class TestShapes:
     def test_wrong_input_size(self):
         params = CnnParams.init((32, 32), np.random.default_rng(4))
         with pytest.raises(ValueError):
-            cnn_forward(np.zeros((64, 32), dtype=np.uint8), params)
+            cnn_forward(np.zeros((1, 64, 32), dtype=np.uint8), params)
 
 
 class TestDropoutBehavior:
     def test_inference_is_deterministic(self):
         params = CnnParams.init((32, 32), np.random.default_rng(5))
-        image = np.random.default_rng(6).integers(0, 256, size=(32, 32)).astype(np.uint8)
+        image = np.random.default_rng(6).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
         a = cnn_forward(image, params, training=False)
         b = cnn_forward(image, params, training=False)
         np.testing.assert_array_equal(a.data, b.data)
@@ -62,11 +62,11 @@ class TestDropoutBehavior:
     def test_training_requires_rng(self):
         params = CnnParams.init((32, 32), np.random.default_rng(7))
         with pytest.raises(ValueError):
-            cnn_forward(np.zeros((32, 32), dtype=np.uint8), params, training=True)
+            cnn_forward(np.zeros((1, 32, 32), dtype=np.uint8), params, training=True)
 
     def test_training_dropout_changes_output(self):
         params = CnnParams.init((32, 32), np.random.default_rng(8))
-        image = np.random.default_rng(9).integers(0, 256, size=(32, 32)).astype(np.uint8)
+        image = np.random.default_rng(9).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
         a = cnn_forward(image, params, training=True, rng=np.random.default_rng(1))
         b = cnn_forward(image, params, training=True, rng=np.random.default_rng(2))
         assert not np.array_equal(a.data, b.data)
@@ -79,9 +79,9 @@ def small_params():
 
 class TestCnnLoss:
     def test_symmetric_logits_give_ln2_plus_l2(self, small_params):
-        logits = Tensor(np.array([1.7, 1.7]))
+        logits = Tensor(np.array([[1.7, 1.7]]))
         l2 = sum(float((w.data**2).sum()) for w in small_params.weight_tensors())
-        loss = cnn_loss(logits, 0, small_params)
+        loss = cnn_loss(logits, [0], small_params)
         np.testing.assert_allclose(loss.item(), np.log(2.0) + 0.001 * l2, rtol=1e-12)
 
     def test_matches_logsumexp_oracle(self, small_params):
@@ -90,22 +90,22 @@ class TestCnnLoss:
         for _ in range(20):
             logits = rng.normal(scale=3.0, size=2)
             label = int(rng.integers(0, 2))
-            got = cnn_loss(Tensor(logits), label, small_params).item()
+            got = cnn_loss(Tensor(logits[None]), [label], small_params).item()
             want = logsumexp_ce_oracle(logits, label) + 0.001 * l2
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_l2_strictly_increasing_in_weight_magnitude(self, small_params):
-        logits = Tensor(np.array([0.3, -0.2]))
-        base = cnn_loss(logits, 0, small_params).item()
+        logits = Tensor(np.array([[0.3, -0.2]]))
+        base = cnn_loss(logits, [0], small_params).item()
         bumped = CnnParams.init((32, 32), np.random.default_rng(10), filters=(2, 3, 4), fc_hidden=5)
         bumped.fc1_w.data = bumped.fc1_w.data * 2.0
-        assert cnn_loss(logits, 0, bumped).item() > base
+        assert cnn_loss(logits, [0], bumped).item() > base
 
     def test_perfect_confidence_zero_weight_limit(self):
         params = CnnParams.init((32, 32), np.random.default_rng(12), filters=(2, 2, 2), fc_hidden=3)
         for _, p in params.named_parameters():
             p.data = np.zeros_like(p.data)
-        loss = cnn_loss(Tensor(np.array([30.0, -30.0])), 0, params).item()
+        loss = cnn_loss(Tensor(np.array([[30.0, -30.0]])), [0], params).item()
         assert loss < 1e-12
 
 
@@ -123,11 +123,11 @@ class TestGradients:
     def test_reduced_clone_all_groups(self):
         rng = np.random.default_rng(13)
         params = CnnParams.init((8, 8), rng, filters=(2, 3, 4), fc_hidden=5)
-        image = rng.uniform(size=(8, 8))
+        image = rng.uniform(size=(8, 8))[None]
 
         def loss_fn():
             logits = cnn_forward(image, params, training=False)
-            return cnn_loss(logits, 1, params)
+            return cnn_loss(logits, [1], params)
 
         worst = check_gradients(loss_fn, params.named_parameters(), rng, samples_per_param=10, tol=1e-4)
         assert max(worst.values()) < 1e-4
@@ -137,8 +137,8 @@ class TestMlp:
     def test_hidden_width_512(self):
         params = MlpParams.init((32, 32), np.random.default_rng(14))
         assert params.fc1_w.shape == (512, 1024)
-        logits = mlp_forward(np.zeros((32, 32), dtype=np.uint8), params)
-        assert logits.shape == (2,)
+        logits = mlp_forward(np.zeros((1, 32, 32), dtype=np.uint8), params)
+        assert logits.shape == (1, 2)
 
     def test_batched(self):
         params = MlpParams.init((32, 32), np.random.default_rng(15))
@@ -147,12 +147,12 @@ class TestMlp:
     def test_gradients(self):
         rng = np.random.default_rng(16)
         params = MlpParams.init((6, 6), rng, hidden=4)
-        image = rng.uniform(size=(6, 6))
+        image = rng.uniform(size=(6, 6))[None]
 
         def loss_fn():
             from capsroute.tensor import cross_entropy_logits
 
-            return cross_entropy_logits(mlp_forward(image, params), 0)
+            return cross_entropy_logits(mlp_forward(image, params), [0])
 
         worst = check_gradients(loss_fn, params.named_parameters(), rng, samples_per_param=8, tol=1e-4)
         assert max(worst.values()) < 1e-4

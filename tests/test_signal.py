@@ -406,6 +406,21 @@ class TestDatasetIO:
                 b.segment_index,
             )
 
+        # a malformed row or PGM size line is a PipelineError naming the row or file
+        header, first, *rest = manifest.read_text().splitlines(keepends=True)
+        image_path, label, subject_id, channel_set, _ = first.rstrip("\n").split(",")
+        for bad_row in (f"{image_path},Sleepy,{subject_id},{channel_set},0\n", f"{image_path},{label},{subject_id},{channel_set},a\n"):
+            manifest.write_text(header + bad_row + "".join(rest))
+            with pytest.raises(PipelineError, match=f"bad dataset row .*{bad_row.split(',')[1]}"):
+                load_dataset(manifest)
+        manifest.write_text(header + first + "".join(rest))
+        pgm = manifest.parent / image_path
+        raw = pgm.read_bytes()
+        for size_line in (b"x 32", b"32"):
+            pgm.write_bytes(raw.replace(b"\n32 32\n", b"\n" + size_line + b"\n", 1))
+            with pytest.raises(PipelineError, match=f"{image_path} has a malformed PGM size line"):
+                load_dataset(manifest)
+
     def test_write_is_idempotent(self, small_corpus, tmp_path):
         recs = load_recordings_manifest(small_corpus)
         images = build_dataset(recs, ChannelSet.FZ)

@@ -68,22 +68,22 @@ class TestConv2d:
     def test_capsnet_stem_shape_32(self):
         """64 kernels 5x5 stride 2 on 1x32x32 give 64 feature maps of 14x14."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 32, 32)))
+        x = Tensor(rng.normal(size=(1, 32, 32))[None])
         k = Tensor(rng.normal(size=(64, 1, 5, 5)))
         b = Tensor(np.zeros(64))
-        assert conv2d(x, k, b, stride=2).shape == (64, 14, 14)
+        assert conv2d(x, k, b, stride=2).shape == (1, 64, 14, 14)
 
     def test_capsnet_stem_shape_64(self):
         """The 64x32 input variant yields 30x14 feature maps."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 64, 32)))
+        x = Tensor(rng.normal(size=(1, 64, 32))[None])
         k = Tensor(rng.normal(size=(64, 1, 5, 5)))
         b = Tensor(np.zeros(64))
-        assert conv2d(x, k, b, stride=2).shape == (64, 30, 14)
+        assert conv2d(x, k, b, stride=2).shape == (1, 64, 30, 14)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(1, 6, 6)))
+        x = Tensor(rng.normal(size=(1, 6, 6))[None])
         k = Tensor(np.ones((1, 1, 1, 1)))
         b = Tensor(np.zeros(1))
         out = conv2d(x, k, b, stride=1)
@@ -94,16 +94,16 @@ class TestConv2d:
         x = rng.normal(size=(1, 6, 6))
         k = rng.normal(size=(1, 1, 3, 3))
         b = rng.normal(size=1)
-        got = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2)
-        np.testing.assert_allclose(got.data, conv2d_direct(x, k, b, 2), rtol=1e-12)
+        got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=2)
+        np.testing.assert_allclose(got.data[0], conv2d_direct(x, k, b, 2), rtol=1e-12)
 
     def test_matches_direct_summation_multichannel(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 7, 5))
         k = rng.normal(size=(4, 3, 3, 2))
         b = rng.normal(size=4)
-        got = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=1)
-        np.testing.assert_allclose(got.data, conv2d_direct(x, k, b, 1), rtol=1e-12)
+        got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=1)
+        np.testing.assert_allclose(got.data[0], conv2d_direct(x, k, b, 1), rtol=1e-12)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(4)
@@ -112,11 +112,11 @@ class TestConv2d:
         b = rng.normal(size=5)
         batched = conv2d(Tensor(xs), Tensor(k), Tensor(b), stride=2).data
         for i in range(3):
-            single = conv2d(Tensor(xs[i]), Tensor(k), Tensor(b), stride=2).data
-            np.testing.assert_array_equal(batched[i], single)
+            single = conv2d(Tensor(xs[i : i + 1]), Tensor(k), Tensor(b), stride=2).data
+            np.testing.assert_array_equal(batched[i], single[0])
 
     def test_shape_and_stride_errors(self):
-        x = Tensor(np.zeros((1, 4, 4)))
+        x = Tensor(np.zeros((1, 1, 4, 4)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
         b = Tensor(np.zeros(1))
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestConv2d:
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 9, 9))
+        x = rng.normal(size=(2, 9, 9))[None]
         k = rng.normal(size=(3, 2, 4, 4))
         b = rng.normal(size=3)
         a = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
@@ -146,12 +146,12 @@ class TestConv2d:
         cin = data.draw(st.integers(1, 3))
         cout = data.draw(st.integers(1, 3))
         out = conv2d(
-            Tensor(np.zeros((cin, h, w))),
+            Tensor(np.zeros((1, cin, h, w))),
             Tensor(np.zeros((cout, cin, kh, kw))),
             Tensor(np.zeros(cout)),
             stride=stride,
         )
-        assert out.shape == (cout, (h - kh) // stride + 1, (w - kw) // stride + 1)
+        assert out.shape == (1, cout, (h - kh) // stride + 1, (w - kw) // stride + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +161,17 @@ class TestConv2d:
 
 class TestMaxpool2d:
     def test_two_by_two(self):
-        out = maxpool2d(Tensor([[[1.0, 3.0], [2.0, 4.0]]]), (2, 2), stride=2)
-        np.testing.assert_array_equal(out.data, [[[4.0]]])
+        out = maxpool2d(Tensor([[[[1.0, 3.0], [2.0, 4.0]]]]), (2, 2), stride=2)
+        np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_zero_pad_ceil_shape(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(128, 8, 4)))
-        out = maxpool2d(x, (4, 2), stride=2, zero_pad=True)
-        assert out.shape == (128, 4, 2)
+        x = Tensor(np.random.default_rng(0).normal(size=(128, 8, 4))[None])
+        out = maxpool2d(x, (4, 2), stride=2)
+        assert out.shape == (1, 128, 4, 2)
 
     def test_constant_input(self):
-        out = maxpool2d(Tensor(np.full((2, 6, 6), 3.5)), (2, 2), stride=2)
-        np.testing.assert_array_equal(out.data, np.full((2, 3, 3), 3.5))
-
-    def test_window_larger_than_input(self):
-        with pytest.raises(ValueError):
-            maxpool2d(Tensor(np.zeros((1, 2, 2))), (3, 3), stride=1)
+        out = maxpool2d(Tensor(np.full((1, 2, 6, 6), 3.5)), (2, 2), stride=2)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 3, 3), 3.5))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -185,8 +181,8 @@ class TestMaxpool2d:
         ph = data.draw(st.integers(1, 5))
         pw = data.draw(st.integers(1, 5))
         stride = data.draw(st.integers(1, 4))
-        out = maxpool2d(Tensor(np.zeros((1, h, w))), (ph, pw), stride=stride, zero_pad=True)
-        assert out.shape == (1, -(-h // stride), -(-w // stride))
+        out = maxpool2d(Tensor(np.zeros((1, 1, h, w))), (ph, pw), stride=stride)
+        assert out.shape == (1, 1, -(-h // stride), -(-w // stride))
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +192,25 @@ class TestMaxpool2d:
 
 class TestAffine:
     def test_identity(self):
-        x = Tensor([1.0, -2.0, 3.0])
+        x = Tensor([[1.0, -2.0, 3.0]])
         out = affine(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_hand_sum(self):
-        out = affine(Tensor([2.0, 3.0]), Tensor([[1.0, 1.0]]), Tensor([0.0]))
-        np.testing.assert_array_equal(out.data, [5.0])
+        out = affine(Tensor([[2.0, 3.0]]), Tensor([[1.0, 1.0]]), Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[5.0]])
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=4)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        got = affine(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(got.data, affine_direct(x, w, b), rtol=1e-12)
+        got = affine(Tensor(x[None]), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(got.data[0], affine_direct(x, w, b), rtol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            affine(Tensor(np.zeros(4)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
+            affine(Tensor(np.zeros((1, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
 
 
 class TestActivations:
@@ -390,7 +386,7 @@ class TestFiniteDifferences:
 
     def test_affine(self):
         def build(rng):
-            x = Tensor(rng.normal(size=7), requires_grad=True)
+            x = Tensor(rng.normal(size=(1, 7)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
             b = Tensor(rng.normal(size=4), requires_grad=True)
 
@@ -443,7 +439,7 @@ class TestFiniteDifferences:
             x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
 
             def loss():
-                out = maxpool2d(x, (2, 2), stride=2, zero_pad=True)
+                out = maxpool2d(x, (2, 2), stride=2)
                 return _weighted_sum_loss(out, np.random.default_rng(90))
 
             return loss, [("x", x)]
@@ -455,7 +451,7 @@ class TestFiniteDifferences:
             x = Tensor(rng.normal(size=(1, 1, 8, 4)), requires_grad=True)
 
             def loss():
-                out = maxpool2d(x, (4, 2), stride=2, zero_pad=True)
+                out = maxpool2d(x, (4, 2), stride=2)
                 return _weighted_sum_loss(out, np.random.default_rng(89))
 
             return loss, [("x", x)]
