@@ -93,13 +93,28 @@ def _snapshot(cfg: TrainConfig, dataset_ref: str, out_dir: Path, folds: int, tra
     return settings.snapshot()
 
 
+def _same_file(a: Optional[str], b: Optional[str]) -> bool:
+    """Whether two path spellings name one existing file."""
+    try:
+        return a is not None and b is not None and os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _check_snapshot(path: Path, expected: str) -> None:
-    """Refuse to score checkpoints under settings other than the ones they were trained with."""
+    """Refuse to score checkpoints under settings other than the ones they were trained with.
+
+    ``dataset`` also matches when both spellings of the path name the same file.
+    """
     if not path.exists():
         raise ExperimentError(f"missing {path}; run the train stage first")
     stored = dict(line.partition("=")[::2] for line in path.read_text().splitlines())
     wanted = dict(line.partition("=")[::2] for line in expected.splitlines())
-    differing = sorted(key for key in stored.keys() | wanted.keys() if stored.get(key) != wanted.get(key))
+    differing = sorted(
+        key
+        for key in stored.keys() | wanted.keys()
+        if stored.get(key) != wanted.get(key) and not (key == "dataset" and _same_file(stored.get(key), wanted.get(key)))
+    )
     if differing:
         raise ExperimentError(f"settings differ from {path} in: {', '.join(differing)}")
 

@@ -131,10 +131,14 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray, op: str) -> None:
+        # ``grad`` may be shared (one array handed to both operands of an add,
+        # a view of another gradient, a read-only broadcast), so it is never
+        # written into. It is copied only when not C-contiguous: einsum hands
+        # back transposed results, and Adam's elementwise updates over a
+        # transposed gradient ran about 30% slower on capsnet.
         _require_finite(grad, op + ".backward")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        grad = np.asarray(grad, dtype=self.data.dtype, order="C")
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- basic introspection --------------------------------------------
 
@@ -391,25 +395,49 @@ def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return Tensor._result(out_data, (x, weights, bias), backward, "affine")
 
 
+def _taps(extent: int, stride: int, offset: int) -> slice:
+    """The ``extent`` positions offset + i * stride, i = 0 .. extent - 1, as a slice."""
+    return slice(offset, offset + (extent - 1) * stride + 1, stride)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window.
+
+    Returns ``(cols, Ho, Wo)`` with ``cols`` [N, C*kh*kw, Ho*Wo], which may
+    be a view of ``x``. Row (c, m, q) holds the cell at offset (m, q) of
+    every window in channel c, ordered like a flattened [C_out, C, kh, kw]
+    kernel's columns; the columns run over output positions in row-major
+    order. So ``kmat @ cols[i]`` is image i's output as [C_out, Ho, Wo].
+    """
     n, c, h, w = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]  # [n, c, ho, wo, kh, kw]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho * wo, c * kh * kw)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)  # [n, c, kh, kw, ho, wo]
     return cols, ho, wo
 
 
 def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Sum column gradients [N, C*kh*kw, Ho*Wo] (``_im2col``'s layout) back onto [N, C, H, W].
+
+    Loops over the kernel offsets or over the output positions, whichever
+    are fewer. Either way each input cell adds its terms in increasing
+    kernel-offset order (m, q), i.e. from the last output position to the
+    first, so both loops give bit-identical sums.
+    """
     n, c, h, w = xshape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    g = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    g = gcols.reshape(n, c, kh, kw, ho, wo)
     gx = np.zeros(xshape, dtype=gcols.dtype)
-    for m in range(kh):
-        for nn in range(kw):
-            gx[:, :, m : m + ho * stride : stride, nn : nn + wo * stride : stride] += g[:, :, :, :, m, nn]
+    if kh * kw <= ho * wo:
+        for m in range(kh):
+            for q in range(kw):
+                gx[:, :, _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, m, q]
+    else:
+        for i in reversed(range(ho)):
+            for j in reversed(range(wo)):
+                gx[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += g[..., i, j]
     return gx
 
 
@@ -434,19 +462,19 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     cols, ho, wo = _im2col(x.data, kh, kw, stride)
     kmat = kernels.data.reshape(cout, cin * kh * kw)
-    out = cols @ kmat.T + bias.data  # [n, ho*wo, cout]
-    out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
+    # one GEMM per image (matmul over the stacked batch), so an image's output
+    # does not depend on the rest of its batch
+    out = (kmat @ cols).reshape(n, cout, ho, wo) + bias.data[:, None, None]
 
     def backward(g: np.ndarray) -> None:
-        gmat = g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # [n, ho*wo, cout]
+        gmat = g.reshape(n, cout, ho * wo)
         if kernels.requires_grad:
-            gk = np.einsum("npo,npk->ok", gmat, cols, optimize=True)
+            gk = np.einsum("nop,nkp->ok", gmat, cols, optimize=True)
             kernels._accumulate(gk.reshape(kernels.shape), "conv2d")
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
         if x.requires_grad:
-            gcols = gmat @ kmat  # [n, ho*wo, cin*kh*kw]
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride), "conv2d")
+            x._accumulate(_col2im(kmat.T @ gmat, x.shape, kh, kw, stride), "conv2d")
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
@@ -468,7 +496,12 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     """Ceil-mode max pooling over [N, C, H, W].
 
     The input is zero-extended on the bottom/right so output extents are
-    ceil(H / stride) x ceil(W / stride).
+    ceil(H / stride) x ceil(W / stride); window (i, j) covers rows
+    i*stride .. i*stride + ph - 1 and columns j*stride .. j*stride + pw - 1
+    of the extended input. Ties go to the first maximum in row-major window
+    order. The gradient of an output flows to its window's winning cell only,
+    summed where windows overlap; a zero-extension cell that wins passes
+    none on.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d input must be [N, C, H, W], got shape {x.shape}")
@@ -480,22 +513,25 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     wp = max((wo - 1) * stride + pw, w)
     xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
     xp[:, :, :h, :w] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (ph, pw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]  # [n, c, ho, wo, ph, pw]
-    flat = win.reshape(n, c, ho, wo, ph * pw)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    # running maximum over the ph*pw taps, tap t = m * pw + q at window offset (m, q)
+    out = xp[:, :, _taps(ho, stride, 0), _taps(wo, stride, 0)].copy()
+    winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
+    better = np.empty(out.shape, dtype=bool)
+    for t in range(1, ph * pw):
+        tap = xp[:, :, _taps(ho, stride, t // pw), _taps(wo, stride, t % pw)]
+        np.greater(tap, out, out=better)  # strict, so the first maximum keeps the window
+        np.maximum(out, tap, out=out)
+        np.maximum(winner, better * winner.dtype.type(t), out=winner)  # every earlier tap is < t
 
     def backward(g: np.ndarray) -> None:
-        hi = (np.arange(ho) * stride)[None, None, :, None] + arg // pw
-        wi = (np.arange(wo) * stride)[None, None, None, :] + arg % pw
-        ni, ci = np.indices((n, c))[:, :, :, None, None]
-        ni = np.broadcast_to(ni, arg.shape)
-        ci = np.broadcast_to(ci, arg.shape)
-        valid = (hi < h) & (wi < w)  # a zero-pad cell winning the max gets no gradient
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        np.add.at(gx, (ni[valid], ci[valid], hi[valid], wi[valid]), g[valid])
-        x._accumulate(gx, "maxpool2d")
+        # flat index in the padded buffer of each window's winning cell
+        tap_offset = (np.arange(ph)[:, None] * wp + np.arange(pw)).ravel()
+        origin = np.arange(ho)[:, None] * (stride * wp) + np.arange(wo) * stride
+        plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
+        flat = (plane + origin + tap_offset[winner]).ravel()
+        gxp = np.zeros(n * c * hp * wp, dtype=g.dtype)
+        np.add.at(gxp, flat, g.ravel())
+        x._accumulate(gxp.reshape(n, c, hp, wp)[:, :, :h, :w], "maxpool2d")
 
     return Tensor._result(out, (x,), backward, "maxpool2d")
 

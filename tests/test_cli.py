@@ -171,6 +171,20 @@ class TestTrainEvalReport:
         assert "in: seed" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_eval_accepts_other_spelling_of_dataset_path(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "spelled"
+        monkeypatch.chdir(dataset_dir.parent)
+        relative = Path(dataset_dir.name) / "dataset.csv"
+        assert main(["train", *_run_args(dataset_dir, out), "--dataset", str(relative)]) == EXIT_OK
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK  # absolute path
+        by_absolute = (out / "report.csv").read_bytes()
+        assert main(["eval", *_run_args(dataset_dir, out), "--dataset", str(relative)]) == EXIT_OK
+        assert (out / "report.csv").read_bytes() == by_absolute
+        # a copy of the dataset is another file
+        shutil.copytree(dataset_dir, tmp_path / "copy")
+        assert main(["eval", *_run_args(tmp_path / "copy", out)]) == EXIT_DATA
+        assert "in: dataset" in capsys.readouterr().err
+
     def test_malformed_dataset_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)

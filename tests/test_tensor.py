@@ -9,6 +9,7 @@ from capsroute.tensor import (
     GraphError,
     NumericError,
     Tensor,
+    _col2im,
     affine,
     conv2d,
     cross_entropy_logits,
@@ -47,6 +48,51 @@ def conv2d_direct(x, k, b, stride):
                             acc += x[c, i * stride + m, j * stride + n] * k[o, c, m, n]
                 out[o, i, j] = acc + b[o]
     return out
+
+
+def conv2d_grads_direct(x, k, g, stride):
+    """Input and kernel gradients of conv2d, summed output position by kernel offset."""
+    _, _, kh, kw = k.shape
+    _, _, ho, wo = g.shape
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    for i in range(ho):
+        for j in range(wo):
+            for m in range(kh):
+                for n in range(kw):
+                    r, c = i * stride + m, j * stride + n
+                    gx[:, :, r, c] += g[:, :, i, j] @ k[:, :, m, n]
+                    gk[:, :, m, n] += g[:, :, i, j].T @ x[:, :, r, c]
+    return gx, gk
+
+
+def maxpool2d_direct(x, window, stride, g):
+    """Window-by-window ceil-mode max pooling and its input gradient for output gradient ``g``.
+
+    Each window scans its cells in row-major order and keeps the first
+    maximum; cells past the input's bottom/right edge read 0 and take no
+    gradient.
+    """
+    batch, chans, h, w = x.shape
+    ph, pw = window
+    ho, wo = -(-h // stride), -(-w // stride)
+    out = np.zeros((batch, chans, ho, wo), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for b in range(batch):
+        for c in range(chans):
+            for i in range(ho):
+                for j in range(wo):
+                    best = at = None
+                    for m in range(ph):
+                        for n in range(pw):
+                            r, q = i * stride + m, j * stride + n
+                            value = x[b, c, r, q] if r < h and q < w else 0.0
+                            if best is None or value > best:
+                                best, at = value, (r, q)
+                    out[b, c, i, j] = best
+                    if at[0] < h and at[1] < w:
+                        gx[b, c, at[0], at[1]] += g[b, c, i, j]
+    return out, gx
 
 
 def affine_direct(x, w, b):
@@ -115,6 +161,54 @@ class TestConv2d:
             single = conv2d(Tensor(xs[i : i + 1]), Tensor(k), Tensor(b), stride=2).data
             np.testing.assert_array_equal(batched[i], single[0])
 
+    # (x shape, kernel shape, stride): Ho*Wo < kh*kw (the capsnet 9x9/s2 layer), then Ho*Wo > kh*kw
+    GRAD_SHAPES = [((2, 2, 14, 14), (3, 2, 9, 9), 2), ((2, 3, 7, 6), (4, 3, 3, 2), 1)]
+
+    @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
+    def test_gradients_match_direct_summation(self, xshape, kshape, stride):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=xshape), requires_grad=True)
+        k = Tensor(rng.normal(size=kshape), requires_grad=True)
+        b = Tensor(rng.normal(size=kshape[0]), requires_grad=True)
+        out = conv2d(x, k, b, stride=stride)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gk = conv2d_grads_direct(x.data, k.data, g, stride)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12)
+        np.testing.assert_allclose(k.grad, gk, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
+    def test_batched_input_gradient_matches_per_sample(self, xshape, kshape, stride):
+        rng = np.random.default_rng(12)
+        xs = rng.normal(size=(3, *xshape[1:])).astype(np.float32)
+        k = Tensor(rng.normal(size=kshape).astype(np.float32))
+        b = Tensor(rng.normal(size=kshape[0]).astype(np.float32))
+
+        def input_grad(images, g):
+            x = Tensor(images, requires_grad=True)
+            (conv2d(x, k, b, stride=stride) * Tensor(g)).sum().backward()
+            return x.grad
+
+        g = rng.normal(size=conv2d(Tensor(xs), k, b, stride=stride).shape).astype(np.float32)
+        batched = input_grad(xs, g)
+        for i in range(3):
+            np.testing.assert_array_equal(batched[i], input_grad(xs[i : i + 1], g[i : i + 1])[0])
+
+    @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
+    def test_col2im_sums_in_kernel_offset_order(self, xshape, kshape, stride):
+        """Each input cell adds its terms in increasing kernel offset, whichever loop _col2im runs."""
+        _, c, h, w = xshape
+        _, _, kh, kw = kshape
+        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+        g = np.random.default_rng(14).normal(size=(2, c, kh, kw, ho, wo)).astype(np.float32)
+        want = np.zeros((2, c, h, w), dtype=np.float32)
+        for m in range(kh):
+            for n in range(kw):
+                want[:, :, m : m + (ho - 1) * stride + 1 : stride, n : n + (wo - 1) * stride + 1 : stride] += g[:, :, m, n]
+        got = _col2im(g.reshape(2, c * kh * kw, ho * wo), (2, c, h, w), kh, kw, stride)
+        np.testing.assert_array_equal(got, want)
+
     def test_shape_and_stride_errors(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
@@ -172,6 +266,46 @@ class TestMaxpool2d:
     def test_constant_input(self):
         out = maxpool2d(Tensor(np.full((1, 2, 6, 6), 3.5)), (2, 2), stride=2)
         np.testing.assert_array_equal(out.data, np.full((1, 2, 3, 3), 3.5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "case,shape,window",
+        [
+            ("normal", (2, 3, 8, 6), (2, 2)),
+            ("normal", (2, 3, 7, 5), (2, 2)),
+            ("normal", (2, 3, 9, 5), (4, 2)),
+            ("constant", (1, 2, 7, 6), (2, 2)),
+            ("constant", (1, 2, 9, 5), (4, 2)),
+            ("relu", (2, 3, 8, 6), (2, 2)),
+            ("relu", (2, 3, 9, 5), (4, 2)),
+            ("negative", (1, 2, 7, 5), (2, 2)),
+            ("negative", (1, 2, 9, 5), (4, 2)),
+        ],
+    )
+    def test_matches_direct_loop(self, case, shape, window, dtype):
+        """Values and input gradient equal the window-by-window reference exactly.
+
+        Constant and post-ReLU inputs tie within windows, so the first
+        maximum must win; all-negative inputs with odd extents let a
+        zero-extension cell win, which must pass no gradient.
+        """
+        rng = np.random.default_rng(13)
+        data = {
+            "normal": rng.normal(size=shape),
+            "constant": np.full(shape, 2.5),
+            "relu": np.maximum(rng.normal(size=shape), 0.0),
+            "negative": -np.abs(rng.normal(size=shape)) - 0.1,
+        }[case].astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        out = maxpool2d(x, window, stride=2)
+        g = rng.normal(size=out.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_gx = maxpool2d_direct(data, window, 2, g)
+        assert out.data.dtype == x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x.grad, want_gx)
+        if case == "negative":
+            assert (out.data == 0.0).any()  # some window's max is a zero-extension cell
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -287,6 +421,18 @@ class TestBackward:
         y = x * 3.0
         (y + y).sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_shared_gradient_array_is_not_written_into(self, shared_first):
+        """add hands one gradient array to both operands; a later gradient of one must not reach the other."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        c = np.array([5.0, 7.0])
+        shared = ((a + b) * c).sum()
+        own = (a * 3.0).sum()
+        (shared + own if shared_first else own + shared).backward()
+        np.testing.assert_array_equal(a.grad, c + 3.0)
+        np.testing.assert_array_equal(b.grad, c)
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor([1.0], requires_grad=True)
