@@ -19,7 +19,7 @@ from .tensor import (
 )
 from .optim import AdamState, adam_init, adam_step
 from .gradcheck import check_gradients, numeric_gradient
-from .config import TrainConfig
+from .config import RunSettings, TrainConfig
 from .signal import (
     Channel,
     ChannelSet,

@@ -50,10 +50,6 @@ def _settings_from_args(args) -> RunSettings:
     return resolve_run_settings(file_values, flags)
 
 
-def _split_args(settings: RunSettings) -> dict:
-    return dict(folds=settings.folds, train_frac=settings.train_frac, split_mode=settings.split_mode, subject_grouped=settings.subject_grouped)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -86,14 +82,14 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _settings_from_args(args)
-    stage_train(settings.dataset, settings.cfg, settings.out_dir, **_split_args(settings))
-    print(f"trained {settings.folds} folds of {settings.cfg.kind} into {settings.out_dir}")
+    stage_train(settings)
+    print(f"trained {settings.folds} folds of {settings.kind} into {settings.out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     settings = _settings_from_args(args)
-    confusions = stage_eval(settings.dataset, settings.cfg, settings.out_dir, **_split_args(settings))
+    confusions = stage_eval(settings)
     accs = [(cm.tp + cm.tn) / cm.total for cm in confusions]
     print(f"evaluated {len(confusions)} folds; accuracies: {', '.join(f'{a:.4f}' for a in accs)}")
     return EXIT_OK
@@ -101,7 +97,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     settings = _settings_from_args(args)
-    agg = stage_report(settings.out_dir, folds=settings.folds)
+    agg = stage_report(settings)
     print("metric,mean,std")
     for name, (mean, std) in agg.items():
         print(f"{name},{mean!r},{'' if std is None else repr(std)}")

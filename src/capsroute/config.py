@@ -92,10 +92,6 @@ class RunSettings(TrainConfig):
     split_mode: str = _key("holdout", choices=("holdout", "partition"))
     subject_grouped: bool = False
 
-    @property
-    def cfg(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-
     def snapshot(self) -> str:
         """Sorted ``key=value`` lines: a config file that, given ``--out``, reruns this experiment."""
         keys = sorted((key for key in KEYS.values() if key.snapshot), key=lambda key: key.name)

@@ -6,7 +6,9 @@ derive from the dataset labels and the seed, training is deterministic per
 fold, and every emitted file uses fixed formatting.
 
 Stages (train -> eval -> report) can run separately through the stage
-functions; ``run_experiment`` composes all three in one pass.
+functions; ``run_experiment`` composes all three in one pass. Every stage
+takes the run's ``RunSettings``: it loads ``settings.dataset``, writes to
+``settings.out_dir`` and takes the split keys from the settings.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .augment import AugmentConfig, audit_lineage, expand_dataset
-from .config import RunSettings, TrainConfig
+from .config import RunSettings
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
 from .signal import SpectrogramImage, load_dataset
 from .splits import SplitPlan, make_splits
@@ -55,7 +57,6 @@ class FoldOutcome:
 class ExperimentReport:
     folds: list[FoldOutcome]
     aggregate: dict
-    snapshot: str
 
 
 def worker_count() -> int:
@@ -73,24 +74,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _load_images(dataset: Union[Path, str, Sequence[SpectrogramImage]]) -> tuple[list[SpectrogramImage], str]:
-    if isinstance(dataset, (str, Path)):
-        return load_dataset(dataset), str(dataset)
-    return list(dataset), "<in-memory>"
-
-
 def plan_for(images: Sequence[SpectrogramImage], seed: int, folds: int, train_frac: float, split_mode: str, subject_grouped: bool) -> SplitPlan:
     _, labels = images_to_arrays(images)
     groups = [img.subject_id for img in images] if subject_grouped else None
     return make_splits(labels, k=folds, train_frac=train_frac, seed=seed, mode=split_mode, groups=groups)
-
-
-def _snapshot(cfg: TrainConfig, dataset_ref: str, out_dir: Path, folds: int, train_frac: float, split_mode: str, subject_grouped: bool) -> str:
-    settings = RunSettings(
-        **vars(cfg), dataset=dataset_ref, out_dir=out_dir,
-        folds=folds, train_frac=train_frac, split_mode=split_mode, subject_grouped=subject_grouped,
-    )
-    return settings.snapshot()
 
 
 def _same_file(a: Optional[str], b: Optional[str]) -> bool:
@@ -102,7 +89,7 @@ def _same_file(a: Optional[str], b: Optional[str]) -> bool:
 
 
 def _check_snapshot(path: Path, expected: str) -> None:
-    """Refuse to score checkpoints under settings other than the ones they were trained with.
+    """Refuse to use a directory's outputs under settings other than the ones it was trained with.
 
     ``dataset`` also matches when both spellings of the path name the same file.
     """
@@ -123,12 +110,12 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.default_rng((seed, 0xF0, fold)).integers(0, 2**31))
 
 
-def _train_one_fold(fold_idx: int, images, plan: SplitPlan, cfg: TrainConfig, out_dir: Path):
+def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSettings, out_dir: Path):
     fold = plan.folds[fold_idx]
     train_images = [images[i].copy_with(split="train") for i in fold.train_indices]
-    fold_cfg = replace(cfg, seed=_fold_seed(cfg.seed, fold_idx))
-    if cfg.augment:
-        aug_cfg = AugmentConfig(expansion_factor=cfg.augment_factor, seed=_fold_seed(cfg.seed, fold_idx) ^ 0x5EED)
+    fold_cfg = replace(settings, seed=_fold_seed(settings.seed, fold_idx))
+    if settings.augment:
+        aug_cfg = AugmentConfig(expansion_factor=settings.augment_factor, seed=_fold_seed(settings.seed, fold_idx) ^ 0x5EED)
         train_images, lineage = expand_dataset(train_images, aug_cfg)
         audit_lineage(lineage, fold.train_indices, fold.test_indices)
         _write_lineage(out_dir / f"augmented_fold{fold_idx}.csv", lineage)
@@ -170,12 +157,13 @@ def _write_confusion(path: Path, cm: ConfusionMatrix) -> None:
 
 
 def _read_confusion(path: Path) -> ConfusionMatrix:
+    """Two rows of two counts under a header; anything else raises ExperimentError."""
     lines = path.read_text().strip().splitlines()
-    if len(lines) != 3:
-        raise ExperimentError(f"malformed confusion file {path}")
-    alert_row = lines[1].split(",")
-    drowsy_row = lines[2].split(",")
-    return ConfusionMatrix(tn=int(alert_row[1]), fp=int(alert_row[2]), fn=int(drowsy_row[1]), tp=int(drowsy_row[2]))
+    try:
+        (tn, fp), (fn, tp) = ([int(v) for v in line.split(",")[1:]] for line in lines[1:])
+    except ValueError as exc:
+        raise ExperimentError(f"malformed confusion file {path}: {exc}") from exc
+    return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
 
 
 def _write_normalized(path: Path, cm: ConfusionMatrix) -> None:
@@ -207,55 +195,41 @@ def _write_aggregate(path: Path, agg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_train(
-    dataset: Union[Path, str, Sequence[SpectrogramImage]],
-    cfg: TrainConfig,
-    out_dir: Path,
-    folds: int = 5,
-    train_frac: float = 0.8,
-    split_mode: str = "holdout",
-    subject_grouped: bool = False,
-) -> list:
+def _plan(settings: RunSettings) -> tuple[list[SpectrogramImage], SplitPlan]:
+    images = load_dataset(settings.dataset)
+    plan = plan_for(images, settings.seed, settings.folds, settings.train_frac, settings.split_mode, settings.subject_grouped)
+    return images, plan
+
+
+def stage_train(settings: RunSettings) -> list:
     """Train every fold; writes checkpoints, curves, and the config snapshot."""
-    out_dir = Path(out_dir)
+    out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images, dataset_ref = _load_images(dataset)
-    plan = plan_for(images, cfg.seed, folds, train_frac, split_mode, subject_grouped)
-    snapshot = _snapshot(cfg, dataset_ref, out_dir, folds, train_frac, split_mode, subject_grouped)
-    (out_dir / "config.snapshot").write_text(snapshot)
+    images, plan = _plan(settings)
+    (out_dir / "config.snapshot").write_text(settings.snapshot())
 
     def work(i):
-        return _train_one_fold(i, images, plan, cfg, out_dir)
+        return _train_one_fold(i, images, plan, settings, out_dir)
 
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(folds)))
+            results = list(pool.map(work, range(settings.folds)))
     else:
-        results = [work(i) for i in range(folds)]
+        results = [work(i) for i in range(settings.folds)]
     return results
 
 
-def stage_eval(
-    dataset: Union[Path, str, Sequence[SpectrogramImage]],
-    cfg: TrainConfig,
-    out_dir: Path,
-    folds: int = 5,
-    train_frac: float = 0.8,
-    split_mode: str = "holdout",
-    subject_grouped: bool = False,
-    trained: Optional[list] = None,
-) -> list[ConfusionMatrix]:
+def stage_eval(settings: RunSettings, trained: Optional[list] = None) -> list[ConfusionMatrix]:
     """Evaluate each fold's checkpoint; writes confusion files and report.csv.
 
     Checkpoints read from ``out_dir`` are scored only if these settings match
     its ``config.snapshot``, so the split plan is the one they were trained on.
     """
-    out_dir = Path(out_dir)
-    images, dataset_ref = _load_images(dataset)
-    plan = plan_for(images, cfg.seed, folds, train_frac, split_mode, subject_grouped)
+    out_dir = Path(settings.out_dir)
+    images, plan = _plan(settings)
     confusions = []
-    for i in range(folds):
+    for i in range(settings.folds):
         if trained is not None:
             model, _, train_images = trained[i]
         else:
@@ -263,10 +237,10 @@ def stage_eval(
             if not ckpt.exists():
                 raise ExperimentError(f"missing checkpoint {ckpt}; run the train stage first")
             stored_kind, model = load_model(ckpt)
-            if stored_kind != cfg.kind:
-                raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {cfg.kind}")
+            if stored_kind != settings.kind:
+                raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {settings.kind}")
             if i == 0:  # after the kind check, which names the model the directory holds
-                _check_snapshot(out_dir / "config.snapshot", _snapshot(cfg, dataset_ref, out_dir, folds, train_frac, split_mode, subject_grouped))
+                _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
             train_images = [images[j] for j in plan.folds[i].train_indices]
         train_paths = {img.source_path for img in train_images if img.source_path}
         cm = _eval_one_fold(i, images, plan, model, train_paths)
@@ -276,15 +250,19 @@ def stage_eval(
     return confusions
 
 
-def stage_report(out_dir: Path, folds: int = 5) -> dict:
-    """Aggregate fold metrics; writes aggregate.csv and normalized confusions."""
-    out_dir = Path(out_dir)
+def stage_report(settings: RunSettings) -> dict:
+    """Aggregate fold metrics; writes aggregate.csv and normalized confusions.
+
+    Like ``stage_eval``, it refuses settings that differ from ``config.snapshot``.
+    """
+    out_dir = Path(settings.out_dir)
     confusions = []
-    for i in range(folds):
+    for i in range(settings.folds):
         path = out_dir / f"confusion_fold{i}.csv"
         if not path.exists():
             raise ExperimentError(f"missing {path}; run the eval stage first")
         confusions.append(_read_confusion(path))
+    _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
     reports = [metrics(cm) for cm in confusions]
     agg = aggregate(reports)
     _write_aggregate(out_dir / "aggregate.csv", agg)
@@ -293,23 +271,13 @@ def stage_report(out_dir: Path, folds: int = 5) -> dict:
     return agg
 
 
-def run_experiment(
-    dataset: Union[Path, str, Sequence[SpectrogramImage]],
-    cfg: TrainConfig,
-    out_dir: Path,
-    folds: int = 5,
-    train_frac: float = 0.8,
-    split_mode: str = "holdout",
-    subject_grouped: bool = False,
-) -> ExperimentReport:
+def run_experiment(settings: RunSettings) -> ExperimentReport:
     """make_splits -> (augment) -> train -> evaluate -> metrics, with all report files."""
-    out_dir = Path(out_dir)
-    trained = stage_train(dataset, cfg, out_dir, folds, train_frac, split_mode, subject_grouped)
-    confusions = stage_eval(dataset, cfg, out_dir, folds, train_frac, split_mode, subject_grouped, trained=trained)
-    agg = stage_report(out_dir, folds)
+    trained = stage_train(settings)
+    confusions = stage_eval(settings, trained=trained)
+    agg = stage_report(settings)
     outcomes = [
         FoldOutcome(fold=i, confusion=cm, report=metrics(cm), curve=trained[i][1])
         for i, cm in enumerate(confusions)
     ]
-    snapshot = (out_dir / "config.snapshot").read_text()
-    return ExperimentReport(folds=outcomes, aggregate=agg, snapshot=snapshot)
+    return ExperimentReport(folds=outcomes, aggregate=agg)

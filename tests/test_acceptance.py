@@ -17,7 +17,7 @@ import pytest
 from capsroute.augment import AugmentConfig, apply_brightness, apply_geometric, audit_lineage, drop_blocks, expand_dataset
 from capsroute.capsnet import CapsNetParams, capsnet_forward, dynamic_routing, total_loss
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
-from capsroute.config import TrainConfig
+from capsroute.config import RunSettings, TrainConfig
 from capsroute.experiment import run_experiment
 from capsroute.gradcheck import check_gradients
 from capsroute.metrics import ConfusionMatrix, metrics
@@ -59,15 +59,15 @@ def desk_dataset(tmp_path_factory) -> Path:
     return write_dataset(images, root / "dataset_fz")
 
 
-def desk_cfg(kind: str) -> TrainConfig:
+def desk_settings(kind: str, dataset: Path, out_dir: Path) -> RunSettings:
     # reduced epochs (well under the 100 cap); float32 for desktop-CPU speed
-    return TrainConfig(kind=kind, epochs=8, batch_size=32, seed=11, precision="float32")
+    return RunSettings(kind=kind, epochs=8, batch_size=32, seed=11, precision="float32", dataset=dataset, out_dir=out_dir)
 
 
 @pytest.fixture(scope="module")
 def capsnet_experiment(desk_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("exp_capsnet")
-    result = run_experiment(desk_dataset, desk_cfg("capsnet"), out)
+    result = run_experiment(desk_settings("capsnet", desk_dataset, out))
     return result, out
 
 
@@ -223,7 +223,7 @@ class TestCriterion8DeskExperiment:
         caps_acc = caps_result.aggregate["Accuracy"][0]
 
         cnn_out = tmp_path_factory.mktemp("exp_cnn")
-        cnn_result = run_experiment(desk_dataset, desk_cfg("cnn"), cnn_out)
+        cnn_result = run_experiment(desk_settings("cnn", desk_dataset, cnn_out))
         cnn_acc = cnn_result.aggregate["Accuracy"][0]
         elapsed = time.perf_counter() - start
         ok = caps_acc >= 0.95 and caps_acc >= cnn_acc and elapsed < 7200.0
@@ -276,7 +276,7 @@ class TestCriterion10Determinism:
         start = time.perf_counter()
         _, first_dir = capsnet_experiment
         second_dir = tmp_path_factory.mktemp("exp_capsnet_rerun")
-        run_experiment(desk_dataset, desk_cfg("capsnet"), second_dir)
+        run_experiment(desk_settings("capsnet", desk_dataset, second_dir))
         names_a = sorted(p.name for p in Path(first_dir).iterdir())
         names_b = sorted(p.name for p in Path(second_dir).iterdir())
         identical = names_a == names_b and all(

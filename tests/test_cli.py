@@ -171,6 +171,26 @@ class TestTrainEvalReport:
         assert "in: seed" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_report_with_other_settings_refused(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "seeded"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK  # --seed 1
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert main(["report", *_run_args(dataset_dir, out), "--seed", "2"]) == EXIT_DATA
+        assert "in: seed" in capsys.readouterr().err
+        assert not (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("row", ["Alert,x,1", "Alert,1"], ids=["not-a-count", "short-row"])
+    def test_malformed_confusion_is_data_error(self, dataset_dir, tmp_path, capsys, row):
+        out = tmp_path / "confused"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
+        confusion = out / "confusion_fold1.csv"
+        header, _, drowsy = confusion.read_text().splitlines()
+        confusion.write_text(f"{header}\n{row}\n{drowsy}\n")
+        assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        assert f"malformed confusion file {confusion}" in capsys.readouterr().err
+        assert not (out / "aggregate.csv").exists()
+
     def test_eval_accepts_other_spelling_of_dataset_path(self, dataset_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "spelled"
         monkeypatch.chdir(dataset_dir.parent)

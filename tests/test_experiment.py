@@ -2,7 +2,7 @@
 
 import pytest
 
-from capsroute.config import RunSettings, TrainConfig
+from capsroute.config import RunSettings
 from capsroute.experiment import (
     ExperimentError,
     run_experiment,
@@ -11,17 +11,19 @@ from capsroute.experiment import (
     stage_train,
     worker_count,
 )
+from capsroute.signal import write_dataset
 from test_training import toy_images
 
 
-def toy_dataset(n=40, seed=0):
-    return toy_images(n, hw=(12, 12), seed=seed, with_paths=True)
+@pytest.fixture(scope="module")
+def toy_dataset(tmp_path_factory):
+    return write_dataset(toy_images(40, hw=(12, 12), seed=0), tmp_path_factory.mktemp("toy"))
 
 
-def quick_cfg(**kw):
+def quick_settings(dataset, out_dir, **kw):
     defaults = dict(kind="mlp", epochs=3, batch_size=8, seed=4)
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return RunSettings(dataset=dataset, out_dir=out_dir, **defaults)
 
 
 EXPECTED_FILES = (
@@ -34,9 +36,9 @@ EXPECTED_FILES = (
 
 
 @pytest.fixture(scope="module")
-def result(tmp_path_factory):
+def result(toy_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
-    report = run_experiment(toy_dataset(), quick_cfg(), out)
+    report = run_experiment(quick_settings(toy_dataset, out))
     return report, out
 
 
@@ -83,67 +85,62 @@ class TestRunExperiment:
 
 
 class TestDeterminism:
-    def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = quick_cfg()
+    def test_reruns_are_byte_identical(self, toy_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_experiment(toy_dataset(), cfg, a)
-        run_experiment(toy_dataset(), cfg, b)
+        run_experiment(quick_settings(toy_dataset, a))
+        run_experiment(quick_settings(toy_dataset, b))
         names_a = sorted(p.name for p in a.iterdir())
         names_b = sorted(p.name for p in b.iterdir())
         assert names_a == names_b
         for name in names_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_different_seed_changes_artifacts(self, tmp_path):
+    def test_different_seed_changes_artifacts(self, toy_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_experiment(toy_dataset(), quick_cfg(seed=1), a)
-        run_experiment(toy_dataset(), quick_cfg(seed=2), b)
+        run_experiment(quick_settings(toy_dataset, a, seed=1))
+        run_experiment(quick_settings(toy_dataset, b, seed=2))
         assert (a / "model_fold0.ckpt").read_bytes() != (b / "model_fold0.ckpt").read_bytes()
 
 
 class TestStaging:
-    def test_staged_equals_one_shot(self, tmp_path):
-        cfg = quick_cfg()
-        one, staged = tmp_path / "one", tmp_path / "staged"
-        run_experiment(toy_dataset(), cfg, one)
-        stage_train(toy_dataset(), cfg, staged)
-        stage_eval(toy_dataset(), cfg, staged)
+    def test_staged_equals_one_shot(self, toy_dataset, tmp_path):
+        one, staged = tmp_path / "one", quick_settings(toy_dataset, tmp_path / "staged")
+        run_experiment(quick_settings(toy_dataset, one))
+        stage_train(staged)
+        stage_eval(staged)
         stage_report(staged)
         for name in EXPECTED_FILES:
-            assert (one / name).read_bytes() == (staged / name).read_bytes(), name
+            assert (one / name).read_bytes() == (staged.out_dir / name).read_bytes(), name
 
-    def test_eval_without_train_fails(self, tmp_path):
+    def test_eval_without_train_fails(self, toy_dataset, tmp_path):
         with pytest.raises(ExperimentError, match="train stage"):
-            stage_eval(toy_dataset(), quick_cfg(), tmp_path / "empty")
+            stage_eval(quick_settings(toy_dataset, tmp_path / "empty"))
 
-    def test_report_without_eval_fails(self, tmp_path):
+    def test_report_without_eval_fails(self, toy_dataset, tmp_path):
         with pytest.raises(ExperimentError, match="eval stage"):
-            stage_report(tmp_path / "empty")
+            stage_report(quick_settings(toy_dataset, tmp_path / "empty"))
 
 
 class TestAugmentedRun:
-    def test_lineage_files_written_and_audited(self, tmp_path):
-        cfg = quick_cfg(augment=True, augment_factor=2, epochs=2)
+    def test_lineage_files_written_and_audited(self, toy_dataset, tmp_path):
         out = tmp_path / "aug"
-        report = run_experiment(toy_dataset(), cfg, out)
+        report = run_experiment(quick_settings(toy_dataset, out, augment=True, augment_factor=2, epochs=2))
         for i in range(5):
             lineage = (out / f"augmented_fold{i}.csv").read_text().strip().splitlines()
             assert lineage[0] == "parent_path,parent_index,copy_index,seed"
             assert len(lineage) == 1 + 32  # factor 2 on 32 train images
         assert len(report.folds) == 5
 
-    def test_augmented_training_set_size(self, tmp_path):
-        cfg = quick_cfg(augment=True, augment_factor=3, epochs=1)
+    def test_augmented_training_set_size(self, toy_dataset, tmp_path):
         out = tmp_path / "aug3"
-        run_experiment(toy_dataset(), cfg, out)
+        run_experiment(quick_settings(toy_dataset, out, augment=True, augment_factor=3, epochs=1))
         lineage = (out / "augmented_fold0.csv").read_text().strip().splitlines()
         assert len(lineage) - 1 == 2 * 32
 
 
 class TestGroupedRun:
-    def test_subject_grouped_runs(self, tmp_path):
-        cfg = quick_cfg(epochs=1)
-        report = run_experiment(toy_dataset(), cfg, tmp_path / "grp", subject_grouped=True)
+    def test_subject_grouped_runs(self, toy_dataset, tmp_path):
+        report = run_experiment(quick_settings(toy_dataset, tmp_path / "grp", epochs=1, subject_grouped=True))
         assert len(report.folds) == 5
 
 
@@ -160,21 +157,20 @@ class TestWorkerCount:
         monkeypatch.setenv("CAPSROUTE_THREADS", "lots")
         assert worker_count() == 1
 
-    def test_parallel_run_matches_sequential(self, tmp_path, monkeypatch):
-        cfg = quick_cfg(epochs=2)
+    def test_parallel_run_matches_sequential(self, toy_dataset, tmp_path, monkeypatch):
         monkeypatch.delenv("CAPSROUTE_THREADS", raising=False)
         seq = tmp_path / "seq"
-        run_experiment(toy_dataset(), cfg, seq)
+        run_experiment(quick_settings(toy_dataset, seq, epochs=2))
         monkeypatch.setenv("CAPSROUTE_THREADS", "4")
         par = tmp_path / "par"
-        run_experiment(toy_dataset(), cfg, par)
+        run_experiment(quick_settings(toy_dataset, par, epochs=2))
         for name in EXPECTED_FILES:
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
 
 class TestSnapshotText:
     def test_sorted_key_value_lines(self):
-        text = RunSettings(**vars(quick_cfg()), dataset="ds.csv", out_dir="out").snapshot()
+        text = quick_settings("ds.csv", "out").snapshot()
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert keys == sorted(keys)
         assert "dataset=ds.csv" in text
