@@ -201,11 +201,23 @@ def _plan(settings: RunSettings) -> tuple[list[SpectrogramImage], SplitPlan]:
     return images, plan
 
 
+# what eval, report and augmented training leave in out_dir; a new train stage
+# deletes them, so no later stage reads an earlier run's results as this one's
+_RUN_OUTPUTS = ("confusion_fold*.csv", "report.csv", "aggregate.csv", "augmented_fold*.csv")
+
+
 def stage_train(settings: RunSettings) -> list:
-    """Train every fold; writes checkpoints, curves, and the config snapshot."""
+    """Train every fold; writes checkpoints, curves, and the config snapshot.
+
+    First deletes the confusion, report, aggregate and lineage files of an
+    earlier run in ``out_dir``.
+    """
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     images, plan = _plan(settings)
+    for pattern in _RUN_OUTPUTS:
+        for path in out_dir.glob(pattern):
+            path.unlink()
     (out_dir / "config.snapshot").write_text(settings.snapshot())
 
     def work(i):

@@ -400,45 +400,76 @@ def _taps(extent: int, stride: int, offset: int) -> slice:
     return slice(offset, offset + (extent - 1) * stride + 1, stride)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window.
+# a GEMM narrower than this many columns repacks its weight matrix for too few outputs
+_MIN_GEMM_COLUMNS = 64
 
-    Returns ``(cols, Ho, Wo)`` with ``cols`` [N, C*kh*kw, Ho*Wo], which may
-    be a view of ``x``. Row (c, m, q) holds the cell at offset (m, q) of
-    every window in channel c, ordered like a flattened [C_out, C, kh, kw]
-    kernel's columns; the columns run over output positions in row-major
-    order. So ``kmat @ cols[i]`` is image i's output as [C_out, Ho, Wo].
+
+def _group_width(positions: int) -> int:
+    """Images per conv GEMM: the smallest power of two G with G * positions >= 64."""
+    group = 1
+    while group * positions < _MIN_GEMM_COLUMNS:
+        group *= 2
+    return group
+
+
+def _pad_batch(a: np.ndarray, group: int) -> np.ndarray:
+    """``a`` with zero images appended so its leading axis is a multiple of ``group``."""
+    extra = -len(a) % group
+    return np.concatenate([a, np.zeros((extra, *a.shape[1:]), a.dtype)]) if extra else a
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, group: int) -> np.ndarray:
+    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window, in chunks of ``group`` images.
+
+    Returns ``cols`` [ceil(N/G), C*kh*kw, G*Ho*Wo], with the batch zero-padded
+    to a multiple of G; for G = 1 it may be a view of ``x``. Row (c, m, q)
+    holds the cell at offset (m, q) of every window in channel c, ordered like
+    a flattened [C_out, C, kh, kw] kernel's columns. Image j of a chunk owns
+    columns j*Ho*Wo .. (j+1)*Ho*Wo - 1, its output positions in row-major
+    order. So ``kmat @ cols[i]`` is the output of chunk i's G images as
+    [C_out, G, Ho, Wo].
     """
     n, c, h, w = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
+    x = _pad_batch(x, group)
+    chunks = len(x) // group
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)  # [n, c, kh, kw, ho, wo]
-    return cols, ho, wo
+    win = win.reshape(chunks, group, c, ho, wo, kh, kw)
+    return win.transpose(0, 2, 5, 6, 1, 3, 4).reshape(chunks, c * kh * kw, group * ho * wo)  # [chunk, c, kh, kw, G, ho, wo]
 
 
-def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Sum column gradients [N, C*kh*kw, Ho*Wo] (``_im2col``'s layout) back onto [N, C, H, W].
+def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int, group: int = 1) -> np.ndarray:
+    """Sum column gradients in ``_im2col``'s chunk layout back onto [N, C, H, W].
 
-    Loops over the kernel offsets or over the output positions, whichever
-    are fewer. Either way each input cell adds its terms in increasing
+    ``gcols`` is [ceil(N/G), C*kh*kw, G*Ho*Wo]; with G = 1 that is one
+    [C*kh*kw, Ho*Wo] block per image. Padded images are dropped. Loops over
+    the kernel offsets or over the output positions, whichever are fewer;
+    the position loop works channels-last, so each add runs over kw*C
+    contiguous cells. Either way each input cell adds its terms in increasing
     kernel-offset order (m, q), i.e. from the last output position to the
-    first, so both loops give bit-identical sums.
+    first, so both loops give bit-identical sums, and an image's sums do not
+    depend on G.
     """
     n, c, h, w = xshape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    g = gcols.reshape(n, c, kh, kw, ho, wo)
-    gx = np.zeros(xshape, dtype=gcols.dtype)
+    chunks = len(gcols)
+    g = gcols.reshape(chunks, c, kh, kw, group, ho, wo)
     if kh * kw <= ho * wo:
+        g = g.transpose(0, 4, 1, 2, 3, 5, 6)  # [chunk, G, c, kh, kw, ho, wo]
+        gx = np.zeros((chunks, group, c, h, w), dtype=gcols.dtype)
         for m in range(kh):
             for q in range(kw):
-                gx[:, :, _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, m, q]
-    else:
-        for i in reversed(range(ho)):
-            for j in reversed(range(wo)):
-                gx[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += g[..., i, j]
-    return gx
+                gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, :, m, q]
+        return gx.reshape(chunks * group, c, h, w)[:n]
+    # [image, ho, wo, kh, kw, c]
+    g = np.ascontiguousarray(g.transpose(0, 4, 5, 6, 2, 3, 1)).reshape(chunks * group, ho, wo, kh, kw, c)[:n]
+    gx = np.zeros((n, h, w, c), dtype=gcols.dtype)
+    for i in reversed(range(ho)):
+        for j in reversed(range(wo)):
+            gx[:, i * stride : i * stride + kh, j * stride : j * stride + kw] += g[:, i, j]
+    return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -446,6 +477,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     ``x`` is [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw]. The output is
     [N, C_out, Ho, Wo] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
+
+    The forward and the input gradient run one GEMM per chunk of G images,
+    G the smallest power of two with G*Ho*Wo >= 64 (1 for maps of 64 or more
+    positions), over ``_im2col``'s chunk layout; the last chunk is
+    zero-padded. Each output column is one image position's dot product over
+    the same kernel row, summed in the same order whatever the other columns
+    hold, so an image's output and input gradient are bit-identical to a
+    GEMM over that image alone, whatever its batch or its place in a chunk
+    (the tests check this at every conv shape the models build).
+    The kernel gradient contracts the N*Ho*Wo (image, position) terms of the
+    real images, image-major, in one einsum.
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
@@ -460,21 +502,29 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if bias.shape != (cout,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
-    cols, ho, wo = _im2col(x.data, kh, kw, stride)
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    p = ho * wo
+    group = _group_width(p)
+    cols = _im2col(x.data, kh, kw, stride, group)
+    chunks = len(cols)
     kmat = kernels.data.reshape(cout, cin * kh * kw)
-    # one GEMM per image (matmul over the stacked batch), so an image's output
-    # does not depend on the rest of its batch
-    out = (kmat @ cols).reshape(n, cout, ho, wo) + bias.data[:, None, None]
+    # [chunk, C_out, G, P] -> [chunk, G, C_out, P], C-ordered like a per-image result
+    res = (kmat @ cols).reshape(chunks, cout, group, p).transpose(0, 2, 1, 3)
+    out = np.add(res, bias.data[:, None], order="C").reshape(chunks * group, cout, ho, wo)[:n]
 
     def backward(g: np.ndarray) -> None:
-        gmat = g.reshape(n, cout, ho * wo)
+        gmat = g.reshape(n, cout, p)
         if kernels.requires_grad:
-            gk = np.einsum("nop,nkp->ok", gmat, cols, optimize=True)
+            rows = cols.transpose(0, 2, 1).reshape(chunks * group, p, cin * kh * kw)[:n]
+            gk = np.einsum("nop,npk->ok", gmat, rows, optimize=True)
             kernels._accumulate(gk.reshape(kernels.shape), "conv2d")
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
         if x.requires_grad:
-            x._accumulate(_col2im(kmat.T @ gmat, x.shape, kh, kw, stride), "conv2d")
+            gchunks = _pad_batch(gmat, group).reshape(chunks, group, cout, p).transpose(0, 2, 1, 3)
+            gcols = kmat.T @ gchunks.reshape(chunks, cout, group * p)
+            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, group), "conv2d")
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 

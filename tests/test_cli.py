@@ -179,6 +179,18 @@ class TestTrainEvalReport:
         assert "in: seed" in capsys.readouterr().err
         assert not (out / "aggregate.csv").exists()
 
+    def test_report_after_retrain_needs_new_eval(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "retrained"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK  # --seed 1
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert main(["train", *_run_args(dataset_dir, out), "--seed", "2"]) == EXIT_OK
+        assert not list(out.glob("confusion_fold*.csv")) and not (out / "report.csv").exists()
+        assert not (out / "aggregate.csv").exists()
+        capsys.readouterr()
+        assert main(["report", *_run_args(dataset_dir, out), "--seed", "2"]) == EXIT_DATA
+        assert "run the eval stage first" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["Alert,x,1", "Alert,1"], ids=["not-a-count", "short-row"])
     def test_malformed_confusion_is_data_error(self, dataset_dir, tmp_path, capsys, row):
         out = tmp_path / "confused"

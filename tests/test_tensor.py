@@ -1,10 +1,14 @@
 """Forward kernels and reverse-mode gradients of the tensor core."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsroute import capsnet, cnn
 from capsroute.tensor import (
     GraphError,
     NumericError,
@@ -208,6 +212,57 @@ class TestConv2d:
                 want[:, :, m : m + (ho - 1) * stride + 1 : stride, n : n + (wo - 1) * stride + 1 : stride] += g[:, :, m, n]
         got = _col2im(g.reshape(2, c * kh * kw, ho * wo), (2, c, h, w), kh, kw, stride)
         np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    @functools.cache
+    def model_conv_shapes():
+        """(input [C, H, W], kernel shape, stride) of every conv2d the capsnet and the CNN run at 32x32 and 64x32."""
+        shapes = []
+
+        def spy(x, kernels, bias, stride=1):
+            shapes.append((x.shape[1:], kernels.shape, stride))
+            return conv2d(x, kernels, bias, stride=stride)
+
+        with mock.patch.object(capsnet, "conv2d", spy), mock.patch.object(cnn, "conv2d", spy):
+            for hw in ((32, 32), (64, 32)):
+                image = np.zeros((1, *hw), dtype=np.uint8)
+                capsnet.capsnet_forward(image, capsnet.CapsNetParams.init(hw, np.random.default_rng(0), np.float32))
+                cnn.cnn_forward(image, cnn.CnnParams.init(hw, np.random.default_rng(0), np.float32))
+        return shapes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_and_position_invariant_at_model_shapes(self, dtype):
+        """Each image's output and input gradient equal its batch-of-one result exactly.
+
+        Batches of 3 to 36 images, taken at two offsets, put each image in
+        other chunk positions and next to padded chunks, at every conv shape
+        the models build.
+        """
+        shapes = self.model_conv_shapes()
+        assert len(shapes) == 10
+        rng = np.random.default_rng(15)
+        sizes, offsets = (3, 8, 16, 32, 36), (0, 5)
+        for xshape, kshape, stride in shapes:
+            k = Tensor((rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype))
+            b = Tensor(rng.normal(size=kshape[0]).astype(dtype))
+            (c, h, w), (cout, _, kh, kw) = xshape, kshape
+            pool = rng.normal(size=(max(sizes) + max(offsets), c, h, w)).astype(dtype)
+            gpool = rng.normal(size=(len(pool), cout, (h - kh) // stride + 1, (w - kw) // stride + 1)).astype(dtype)
+
+            def run(lo, hi):
+                x = Tensor(pool[lo:hi], requires_grad=True)
+                out = conv2d(x, k, b, stride=stride)
+                (out * Tensor(gpool[lo:hi])).sum().backward()
+                return out.data, x.grad
+
+            singles = [run(i, i + 1) for i in range(len(pool))]
+            for size in sizes:
+                for offset in offsets:
+                    out, gx = run(offset, offset + size)
+                    want = singles[offset : offset + size]
+                    where = f"{xshape} {kshape}/s{stride}, batch {size} at offset {offset}"
+                    np.testing.assert_array_equal(out, np.concatenate([o for o, _ in want]), err_msg=where)
+                    np.testing.assert_array_equal(gx, np.concatenate([g for _, g in want]), err_msg=where)
 
     def test_shape_and_stride_errors(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
