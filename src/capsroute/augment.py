@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import SpectrogramImage
+from .signal import SpectrogramImage, sample_bilinear_clamped
 
 __all__ = [
     "AugmentConfig",
@@ -53,22 +53,6 @@ class AugmentConfig:
             raise AugmentError(f"only nearest fill is supported, got {self.fill_mode!r}")
 
 
-def _sample_bilinear_clamped(pixels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    h, w = pixels.shape
-    rows = np.clip(rows, 0.0, h - 1.0)
-    cols = np.clip(cols, 0.0, w - 1.0)
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = rows - r0
-    fc = cols - c0
-    p = pixels.astype(np.float64)
-    top = p[r0, c0] + fc * (p[r0, c1] - p[r0, c0])
-    bottom = p[r1, c0] + fc * (p[r1, c1] - p[r1, c0])
-    return top + fr * (bottom - top)
-
-
 def apply_geometric(pixels: np.ndarray, zoom: float, shift_cols: float, shift_rows: float, angle_deg: float) -> np.ndarray:
     """Zoom about the center, translate, then rotate; identity parameters copy exactly."""
     h, w = pixels.shape
@@ -83,7 +67,7 @@ def apply_geometric(pixels: np.ndarray, zoom: float, shift_cols: float, shift_ro
     uc = -sin_t * dr + cos_t * dc
     src_r = cr + (ur - shift_rows) / zoom
     src_c = cc + (uc - shift_cols) / zoom
-    sampled = _sample_bilinear_clamped(pixels, src_r, src_c)
+    sampled = sample_bilinear_clamped(pixels, src_r, src_c)
     return np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
 
 

@@ -71,14 +71,14 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     fingerprint, tensors = header.get("fingerprint"), header.get("tensors")
     if not isinstance(fingerprint, dict) or not isinstance(tensors, dict):
         raise CheckpointError(f"{path} header lacks a fingerprint or tensor index")
-    blob = raw[_PREFIX + header_len :]
+    blob = memoryview(raw)[_PREFIX + header_len :]  # slices of it copy nothing
     arrays = {}
     for name, meta in tensors.items():
         arrays[name] = _read_tensor(path, name, meta, blob)
     return arrays, fingerprint
 
 
-def _read_tensor(path: Path, name: str, meta, blob: bytes) -> np.ndarray:
+def _read_tensor(path: Path, name: str, meta, blob: memoryview) -> np.ndarray:
     if not isinstance(meta, dict) or meta.get("dtype") not in _DTYPES:
         raise CheckpointError(f"{path} tensor {name!r} has no supported dtype")
     shape, offset, nbytes = meta.get("shape"), meta.get("offset"), meta.get("nbytes")

@@ -6,9 +6,10 @@ derive from the dataset labels and the seed, training is deterministic per
 fold, and every emitted file uses fixed formatting.
 
 Stages (train -> eval -> report) can run separately through the stage
-functions; ``run_experiment`` composes all three in one pass. Every stage
-takes the run's ``RunSettings``: it loads ``settings.dataset``, writes to
-``settings.out_dir`` and takes the split keys from the settings.
+functions; ``run_experiment`` runs all three in turn, as the CLI does, so
+every fold is scored from its checkpoint. Every stage takes the run's
+``RunSettings``: it loads ``settings.dataset``, writes to ``settings.out_dir``
+and takes the split keys from the settings.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.default_rng((seed, 0xF0, fold)).integers(0, 2**31))
 
 
-def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSettings, out_dir: Path):
+def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSettings, out_dir: Path) -> list[dict]:
     fold = plan.folds[fold_idx]
     train_images = [images[i].copy_with(split="train") for i in fold.train_indices]
     fold_cfg = replace(settings, seed=_fold_seed(settings.seed, fold_idx))
@@ -118,17 +119,13 @@ def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSetting
         aug_cfg = AugmentConfig(expansion_factor=settings.augment_factor, seed=_fold_seed(settings.seed, fold_idx) ^ 0x5EED)
         train_images, lineage = expand_dataset(train_images, aug_cfg)
         audit_lineage(lineage, fold.train_indices, fold.test_indices)
-        _write_lineage(out_dir / f"augmented_fold{fold_idx}.csv", lineage)
+        columns = ("parent_path", "parent_index", "copy_index", "seed")
+        _write_csv(out_dir / f"augmented_fold{fold_idx}.csv", columns, ([r[c] for c in columns] for r in lineage))
     params, curve = train_model(train_images, fold_cfg)
     save_model(out_dir / f"model_fold{fold_idx}.ckpt", params)
-    _write_curve(out_dir / f"curve_fold{fold_idx}.csv", curve)
-    return params, curve, train_images
-
-
-def _eval_one_fold(fold_idx: int, images, plan: SplitPlan, model, train_paths) -> ConfusionMatrix:
-    fold = plan.folds[fold_idx]
-    test_images = [images[i].copy_with(split="test") for i in fold.test_indices]
-    return evaluate(model, test_images, train_paths=train_paths)
+    rows = ((r["epoch"], _fmt(r["mean_loss"]), _fmt(r["train_accuracy"])) for r in curve)
+    _write_csv(out_dir / f"curve_fold{fold_idx}.csv", ("epoch", "mean_loss", "train_accuracy"), rows)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +133,12 @@ def _eval_one_fold(fold_idx: int, images, plan: SplitPlan, model, train_paths) -
 # ---------------------------------------------------------------------------
 
 
-def _write_curve(path: Path, curve: list[dict]) -> None:
-    lines = ["epoch,mean_loss,train_accuracy\n"]
-    lines += [f"{row['epoch']},{_fmt(row['mean_loss'])},{_fmt(row['train_accuracy'])}\n" for row in curve]
-    path.write_text("".join(lines))
+_CONFUSION_HEADER = ("true\\predicted", "Alert", "Drowsy")
 
 
-def _write_lineage(path: Path, lineage: list[dict]) -> None:
-    lines = ["parent_path,parent_index,copy_index,seed\n"]
-    lines += [f"{r['parent_path']},{r['parent_index']},{r['copy_index']},{r['seed']}\n" for r in lineage]
-    path.write_text("".join(lines))
-
-
-def _write_confusion(path: Path, cm: ConfusionMatrix) -> None:
-    path.write_text(
-        "true\\predicted,Alert,Drowsy\n"
-        f"Alert,{cm.tn},{cm.fp}\n"
-        f"Drowsy,{cm.fn},{cm.tp}\n"
-    )
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """The header and then each row, as comma-joined ``str`` cells."""
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in (header, *rows)))
 
 
 def _read_confusion(path: Path) -> ConfusionMatrix:
@@ -164,30 +149,6 @@ def _read_confusion(path: Path) -> ConfusionMatrix:
     except ValueError as exc:
         raise ExperimentError(f"malformed confusion file {path}: {exc}") from exc
     return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
-
-
-def _write_normalized(path: Path, cm: ConfusionMatrix) -> None:
-    grid = normalize_confusion(cm)
-    path.write_text(
-        "true\\predicted,Alert,Drowsy\n"
-        f"Alert,{_fmt(grid[0, 0])},{_fmt(grid[0, 1])}\n"
-        f"Drowsy,{_fmt(grid[1, 0])},{_fmt(grid[1, 1])}\n"
-    )
-
-
-def _write_report(path: Path, reports: list[MetricsReport]) -> None:
-    lines = ["fold," + ",".join(TABLE_COLUMNS) + "\n"]
-    for i, rep in enumerate(reports):
-        lines.append(f"{i}," + ",".join(_fmt(v) for v in rep.as_row()) + "\n")
-    path.write_text("".join(lines))
-
-
-def _write_aggregate(path: Path, agg: dict) -> None:
-    lines = ["metric,mean,std\n"]
-    for column in TABLE_COLUMNS:
-        mean, std = agg[column]
-        lines.append(f"{column},{_fmt(mean)},{_fmt(std)}\n")
-    path.write_text("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +162,19 @@ def _plan(settings: RunSettings) -> tuple[list[SpectrogramImage], SplitPlan]:
     return images, plan
 
 
-# what eval, report and augmented training leave in out_dir; a new train stage
-# deletes them, so no later stage reads an earlier run's results as this one's
-_RUN_OUTPUTS = ("confusion_fold*.csv", "report.csv", "aggregate.csv", "augmented_fold*.csv")
+# everything a run writes in out_dir but config.snapshot; a new train stage
+# deletes them first, so no later stage reads an earlier run's files (a
+# checkpoint of a fold the new run does not have, say) as this run's
+_RUN_OUTPUTS = (
+    "model_fold*.ckpt", "curve_fold*.csv", "augmented_fold*.csv", "confusion_fold*.csv", "report.csv", "aggregate.csv"
+)
 
 
-def stage_train(settings: RunSettings) -> list:
+def stage_train(settings: RunSettings) -> list[list[dict]]:
     """Train every fold; writes checkpoints, curves, and the config snapshot.
 
-    First deletes the confusion, report, aggregate and lineage files of an
-    earlier run in ``out_dir``.
+    First deletes every fold file, confusion and report an earlier run left in
+    ``out_dir``. Returns each fold's per-epoch curve.
     """
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,13 +190,11 @@ def stage_train(settings: RunSettings) -> list:
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(settings.folds)))
-    else:
-        results = [work(i) for i in range(settings.folds)]
-    return results
+            return list(pool.map(work, range(settings.folds)))
+    return [work(i) for i in range(settings.folds)]
 
 
-def stage_eval(settings: RunSettings, trained: Optional[list] = None) -> list[ConfusionMatrix]:
+def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
     """Evaluate each fold's checkpoint; writes confusion files and report.csv.
 
     Checkpoints read from ``out_dir`` are scored only if these settings match
@@ -241,24 +203,23 @@ def stage_eval(settings: RunSettings, trained: Optional[list] = None) -> list[Co
     out_dir = Path(settings.out_dir)
     images, plan = _plan(settings)
     confusions = []
-    for i in range(settings.folds):
-        if trained is not None:
-            model, _, train_images = trained[i]
-        else:
-            ckpt = out_dir / f"model_fold{i}.ckpt"
-            if not ckpt.exists():
-                raise ExperimentError(f"missing checkpoint {ckpt}; run the train stage first")
-            stored_kind, model = load_model(ckpt)
-            if stored_kind != settings.kind:
-                raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {settings.kind}")
-            if i == 0:  # after the kind check, which names the model the directory holds
-                _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
-            train_images = [images[j] for j in plan.folds[i].train_indices]
-        train_paths = {img.source_path for img in train_images if img.source_path}
-        cm = _eval_one_fold(i, images, plan, model, train_paths)
-        _write_confusion(out_dir / f"confusion_fold{i}.csv", cm)
+    for i, fold in enumerate(plan.folds):
+        ckpt = out_dir / f"model_fold{i}.ckpt"
+        if not ckpt.exists():
+            raise ExperimentError(f"missing checkpoint {ckpt}; run the train stage first")
+        stored_kind, params = load_model(ckpt)
+        if stored_kind != settings.kind:
+            raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {settings.kind}")
+        if i == 0:  # after the kind check, which names the model the directory holds
+            _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
+        train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
+        test_images = [images[j].copy_with(split="test") for j in fold.test_indices]
+        cm = evaluate(params, test_images, train_paths=train_paths)
+        rows = [("Alert", cm.tn, cm.fp), ("Drowsy", cm.fn, cm.tp)]
+        _write_csv(out_dir / f"confusion_fold{i}.csv", _CONFUSION_HEADER, rows)
         confusions.append(cm)
-    _write_report(out_dir / "report.csv", [metrics(cm) for cm in confusions])
+    rows = ((i, *map(_fmt, metrics(cm).as_row())) for i, cm in enumerate(confusions))
+    _write_csv(out_dir / "report.csv", ("fold", *TABLE_COLUMNS), rows)
     return confusions
 
 
@@ -277,19 +238,21 @@ def stage_report(settings: RunSettings) -> dict:
     _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
     reports = [metrics(cm) for cm in confusions]
     agg = aggregate(reports)
-    _write_aggregate(out_dir / "aggregate.csv", agg)
+    rows = ((column, *map(_fmt, agg[column])) for column in TABLE_COLUMNS)
+    _write_csv(out_dir / "aggregate.csv", ("metric", "mean", "std"), rows)
     for i, cm in enumerate(confusions):
-        _write_normalized(out_dir / f"confusion_fold{i}_normalized.csv", cm)
+        rows = ((name, *map(_fmt, row)) for name, row in zip(("Alert", "Drowsy"), normalize_confusion(cm)))
+        _write_csv(out_dir / f"confusion_fold{i}_normalized.csv", _CONFUSION_HEADER, rows)
     return agg
 
 
 def run_experiment(settings: RunSettings) -> ExperimentReport:
-    """make_splits -> (augment) -> train -> evaluate -> metrics, with all report files."""
-    trained = stage_train(settings)
-    confusions = stage_eval(settings, trained=trained)
+    """The train, eval and report stages in turn, as the CLI runs them."""
+    curves = stage_train(settings)
+    confusions = stage_eval(settings)
     agg = stage_report(settings)
     outcomes = [
-        FoldOutcome(fold=i, confusion=cm, report=metrics(cm), curve=trained[i][1])
+        FoldOutcome(fold=i, confusion=cm, report=metrics(cm), curve=curves[i])
         for i, cm in enumerate(confusions)
     ]
     return ExperimentReport(folds=outcomes, aggregate=agg)

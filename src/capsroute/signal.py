@@ -36,6 +36,7 @@ __all__ = [
     "to_decibels",
     "stft_spectrogram",
     "resample_bilinear",
+    "sample_bilinear_clamped",
     "to_grayscale_image",
     "concat_vertical",
     "label_from_kss",
@@ -203,26 +204,34 @@ def stft_spectrogram(seg: Segment) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def sample_bilinear_clamped(pixels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bilinear lookups at fractional (rows, cols), which broadcast to the output shape.
+
+    Out-of-frame coordinates clamp to the nearest border pixel.
+    """
+    h, w = pixels.shape
+    rows = np.clip(rows, 0.0, h - 1.0)
+    cols = np.clip(cols, 0.0, w - 1.0)
+    r0 = np.floor(rows).astype(int)
+    c0 = np.floor(cols).astype(int)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = rows - r0
+    fc = cols - c0
+    p = pixels.astype(np.float64)
+    # lerp along columns, then between rows: exact at grid points and for constant inputs
+    top = p[r0, c0] + fc * (p[r0, c1] - p[r0, c0])
+    bottom = p[r1, c0] + fc * (p[r1, c1] - p[r1, c0])
+    return top + fr * (bottom - top)
+
+
 def resample_bilinear(matrix: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling with endpoints mapped to endpoints."""
     matrix = np.asarray(matrix, dtype=np.float64)
     in_h, in_w = matrix.shape
     r = np.linspace(0.0, in_h - 1.0, out_h) if in_h > 1 else np.zeros(out_h)
     c = np.linspace(0.0, in_w - 1.0, out_w) if in_w > 1 else np.zeros(out_w)
-    r0 = np.floor(r).astype(int)
-    c0 = np.floor(c).astype(int)
-    r1 = np.minimum(r0 + 1, in_h - 1)
-    c1 = np.minimum(c0 + 1, in_w - 1)
-    fr = (r - r0)[:, None]
-    fc = (c - c0)[None, :]
-    a = matrix[np.ix_(r0, c0)]
-    b = matrix[np.ix_(r0, c1)]
-    d = matrix[np.ix_(r1, c0)]
-    e = matrix[np.ix_(r1, c1)]
-    # lerp rows then columns: exact at grid points and for constant inputs
-    top = a + fc * (b - a)
-    bottom = d + fc * (e - d)
-    return top + fr * (bottom - top)
+    return sample_bilinear_clamped(matrix, r[:, None], c[None, :])
 
 
 def to_grayscale_image(spec_db: np.ndarray) -> np.ndarray:
@@ -357,6 +366,8 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
     path = Path(path)
     if not path.exists():
         raise PipelineError(f"recording file not found: {path}")
+    if path.is_dir():
+        raise PipelineError(f"recording path {path} is a directory, not a file")
     if path.suffix == ".csv":
         text = path.read_text().strip().splitlines()
         if csv_has_header:
@@ -507,7 +518,10 @@ def write_pgm(path: Path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path: Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    path = Path(path)
+    if path.is_dir():
+        raise PipelineError(f"{path} is a directory, not a PGM file")
+    raw = path.read_bytes()
     if not raw.startswith(b"P5"):
         raise PipelineError(f"{path} is not a binary PGM file")
     parts = raw.split(b"\n", 3)

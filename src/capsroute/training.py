@@ -173,17 +173,15 @@ def predict(params: ModelParams, pixels: np.ndarray, batch_size: int = 128) -> n
 
 
 def evaluate(
-    model: Union[ModelParams, Path, str],
+    params: ModelParams,
     test_images: Sequence[SpectrogramImage],
     train_paths: Optional[set] = None,
 ) -> ConfusionMatrix:
     """Confusion counts over the test images, drowsy positive.
 
-    ``model`` is either a trained params object or a checkpoint path. When
-    ``train_paths`` is given, any test image whose source path appears there
-    is a lineage violation.
+    When ``train_paths`` is given, any test image whose source path appears
+    there is a lineage violation.
     """
-    params = load_model(model)[1] if isinstance(model, (str, Path)) else model
     if train_paths is not None:
         for img in test_images:
             if img.source_path and img.source_path in train_paths:

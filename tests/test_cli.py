@@ -191,6 +191,13 @@ class TestTrainEvalReport:
         assert main(["report", *_run_args(dataset_dir, out), "--seed", "2"]) == EXIT_DATA
         assert "run the eval stage first" in capsys.readouterr().err
 
+    def test_retrain_with_fewer_folds_leaves_no_extra_fold(self, dataset_dir, tmp_path):
+        out, fresh = tmp_path / "shrunk", tmp_path / "fresh"
+        assert main(["train", *_run_args(dataset_dir, out), "--folds", "3", "--epochs", "1"]) == EXIT_OK
+        assert main(["train", *_run_args(dataset_dir, out), "--epochs", "1"]) == EXIT_OK  # --folds 2
+        assert main(["train", *_run_args(dataset_dir, fresh), "--epochs", "1"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+
     @pytest.mark.parametrize("row", ["Alert,x,1", "Alert,1"], ids=["not-a-count", "short-row"])
     def test_malformed_confusion_is_data_error(self, dataset_dir, tmp_path, capsys, row):
         out = tmp_path / "confused"
@@ -224,6 +231,19 @@ class TestTrainEvalReport:
         pgm.write_bytes(pgm.read_bytes().replace(b"\n32 32\n", b"\nx 32\n", 1))
         assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
         assert "malformed PGM size line" in capsys.readouterr().err
+
+    def test_path_naming_a_directory_is_data_error(self, corpus_dir, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
+        (broken / "dataset.csv").write_text(header + first[first.index(",") :] + "".join(rest))
+        assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
+        assert "is a directory" in capsys.readouterr().err
+        recordings = tmp_path / "recordings.csv"
+        header, first, *rest = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        recordings.write_text(header + first[: first.rindex(",") + 1] + "\n")
+        assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
+        assert "is a directory" in capsys.readouterr().err
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG

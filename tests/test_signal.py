@@ -320,6 +320,12 @@ class TestRecordingIO:
         with pytest.raises(PipelineError):
             load_recording(tmp_path / "nope.f32", "s0", Pvt.PVT1, Channel.FZ, 2)
 
+    def test_manifest_path_naming_a_directory(self, tmp_path):
+        manifest = tmp_path / "recordings.csv"
+        manifest.write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,\n")
+        with pytest.raises(PipelineError, match="is a directory, not a file"):
+            load_recordings_manifest(manifest)
+
 
 # ---------------------------------------------------------------------------
 # corpus + dataset building
@@ -406,12 +412,17 @@ class TestDatasetIO:
                 b.segment_index,
             )
 
-        # a malformed row or PGM size line is a PipelineError naming the row or file
+        # a malformed row, an image path naming a directory or a malformed PGM
+        # size line is a PipelineError naming the row or file
         header, first, *rest = manifest.read_text().splitlines(keepends=True)
         image_path, label, subject_id, channel_set, _ = first.rstrip("\n").split(",")
         for bad_row in (f"{image_path},Sleepy,{subject_id},{channel_set},0\n", f"{image_path},{label},{subject_id},{channel_set},a\n"):
             manifest.write_text(header + bad_row + "".join(rest))
             with pytest.raises(PipelineError, match=f"bad dataset row .*{bad_row.split(',')[1]}"):
+                load_dataset(manifest)
+        for directory in ("", "."):
+            manifest.write_text(header + f"{directory},{label},{subject_id},{channel_set},0\n" + "".join(rest))
+            with pytest.raises(PipelineError, match=f"{manifest.parent} is a directory, not a PGM file"):
                 load_dataset(manifest)
         manifest.write_text(header + first + "".join(rest))
         pgm = manifest.parent / image_path

@@ -287,7 +287,7 @@ class TestEvaluate:
         params, _ = train_model(toy_images(12), cfg)
         save_model(tmp_path / "m.ckpt", params)
         direct = evaluate(params, toy_images(8, seed=60))
-        via_path = evaluate(tmp_path / "m.ckpt", toy_images(8, seed=60))
+        via_path = evaluate(load_model(tmp_path / "m.ckpt")[1], toy_images(8, seed=60))
         assert direct == via_path
 
     def test_lineage_violation(self):
