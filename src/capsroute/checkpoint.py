@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -54,31 +55,35 @@ def save_checkpoint(path: Path, named_arrays: dict[str, np.ndarray], fingerprint
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    raw = path.read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    if len(raw) < _PREFIX:
-        raise CheckpointError(f"{path} is truncated inside its header length")
-    (header_len,) = struct.unpack("<Q", raw[len(_MAGIC) : _PREFIX])
-    if len(raw) < _PREFIX + header_len:
-        raise CheckpointError(f"{path} is truncated inside its header")
-    try:
-        header = json.loads(raw[_PREFIX : _PREFIX + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("version") != _VERSION:
-        raise CheckpointError(f"{path} has an unsupported header version")
-    fingerprint, tensors = header.get("fingerprint"), header.get("tensors")
-    if not isinstance(fingerprint, dict) or not isinstance(tensors, dict):
-        raise CheckpointError(f"{path} header lacks a fingerprint or tensor index")
-    blob = memoryview(raw)[_PREFIX + header_len :]  # slices of it copy nothing
-    arrays = {}
-    for name, meta in tensors.items():
-        arrays[name] = _read_tensor(path, name, meta, blob)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX)
+        if not prefix.startswith(_MAGIC):
+            raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+        if len(prefix) < _PREFIX:
+            raise CheckpointError(f"{path} is truncated inside its header length")
+        (header_len,) = struct.unpack("<Q", prefix[len(_MAGIC) :])
+        if size < _PREFIX + header_len:  # checked before reading, so a corrupt length allocates nothing
+            raise CheckpointError(f"{path} is truncated inside its header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("version") != _VERSION:
+            raise CheckpointError(f"{path} has an unsupported header version")
+        fingerprint, tensors = header.get("fingerprint"), header.get("tensors")
+        if not isinstance(fingerprint, dict) or not isinstance(tensors, dict):
+            raise CheckpointError(f"{path} header lacks a fingerprint or tensor index")
+        blob_start = _PREFIX + header_len
+        arrays = {}
+        for name, meta in tensors.items():
+            arrays[name] = _read_tensor(path, name, meta, fh, blob_start, size - blob_start)
     return arrays, fingerprint
 
 
-def _read_tensor(path: Path, name: str, meta, blob: memoryview) -> np.ndarray:
+def _read_tensor(path: Path, name: str, meta, fh, blob_start: int, blob_size: int) -> np.ndarray:
+    """Read one tensor straight into a fresh array, after checking that the
+    file holds all of its bytes."""
     if not isinstance(meta, dict) or meta.get("dtype") not in _DTYPES:
         raise CheckpointError(f"{path} tensor {name!r} has no supported dtype")
     shape, offset, nbytes = meta.get("shape"), meta.get("offset"), meta.get("nbytes")
@@ -88,10 +93,13 @@ def _read_tensor(path: Path, name: str, meta, blob: memoryview) -> np.ndarray:
         raise CheckpointError(f"{path} tensor {name!r} has a malformed offset or size")
     if nbytes != math.prod(shape) * np.dtype(meta["dtype"]).itemsize:
         raise CheckpointError(f"{path} tensor {name!r} holds {nbytes} bytes, which does not fit shape {shape}")
-    chunk = blob[offset : offset + nbytes]
-    if len(chunk) != nbytes:
+    if offset + nbytes > blob_size:
         raise CheckpointError(f"{path} is truncated at tensor {name!r}")
-    return np.frombuffer(chunk, dtype=meta["dtype"]).reshape(shape).copy()
+    arr = np.empty(shape, dtype=meta["dtype"])
+    fh.seek(blob_start + offset)
+    if fh.readinto(arr) != nbytes:  # the file shrank since it was opened
+        raise CheckpointError(f"{path} is truncated at tensor {name!r}")
+    return arr
 
 
 def check_fingerprint(fp: dict, ints: tuple, lists: dict, numbers: tuple = ()) -> type:

@@ -28,9 +28,13 @@ EXIT_RUNTIME = 4
 
 def read_config_file(path: Path) -> dict:
     """key=value lines; '#' comments and blank lines ignored."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+        raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
     values = {}
     errors = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -159,7 +163,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, FileNotFoundError) as exc:
+    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericError) as exc:

@@ -222,5 +222,7 @@ def load_model(path: Union[Path, str]) -> tuple[str, ModelParams]:
             raise CheckpointError(f"checkpoint {path} is missing tensor {name!r}")
         if arrays[name].shape != p.data.shape:
             raise CheckpointError(f"tensor {name!r} has shape {arrays[name].shape}, expected {p.data.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"tensor {name!r} in {path} holds a non-finite value")
         p.data = arrays[name].astype(p.data.dtype, copy=False)
     return kind, params

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from capsroute.checkpoint import load_checkpoint, save_checkpoint
 from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config_file
 from capsroute.config import KEYS, resolve_run_settings
 from capsroute.signal import load_dataset
@@ -244,6 +245,32 @@ class TestTrainEvalReport:
         recordings.write_text(header + first[: first.rindex(",") + 1] + "\n")
         assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
         assert "is a directory" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_is_data_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "poisoned"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        ckpt = out / "model_fold0.ckpt"
+        arrays, fingerprint = load_checkpoint(ckpt)
+        arrays["fc1_w"][0, 0] = float("nan")
+        save_checkpoint(ckpt, arrays, fingerprint)
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        assert "'fc1_w'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["train", "--config", "{dir}"], EXIT_CONFIG),
+            (["train", "--config", "{missing}"], EXIT_CONFIG),
+            (["prepare", "--manifest", "{dir}", "--channels", "fz", "--out", "{out}"], EXIT_DATA),
+            (["train", "--dataset", "{dir}", "--out", "{out}", "--model", "mlp"], EXIT_DATA),
+        ],
+        ids=["config-dir", "config-missing", "manifest-dir", "dataset-dir"],
+    )
+    def test_unreadable_argument_path(self, tmp_path, capsys, argv, code):
+        paths = {"dir": tmp_path, "missing": tmp_path / "nope.cfg", "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from capsroute.optim import adam_init, adam_step
+from capsroute.capsnet import CapsNetParams
+from capsroute.optim import CHUNK_BYTES, adam_init, adam_step
 
 
 class TestAdamStep:
@@ -54,3 +55,58 @@ class TestAdamStep:
             grad = [2.0 * theta[0]]
             theta, state = adam_step(theta, grad, state)
         assert abs(theta[0][0]) < 0.5
+
+
+def _oracle_step(params, grads, state):
+    """The unblocked update, one full-size expression per op."""
+    t = state.step_count + 1
+    b1, b2 = state.beta1, state.beta2
+    out, ms, vs = [], [], []
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m, v = m.copy(), v.copy()
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        ms.append(m)
+        vs.append(v)
+    return out, ms, vs
+
+
+def _chunk_edge_shapes(dtype):
+    k = CHUNK_BYTES // np.dtype(dtype).itemsize  # elements per chunk
+    return [(), (k - 1,), (k // 64, 64), (k + 1, 1), (3 * k + 7,)]
+
+
+def _capsnet_shapes(dtype):
+    params = CapsNetParams.init((32, 32), np.random.default_rng(0), dtype=dtype)
+    return [p.data.shape for _, p in params.named_parameters()]
+
+
+class TestBlockedAdamMatchesOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes", [_chunk_edge_shapes, _capsnet_shapes], ids=["chunk-edges", "capsnet32"])
+    def test_five_steps_bit_identical_and_inputs_untouched(self, dtype, shapes):
+        rng = np.random.default_rng(7)
+        params = [rng.normal(size=s).astype(dtype) for s in shapes(dtype)]
+        state = adam_init(params, lr=0.01)
+        for step in range(5):
+            grads = [(rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)).astype(dtype) for p in params]
+            inputs = [a.copy() for a in params + grads + state.first_moment + state.second_moment]
+            want_p, want_m, want_v = _oracle_step(params, grads, state)
+            new_params, new_state = adam_step(params, grads, state)
+            for got, want in zip(new_params + new_state.first_moment + new_state.second_moment, want_p + want_m + want_v):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got.reshape(-1).view(np.uint8), want.reshape(-1).view(np.uint8))
+            for before, after in zip(inputs, params + grads + state.first_moment + state.second_moment):
+                np.testing.assert_array_equal(before, after)
+            assert state.step_count == step and new_state.step_count == step + 1
+            params, state = new_params, new_state
+
+    def test_dtype_mismatch(self):
+        state = adam_init([np.zeros(2, np.float32)])
+        with pytest.raises(ValueError):
+            adam_step([np.zeros(2, np.float32)], [np.zeros(2, np.float64)], state)
