@@ -18,7 +18,6 @@ from .tensor import (
     truncated_normal,
 )
 from .optim import AdamState, adam_init, adam_step
-from .gradcheck import check_gradients, numeric_gradient
 from .config import RunSettings, TrainConfig
 from .signal import (
     Channel,

@@ -163,7 +163,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, FileNotFoundError, IsADirectoryError) as exc:
+    # a missing input, a directory named as a file, or a file in the way of an output directory
+    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, FileNotFoundError, IsADirectoryError,
+            FileExistsError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericError) as exc:

@@ -386,24 +386,31 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
     return EegRecording(subject_id=subject_id, pvt=pvt, channel=channel, sample_rate=SAMPLE_RATE, samples=samples, kss=kss)
 
 
+def _read_manifest(path: Path, columns: set, what: str) -> list[dict]:
+    """The rows of a CSV manifest that has exactly ``columns``; PipelineError if it is not such a text file."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(reader.fieldnames) != columns:
+                raise PipelineError(f"{what} must have columns {sorted(columns)}, got {reader.fieldnames}")
+            return list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise PipelineError(f"{what} {path} is not a CSV text file: {exc}") from exc
+
+
 def load_recordings_manifest(manifest_path: Path) -> list[EegRecording]:
     """Read recordings.csv (subject_id,pvt,channel,kss,path) and load each file."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
     recordings = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"subject_id", "pvt", "channel", "kss", "path"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise PipelineError(f"recordings manifest must have columns {sorted(expected)}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                pvt = Pvt(row["pvt"])
-                channel = Channel(row["channel"])
-                kss = int(row["kss"])
-            except (ValueError, KeyError) as exc:
-                raise PipelineError(f"bad manifest row {row}: {exc}") from exc
-            recordings.append(load_recording(base / row["path"], row["subject_id"], pvt, channel, kss))
+    columns = {"subject_id", "pvt", "channel", "kss", "path"}
+    for row in _read_manifest(manifest_path, columns, "recordings manifest"):
+        try:
+            pvt = Pvt(row["pvt"])
+            channel = Channel(row["channel"])
+            kss = int(row["kss"])
+        except (ValueError, KeyError) as exc:
+            raise PipelineError(f"bad manifest row {row}: {exc}") from exc
+        recordings.append(load_recording(manifest_path.parent / row["path"], row["subject_id"], pvt, channel, kss))
     return recordings
 
 
@@ -566,26 +573,21 @@ def write_dataset(images: Sequence[SpectrogramImage], out_dir: Path) -> Path:
 
 def load_dataset(manifest_path: Path) -> list[SpectrogramImage]:
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
     images = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"image_path", "label", "subject_id", "channel_set", "segment_index"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise PipelineError(f"dataset manifest must have columns {sorted(expected)}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                label, channel_set, segment_index = Label(row["label"]), ChannelSet(row["channel_set"]), int(row["segment_index"])
-            except (ValueError, TypeError) as exc:
-                raise PipelineError(f"bad dataset row {row} in {manifest_path}: {exc}") from exc
-            images.append(
-                SpectrogramImage(
-                    pixels=read_pgm(base / row["image_path"]),
-                    label=label,
-                    subject_id=row["subject_id"],
-                    channel_set=channel_set,
-                    segment_index=segment_index,
-                    source_path=row["image_path"],
-                )
+    columns = {"image_path", "label", "subject_id", "channel_set", "segment_index"}
+    for row in _read_manifest(manifest_path, columns, "dataset manifest"):
+        try:
+            label, channel_set, segment_index = Label(row["label"]), ChannelSet(row["channel_set"]), int(row["segment_index"])
+        except (ValueError, TypeError) as exc:
+            raise PipelineError(f"bad dataset row {row} in {manifest_path}: {exc}") from exc
+        images.append(
+            SpectrogramImage(
+                pixels=read_pgm(manifest_path.parent / row["image_path"]),
+                label=label,
+                subject_id=row["subject_id"],
+                channel_set=channel_set,
+                segment_index=segment_index,
+                source_path=row["image_path"],
             )
+        )
     return images

@@ -133,9 +133,10 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, op: str) -> None:
         # ``grad`` may be shared (one array handed to both operands of an add,
         # a view of another gradient, a read-only broadcast), so it is never
-        # written into. It is copied only when not C-contiguous: einsum hands
-        # back transposed results, and Adam's elementwise updates over a
-        # transposed gradient ran about 30% slower on capsnet.
+        # written into. It is copied only when not C-contiguous: einsum2's
+        # backward can hand back a transposed result, and Adam's elementwise
+        # updates over a transposed gradient ran about 30% slower on capsnet;
+        # conv2d's channels-last input gradient arrives transposed as well.
         _require_finite(grad, op + ".backward")
         grad = np.asarray(grad, dtype=self.data.dtype, order="C")
         self.grad = grad if self.grad is None else self.grad + grad
@@ -419,57 +420,86 @@ def _pad_batch(a: np.ndarray, group: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, group: int) -> np.ndarray:
-    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window, in chunks of ``group`` images.
+    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window, as one matrix.
 
-    Returns ``cols`` [ceil(N/G), C*kh*kw, G*Ho*Wo], with the batch zero-padded
-    to a multiple of G; for G = 1 it may be a view of ``x``. Row (c, m, q)
-    holds the cell at offset (m, q) of every window in channel c, ordered like
-    a flattened [C_out, C, kh, kw] kernel's columns. Image j of a chunk owns
-    columns j*Ho*Wo .. (j+1)*Ho*Wo - 1, its output positions in row-major
-    order. So ``kmat @ cols[i]`` is the output of chunk i's G images as
-    [C_out, G, Ho, Wo].
+    Returns ``cols`` [C*kh*kw, Npad*Ho*Wo], Npad being N zero-padded up to a
+    multiple of ``group``. Row (c, m, q) holds the cell at offset (m, q) of
+    every window in channel c, ordered like a flattened [C_out, C, kh, kw]
+    kernel's columns. Column n*Ho*Wo + i*Wo + j is window (i, j) of image n,
+    so the G images of chunk i own column block i, G*Ho*Wo columns wide, and
+    the first N*Ho*Wo columns are the real images' windows.
+
+    Rows lie an odd number of cache lines apart in memory: a GEMM over one
+    column block reads down C*kh*kw rows, and at a power-of-two row stride
+    (G = 1 maps of 256 or 512 positions) those reads all fall in the same
+    cache sets, which made the forward 1.5x slower at batch 128.
     """
     n, c, h, w = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    x = _pad_batch(x, group)
-    chunks = len(x) // group
+    width = (n + -n % group) * ho * wo
+    line = max(1, 64 // x.itemsize)
+    buf = np.empty((c * kh * kw, (-(-width // line) | 1) * line), dtype=x.dtype)
+    cols = buf[:, :width]
+    cols[:, n * ho * wo :] = 0
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win.reshape(chunks, group, c, ho, wo, kh, kw)
-    return win.transpose(0, 2, 5, 6, 1, 3, 4).reshape(chunks, c * kh * kw, group * ho * wo)  # [chunk, c, kh, kw, G, ho, wo]
+    cols[:, : n * ho * wo].reshape(c, kh, kw, n, ho, wo)[...] = win.transpose(1, 4, 5, 0, 2, 3)
+    return cols
 
 
 def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int, group: int = 1) -> np.ndarray:
-    """Sum column gradients in ``_im2col``'s chunk layout back onto [N, C, H, W].
+    """Sum column gradients, one [C*kh*kw, G*Ho*Wo] block per chunk of G images, back onto [N, C, H, W].
 
     ``gcols`` is [ceil(N/G), C*kh*kw, G*Ho*Wo]; with G = 1 that is one
     [C*kh*kw, Ho*Wo] block per image. Padded images are dropped. Loops over
-    the kernel offsets or over the output positions, whichever are fewer;
-    the position loop works channels-last, so each add runs over kw*C
-    contiguous cells. Either way each input cell adds its terms in increasing
-    kernel-offset order (m, q), i.e. from the last output position to the
-    first, so both loops give bit-identical sums, and an image's sums do not
-    depend on G.
+    the kernel offsets, so each input cell adds its terms in increasing
+    kernel-offset order (m, q), and an image's sums do not depend on G.
     """
     n, c, h, w = xshape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     chunks = len(gcols)
-    g = gcols.reshape(chunks, c, kh, kw, group, ho, wo)
-    if kh * kw <= ho * wo:
-        g = g.transpose(0, 4, 1, 2, 3, 5, 6)  # [chunk, G, c, kh, kw, ho, wo]
-        gx = np.zeros((chunks, group, c, h, w), dtype=gcols.dtype)
-        for m in range(kh):
-            for q in range(kw):
-                gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, :, m, q]
-        return gx.reshape(chunks * group, c, h, w)[:n]
-    # [image, ho, wo, kh, kw, c]
-    g = np.ascontiguousarray(g.transpose(0, 4, 5, 6, 2, 3, 1)).reshape(chunks * group, ho, wo, kh, kw, c)[:n]
-    gx = np.zeros((n, h, w, c), dtype=gcols.dtype)
+    g = gcols.reshape(chunks, c, kh, kw, group, ho, wo).transpose(0, 4, 1, 2, 3, 5, 6)  # [chunk, G, c, kh, kw, ho, wo]
+    gx = np.zeros((chunks, group, c, h, w), dtype=gcols.dtype)
+    for m in range(kh):
+        for q in range(kw):
+            gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, :, m, q]
+    return gx.reshape(chunks * group, c, h, w)[:n]
+
+
+# bytes of the source per block of a transposing copy: the block's rows stay in L1 while its columns are written
+_TRANSPOSE_BLOCK_BYTES = 32 * 1024
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """``a.T`` of a 2-D array as a new C-ordered array.
+
+    Copies blocks of ``a``'s rows in turn: one pass over all of ``a`` per
+    output row made capsnet conv2's [5184, 128] kernel gradient copy 4x
+    slower (3.4 against 0.8 ms, float32).
+    """
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    step = max(1, _TRANSPOSE_BLOCK_BYTES // (a.shape[1] * a.itemsize))
+    for r in range(0, len(a), step):
+        out[:, r : r + step] = a[r : r + step].T
+    return out
+
+
+def _add_windows(gwin: np.ndarray, xshape: tuple, stride: int) -> np.ndarray:
+    """Sum channels-last window gradients ``gwin`` [N, Ho, Wo, kh, kw, C] onto [N, C, H, W].
+
+    Loops over the output positions, last to first, adding each position's
+    whole [kh, kw*C] window at once, so each input cell adds its terms in
+    increasing kernel-offset order, as ``_col2im`` does.
+    """
+    n, c, h, w = xshape
+    _, ho, wo, kh, kw, _ = gwin.shape
+    gwin = gwin.reshape(n, ho, wo, kh, kw * c)
+    gx = np.zeros((n, h, w * c), dtype=gwin.dtype)
     for i in reversed(range(ho)):
         for j in reversed(range(wo)):
-            gx[:, i * stride : i * stride + kh, j * stride : j * stride + kw] += g[:, i, j]
-    return np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+            gx[:, i * stride : i * stride + kh, j * stride * c : (j * stride + kw) * c] += gwin[:, i, j]
+    return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -478,16 +508,23 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ``x`` is [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw]. The output is
     [N, C_out, Ho, Wo] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
 
-    The forward and the input gradient run one GEMM per chunk of G images,
-    G the smallest power of two with G*Ho*Wo >= 64 (1 for maps of 64 or more
-    positions), over ``_im2col``'s chunk layout; the last chunk is
-    zero-padded. Each output column is one image position's dot product over
-    the same kernel row, summed in the same order whatever the other columns
-    hold, so an image's output and input gradient are bit-identical to a
-    GEMM over that image alone, whatever its batch or its place in a chunk
-    (the tests check this at every conv shape the models build).
-    The kernel gradient contracts the N*Ho*Wo (image, position) terms of the
-    real images, image-major, in one einsum.
+    ``_im2col`` builds one column matrix for the batch, zero-padded to a
+    multiple of G images, G the smallest power of two with G*Ho*Wo >= 64 (1
+    for maps of 64 or more positions). The forward runs one GEMM per chunk
+    of G images over its column block, all in one batched matmul. Each
+    output column is one image position's dot product over the same kernel
+    row, summed in the same order whatever the other columns hold, so an
+    image's output and input gradient are bit-identical to a GEMM over that
+    image alone, whatever its batch or its place in a chunk (the tests check
+    this at every conv shape the models build).
+
+    The kernel gradient is one GEMM over the real images' columns, summing
+    the N*Ho*Wo (image, position) terms image-major. The input gradient runs
+    one GEMM per chunk and sums the columns back in kernel-offset order
+    (``_col2im``); when the kernel has more offsets than the map has
+    positions (kh*kw > Ho*Wo, capsnet conv2), it is instead one GEMM for the
+    batch whose rows are channels-last windows, added position by position
+    (``_add_windows``) in the same per-cell order.
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
@@ -505,23 +542,29 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     p = ho * wo
+    k = cin * kh * kw
     group = _group_width(p)
     cols = _im2col(x.data, kh, kw, stride, group)
-    chunks = len(cols)
-    kmat = kernels.data.reshape(cout, cin * kh * kw)
+    chunks = cols.shape[1] // (group * p)
+    kmat = kernels.data.reshape(cout, k)
     # [chunk, C_out, G, P] -> [chunk, G, C_out, P], C-ordered like a per-image result
-    res = (kmat @ cols).reshape(chunks, cout, group, p).transpose(0, 2, 1, 3)
+    res = (kmat @ cols.reshape(k, chunks, group * p).transpose(1, 0, 2)).reshape(chunks, cout, group, p).transpose(0, 2, 1, 3)
     out = np.add(res, bias.data[:, None], order="C").reshape(chunks * group, cout, ho, wo)[:n]
 
     def backward(g: np.ndarray) -> None:
         gmat = g.reshape(n, cout, p)
+        grows = gmat.transpose(0, 2, 1).reshape(n * p, cout)  # row n*P + position
         if kernels.requires_grad:
-            rows = cols.transpose(0, 2, 1).reshape(chunks * group, p, cin * kh * kw)[:n]
-            gk = np.einsum("nop,npk->ok", gmat, rows, optimize=True)
-            kernels._accumulate(gk.reshape(kernels.shape), "conv2d")
+            # [K, N*P] @ [N*P, C_out]: BLAS may run the transposed product, [C_out, N*P] @ [N*P, K],
+            # through another kernel with another summation order when it is small (batch-3 stems)
+            kernels._accumulate(_transposed(cols[:, : n * p] @ grows).reshape(kernels.shape), "conv2d")
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
-        if x.requires_grad:
+        if x.requires_grad and kh * kw > p:
+            # [N*P, C_out] @ [C_out, kh*kw*C] -> [N, Ho, Wo, kh, kw, C]
+            gwin = grows @ kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
+            x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, c), x.shape, stride), "conv2d")
+        elif x.requires_grad:
             gchunks = _pad_batch(gmat, group).reshape(chunks, group, cout, p).transpose(0, 2, 1, 3)
             gcols = kmat.T @ gchunks.reshape(chunks, cout, group * p)
             x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, group), "conv2d")

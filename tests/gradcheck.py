@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from capsroute.tensor import Tensor
 
 __all__ = ["numeric_gradient", "check_gradients"]
 

@@ -19,7 +19,7 @@ from capsroute.capsnet import CapsNetParams, capsnet_forward, dynamic_routing, t
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import RunSettings, TrainConfig
 from capsroute.experiment import run_experiment
-from capsroute.gradcheck import check_gradients
+from gradcheck import check_gradients
 from capsroute.metrics import ConfusionMatrix, metrics
 from capsroute.signal import (
     SEGMENT_SAMPLES,

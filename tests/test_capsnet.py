@@ -17,7 +17,7 @@ from capsroute.capsnet import (
     total_loss,
     votes,
 )
-from capsroute.gradcheck import check_gradients
+from gradcheck import check_gradients
 from capsroute.tensor import Tensor
 
 

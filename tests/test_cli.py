@@ -1,5 +1,6 @@
 """CLI commands, config precedence, and exit-code categories."""
 
+import random
 import shutil
 from pathlib import Path
 
@@ -271,6 +272,37 @@ class TestTrainEvalReport:
         paths = {"dir": tmp_path, "missing": tmp_path / "nope.cfg", "out": tmp_path / "out"}
         assert main([arg.format(**paths) for arg in argv]) == code
         assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--manifest", "{binary}", "--channels", "fz", "--out", "{out}"],
+            ["train", "--dataset", "{binary}", "--out", "{out}", "--model", "mlp"],
+        ],
+        ids=["manifest", "dataset"],
+    )
+    def test_binary_argument_file_is_data_error(self, tmp_path, capsys, argv):
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(random.Random(0).randbytes(100))
+        with pytest.raises(UnicodeDecodeError):
+            binary.read_text(encoding="utf-8")
+        assert main([arg.format(binary=binary, out=tmp_path / "out") for arg in argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(binary) in err
+
+    @pytest.mark.parametrize("command", ["synth", "prepare", "train"])
+    def test_out_naming_a_file_is_data_error(self, corpus_dir, dataset_dir, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        argv = {
+            "synth": ["synth", "--subjects", "1,1", "--minutes", "0.5", "--out", str(out)],
+            "prepare": ["prepare", "--manifest", str(corpus_dir / "recordings.csv"), "--channels", "fz", "--out", str(out)],
+            "train": ["train", *_run_args(dataset_dir, out)],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        assert out.read_text() == "not a directory\n"
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG

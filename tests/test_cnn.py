@@ -5,7 +5,7 @@ import pytest
 
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import TrainConfig
-from capsroute.gradcheck import check_gradients
+from gradcheck import check_gradients
 from capsroute.mlp import MlpParams, mlp_forward
 from capsroute.tensor import Tensor, maxpool2d
 

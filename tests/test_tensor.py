@@ -27,7 +27,7 @@ from capsroute.tensor import (
     softmax_axis,
     truncated_normal,
 )
-from capsroute.gradcheck import check_gradients
+from gradcheck import check_gradients
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,42 @@ class TestConv2d:
                     where = f"{xshape} {kshape}/s{stride}, batch {size} at offset {offset}"
                     np.testing.assert_array_equal(out, np.concatenate([o for o, _ in want]), err_msg=where)
                     np.testing.assert_array_equal(gx, np.concatenate([g for _, g in want]), err_msg=where)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_equal_gemm_oracles_at_model_shapes(self, dtype):
+        """Kernel and input gradients equal, bit for bit, per-image reference formulas.
+
+        The kernel gradient is checked against an einsum over (image,
+        position) rows of im2col columns, the input gradient against one
+        [C*kh*kw, C_out] @ [C_out, Ho*Wo] GEMM per image summed back in
+        kernel-offset order. Batch 3 leaves the last chunk of images padded
+        wherever G > 1, batch 36 where G = 8.
+        """
+        shapes = self.model_conv_shapes()
+        assert len(shapes) == 10
+        rng = np.random.default_rng(16)
+        for xshape, kshape, stride in shapes:
+            (c, h, w), (cout, _, kh, kw) = xshape, kshape
+            ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+            kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
+            for n in (3, 8, 36):
+                xd = rng.normal(size=(n, *xshape)).astype(dtype)
+                g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+                x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
+                (conv2d(x, k, Tensor(np.zeros(cout, dtype)), stride=stride) * Tensor(g)).sum().backward()
+
+                win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+                rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
+                gmat = g.reshape(n, cout, ho * wo)
+                want_gk = np.einsum("nop,npk->ok", gmat, rows, optimize=True).reshape(kshape)
+                cols = (kd.reshape(cout, -1).T @ gmat).reshape(n, c, kh, kw, ho, wo)
+                want_gx = np.zeros_like(xd)
+                for m in range(kh):
+                    for q in range(kw):
+                        want_gx[:, :, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += cols[:, :, m, q]
+                where = f"{xshape} {kshape}/s{stride}, batch {n}"
+                np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
+                np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
 
     def test_shape_and_stride_errors(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
