@@ -25,6 +25,7 @@ __all__ = [
     "ROUTING_ITERATIONS",
     "CapsNetParams",
     "RoutingState",
+    "Capsules",
     "CapsNetOutput",
     "squash",
     "primary_capsules",
@@ -35,6 +36,7 @@ __all__ = [
     "decoder_input",
     "decode",
     "total_loss",
+    "capsule_forward",
     "capsnet_forward",
 ]
 
@@ -58,12 +60,16 @@ class RoutingState:
 
 
 @dataclass
-class CapsNetOutput:
+class Capsules:
     v: Tensor  # secondary capsules, [B, 2, 10]
     probabilities: np.ndarray  # capsule lengths, [B, 2]
     predictions: np.ndarray  # argmax class indices (ties -> 0, Alert), [B]
-    reconstruction: Tensor  # decoder output in (0, 1), [B, pixels]
     routing: RoutingState
+
+
+@dataclass
+class CapsNetOutput(Capsules):
+    reconstruction: Tensor  # decoder output in (0, 1), [B, pixels]
 
 
 @dataclass
@@ -335,30 +341,36 @@ def _one_hot(indices: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval", labels=None) -> CapsNetOutput:
-    """Full forward pass; images are [B, H, W], uint8 or [0, 1] floats.
+def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Capsules:
+    """Conv stem, primary capsules, votes and routing; images are [B, H, W], uint8 or [0, 1] floats.
 
-    In ``train`` mode the decoder sees the true capsule (B labels required); in
-    ``eval`` mode it sees the predicted one.
+    This is all that class scores need: the decoder is a training regularizer.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    dtype = params.conv1_w.dtype
-    px = image_batch(image, dtype, params.input_hw)
+    px = image_batch(image, params.conv1_w.dtype, params.input_hw)
     x = Tensor(px[:, None, :, :])
-
     h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=params.conv1_stride))
     h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=params.conv2_stride))
     u = primary_capsules(h2, params.capsule_dim)
     u_hat = votes(u, params.routing_w)
     v, state = dynamic_routing(u_hat, params.routing_iterations)
     probabilities, predictions = classify(v)
+    return Capsules(v=v, probabilities=probabilities, predictions=predictions, routing=state)
 
+
+def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval", labels=None) -> CapsNetOutput:
+    """The capsule path, then the decoder; images are [B, H, W], uint8 or [0, 1] floats.
+
+    In ``train`` mode the decoder sees the true capsule (B labels required); in
+    ``eval`` mode it sees the predicted one.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    caps = capsule_forward(image, params)
     if mode == "train":
-        if labels is None or np.shape(labels) != predictions.shape:
+        if labels is None or np.shape(labels) != caps.predictions.shape:
             raise ValueError("train mode needs one label per image for decoder masking")
         mask_idx = np.asarray(labels, dtype=np.int64)
     else:
-        mask_idx = predictions
-    recon = decode(v, _one_hot(mask_idx, dtype), params)
-    return CapsNetOutput(v=v, probabilities=probabilities, predictions=predictions, reconstruction=recon, routing=state)
+        mask_idx = caps.predictions
+    recon = decode(caps.v, _one_hot(mask_idx, caps.v.dtype), params)
+    return CapsNetOutput(**vars(caps), reconstruction=recon)

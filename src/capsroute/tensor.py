@@ -401,70 +401,61 @@ def _taps(extent: int, stride: int, offset: int) -> slice:
     return slice(offset, offset + (extent - 1) * stride + 1, stride)
 
 
-# a GEMM narrower than this many columns repacks its weight matrix for too few outputs
-_MIN_GEMM_COLUMNS = 64
-
-
-def _group_width(positions: int) -> int:
-    """Images per conv GEMM: the smallest power of two G with G * positions >= 64."""
-    group = 1
-    while group * positions < _MIN_GEMM_COLUMNS:
-        group *= 2
-    return group
-
-
-def _pad_batch(a: np.ndarray, group: int) -> np.ndarray:
-    """``a`` with zero images appended so its leading axis is a multiple of ``group``."""
-    extra = -len(a) % group
-    return np.concatenate([a, np.zeros((extra, *a.shape[1:]), a.dtype)]) if extra else a
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, group: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window, as one matrix.
 
-    Returns ``cols`` [C*kh*kw, Npad*Ho*Wo], Npad being N zero-padded up to a
-    multiple of ``group``. Row (c, m, q) holds the cell at offset (m, q) of
-    every window in channel c, ordered like a flattened [C_out, C, kh, kw]
-    kernel's columns. Column n*Ho*Wo + i*Wo + j is window (i, j) of image n,
-    so the G images of chunk i own column block i, G*Ho*Wo columns wide, and
-    the first N*Ho*Wo columns are the real images' windows.
+    Returns ``cols`` [C*kh*kw, N*Ho*Wo]. Row (c, m, q) holds the cell at
+    offset (m, q) of every window in channel c, ordered like a flattened
+    [C_out, C, kh, kw] kernel's columns. Column n*Ho*Wo + i*Wo + j is window
+    (i, j) of image n, so image n owns column block n, Ho*Wo columns wide.
 
     Rows lie an odd number of cache lines apart in memory: a GEMM over one
     column block reads down C*kh*kw rows, and at a power-of-two row stride
-    (G = 1 maps of 256 or 512 positions) those reads all fall in the same
-    cache sets, which made the forward 1.5x slower at batch 128.
+    (maps of 256 or 512 positions) those reads all fall in the same cache
+    sets, which made the forward 1.5x slower at batch 128.
     """
     n, c, h, w = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    width = (n + -n % group) * ho * wo
+    width = n * ho * wo
     line = max(1, 64 // x.itemsize)
-    buf = np.empty((c * kh * kw, (-(-width // line) | 1) * line), dtype=x.dtype)
-    cols = buf[:, :width]
-    cols[:, n * ho * wo :] = 0
+    cols = np.empty((c * kh * kw, (-(-width // line) | 1) * line), dtype=x.dtype)[:, :width]
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols[:, : n * ho * wo].reshape(c, kh, kw, n, ho, wo)[...] = win.transpose(1, 4, 5, 0, 2, 3)
+    cols.reshape(c, kh, kw, n, ho, wo)[...] = win.transpose(1, 4, 5, 0, 2, 3)
     return cols
 
 
-def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int, group: int = 1) -> np.ndarray:
-    """Sum column gradients, one [C*kh*kw, G*Ho*Wo] block per chunk of G images, back onto [N, C, H, W].
+def _im2row(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Position-major rows of ``x`` [N, C, H, W] for a valid kh x kw window: [N*Ho*Wo, C*kh*kw].
 
-    ``gcols`` is [ceil(N/G), C*kh*kw, G*Ho*Wo]; with G = 1 that is one
-    [C*kh*kw, Ho*Wo] block per image. Padded images are dropped. Loops over
-    the kernel offsets, so each input cell adds its terms in increasing
-    kernel-offset order (m, q), and an image's sums do not depend on G.
+    Row n*Ho*Wo + i*Wo + j is window (i, j) of image n, its columns ordered
+    (c, m, q) like a flattened [C_out, C, kh, kw] kernel's, so the copy runs
+    kw cells at a time from both sides.
+    """
+    n, c, h, w = x.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    rows = np.empty((n * ho * wo, c * kh * kw), dtype=x.dtype)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    rows.reshape(n, ho, wo, c, kh, kw)[...] = win.transpose(0, 2, 3, 1, 4, 5)
+    return rows
+
+
+def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Sum column gradients ``gcols`` [N, C*kh*kw, Ho*Wo], one block per image, back onto [N, C, H, W].
+
+    Loops over the kernel offsets, so each input cell adds its terms in
+    increasing kernel-offset order (m, q).
     """
     n, c, h, w = xshape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    chunks = len(gcols)
-    g = gcols.reshape(chunks, c, kh, kw, group, ho, wo).transpose(0, 4, 1, 2, 3, 5, 6)  # [chunk, G, c, kh, kw, ho, wo]
-    gx = np.zeros((chunks, group, c, h, w), dtype=gcols.dtype)
+    g = gcols.reshape(n, c, kh, kw, ho, wo)
+    gx = np.zeros(xshape, dtype=gcols.dtype)
     for m in range(kh):
         for q in range(kw):
-            gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, :, m, q]
-    return gx.reshape(chunks * group, c, h, w)[:n]
+            gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, m, q]
+    return gx
 
 
 # bytes of the source per block of a transposing copy: the block's rows stay in L1 while its columns are written
@@ -508,21 +499,22 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ``x`` is [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw]. The output is
     [N, C_out, Ho, Wo] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
 
-    ``_im2col`` builds one column matrix for the batch, zero-padded to a
-    multiple of G images, G the smallest power of two with G*Ho*Wo >= 64 (1
-    for maps of 64 or more positions). The forward runs one GEMM per chunk
-    of G images over its column block, all in one batched matmul. Each
-    output column is one image position's dot product over the same kernel
-    row, summed in the same order whatever the other columns hold, so an
-    image's output and input gradient are bit-identical to a GEMM over that
-    image alone, whatever its batch or its place in a chunk (the tests check
-    this at every conv shape the models build).
+    The layout of the unfolded input follows the kernel's offsets against the
+    map's positions. When kh*kw > Ho*Wo (capsnet conv2), ``_im2row`` builds
+    one position-major matrix [N*Ho*Wo, C*kh*kw] and the forward is one GEMM
+    for the batch, ``rows @ kmat.T``. Otherwise ``_im2col`` builds one
+    channel-major matrix [C*kh*kw, N*Ho*Wo] and the forward is one GEMM per
+    image over its column block, all in one batched matmul. Either way each
+    output is one image position's dot product over the same kernel row,
+    summed in the same order whatever the other images hold, so an image's
+    output and input gradient are bit-identical to a GEMM over that image
+    alone, whatever its batch (the tests check this at every conv shape the
+    models build).
 
-    The kernel gradient is one GEMM over the real images' columns, summing
-    the N*Ho*Wo (image, position) terms image-major. The input gradient runs
-    one GEMM per chunk and sums the columns back in kernel-offset order
-    (``_col2im``); when the kernel has more offsets than the map has
-    positions (kh*kw > Ho*Wo, capsnet conv2), it is instead one GEMM for the
+    The kernel gradient is one GEMM over the unfolded input, summing the
+    N*Ho*Wo (image, position) terms image-major. The input gradient runs one
+    GEMM per image and sums the columns back in kernel-offset order
+    (``_col2im``); on the position-major path it is instead one GEMM for the
     batch whose rows are channels-last windows, added position by position
     (``_add_windows``) in the same per-cell order.
     """
@@ -543,31 +535,37 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     wo = (w - kw) // stride + 1
     p = ho * wo
     k = cin * kh * kw
-    group = _group_width(p)
-    cols = _im2col(x.data, kh, kw, stride, group)
-    chunks = cols.shape[1] // (group * p)
     kmat = kernels.data.reshape(cout, k)
-    # [chunk, C_out, G, P] -> [chunk, G, C_out, P], C-ordered like a per-image result
-    res = (kmat @ cols.reshape(k, chunks, group * p).transpose(1, 0, 2)).reshape(chunks, cout, group, p).transpose(0, 2, 1, 3)
-    out = np.add(res, bias.data[:, None], order="C").reshape(chunks * group, cout, ho, wo)[:n]
+    by_position = kh * kw > p
+    if by_position:
+        rows = _im2row(x.data, kh, kw, stride)
+        # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
+        # each other once per block of K; when both start on one core, each wait took a scheduler
+        # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
+        padded = rows if n * p > cout else np.concatenate([rows, np.zeros((cout + 1 - n * p, k), rows.dtype)])
+        res = (padded @ kmat.T)[: n * p].reshape(n, p, cout).transpose(0, 2, 1)
+    else:
+        cols = _im2col(x.data, kh, kw, stride)
+        res = kmat @ cols.reshape(k, n, p).transpose(1, 0, 2)
+    out = np.add(res, bias.data[:, None], order="C").reshape(n, cout, ho, wo)
 
     def backward(g: np.ndarray) -> None:
         gmat = g.reshape(n, cout, p)
         grows = gmat.transpose(0, 2, 1).reshape(n * p, cout)  # row n*P + position
-        if kernels.requires_grad:
+        if kernels.requires_grad and by_position:
+            kernels._accumulate((grows.T @ rows).reshape(kernels.shape), "conv2d")
+        elif kernels.requires_grad:
             # [K, N*P] @ [N*P, C_out]: BLAS may run the transposed product, [C_out, N*P] @ [N*P, K],
             # through another kernel with another summation order when it is small (batch-3 stems)
-            kernels._accumulate(_transposed(cols[:, : n * p] @ grows).reshape(kernels.shape), "conv2d")
+            kernels._accumulate(_transposed(cols @ grows).reshape(kernels.shape), "conv2d")
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
-        if x.requires_grad and kh * kw > p:
+        if x.requires_grad and by_position:
             # [N*P, C_out] @ [C_out, kh*kw*C] -> [N, Ho, Wo, kh, kw, C]
             gwin = grows @ kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
             x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, c), x.shape, stride), "conv2d")
         elif x.requires_grad:
-            gchunks = _pad_batch(gmat, group).reshape(chunks, group, cout, p).transpose(0, 2, 1, 3)
-            gcols = kmat.T @ gchunks.reshape(chunks, cout, group * p)
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, group), "conv2d")
+            x._accumulate(_col2im(kmat.T @ gmat, x.shape, kh, kw, stride), "conv2d")
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
@@ -712,8 +710,13 @@ def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.1, d
 
 def parameter(shape, rng: Optional[np.random.Generator], dtype) -> Tensor:
     """A trainable tensor: truncated-normal (std 0.1) draws from ``rng``, or zeros without one."""
-    data = np.zeros(shape, dtype=dtype) if rng is None else truncated_normal(rng, shape, std=0.1, dtype=dtype)
-    return Tensor(data, requires_grad=True)
+    if rng is not None:
+        return Tensor(truncated_normal(rng, shape, std=0.1, dtype=dtype), requires_grad=True)
+    # Zeros are finite, so they skip the NaN/Inf scan of Tensor(): it touched every page of the
+    # array, and load_model, which replaces each zero-filled weight, spent a third of its time there.
+    out = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
+    out.data = np.zeros(shape, dtype=dtype)
+    return out
 
 
 def image_batch(images, dtype, input_hw: tuple) -> np.ndarray:

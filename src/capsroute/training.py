@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .capsnet import CapsNetParams, capsnet_forward, total_loss
+from .capsnet import CapsNetParams, capsnet_forward, capsule_forward, total_loss
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .cnn import CnnParams, cnn_forward, cnn_loss
 from .metrics import ConfusionMatrix
@@ -86,7 +86,7 @@ MODELS: dict[str, Model] = {
         CapsNetParams,
         init=lambda cfg, input_hw, rng: CapsNetParams.init(input_hw, rng, dtype=cfg.dtype),
         loss=_capsnet_loss,
-        predict=lambda params, px: capsnet_forward(px, params, mode="eval").predictions,
+        predict=lambda params, px: capsule_forward(px, params).predictions,
     ),
     "cnn": Model(
         CnnParams,

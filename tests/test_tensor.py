@@ -234,9 +234,9 @@ class TestConv2d:
     def test_batch_and_position_invariant_at_model_shapes(self, dtype):
         """Each image's output and input gradient equal its batch-of-one result exactly.
 
-        Batches of 3 to 36 images, taken at two offsets, put each image in
-        other chunk positions and next to padded chunks, at every conv shape
-        the models build.
+        Batches of 3 to 36 images, taken at two offsets, put each image at
+        other rows of the unfolded batch, at every conv shape the models
+        build.
         """
         shapes = self.model_conv_shapes()
         assert len(shapes) == 10
@@ -265,14 +265,17 @@ class TestConv2d:
                     np.testing.assert_array_equal(gx, np.concatenate([g for _, g in want]), err_msg=where)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gradients_equal_gemm_oracles_at_model_shapes(self, dtype):
-        """Kernel and input gradients equal, bit for bit, per-image reference formulas.
+    def test_output_and_gradients_equal_gemm_oracles_at_model_shapes(self, dtype):
+        """Output, kernel and input gradients equal, bit for bit, per-image reference formulas.
 
-        The kernel gradient is checked against an einsum over (image,
-        position) rows of im2col columns, the input gradient against one
-        [C*kh*kw, C_out] @ [C_out, Ho*Wo] GEMM per image summed back in
-        kernel-offset order. Batch 3 leaves the last chunk of images padded
-        wherever G > 1, batch 36 where G = 8.
+        The output is checked against one [C_out, C*kh*kw] @ [C*kh*kw, Ho*Wo]
+        GEMM per image plus the bias, the kernel gradient against an einsum
+        over (image, position) rows of im2col columns, the input gradient
+        against one [C*kh*kw, C_out] @ [C_out, Ho*Wo] GEMM per image summed
+        back in kernel-offset order. A changed summation order in any of the
+        three fails here, at batches 3, 8 and 36. Capsnet conv2 has no more
+        rows than kernels at batch 3, and at batch 8 on 32x32 inputs, so its
+        rows are zero-padded there.
         """
         shapes = self.model_conv_shapes()
         assert len(shapes) == 10
@@ -281,22 +284,27 @@ class TestConv2d:
             (c, h, w), (cout, _, kh, kw) = xshape, kshape
             ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
             kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
+            bd = rng.normal(size=cout).astype(dtype)
+            kmat = kd.reshape(cout, -1)
             for n in (3, 8, 36):
                 xd = rng.normal(size=(n, *xshape)).astype(dtype)
                 g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
                 x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
-                (conv2d(x, k, Tensor(np.zeros(cout, dtype)), stride=stride) * Tensor(g)).sum().backward()
+                out = conv2d(x, k, Tensor(bd), stride=stride)
+                (out * Tensor(g)).sum().backward()
 
                 win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
                 rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
+                want_out = np.stack([kmat @ np.ascontiguousarray(r.T) + bd[:, None] for r in rows]).reshape(out.shape)
                 gmat = g.reshape(n, cout, ho * wo)
                 want_gk = np.einsum("nop,npk->ok", gmat, rows, optimize=True).reshape(kshape)
-                cols = (kd.reshape(cout, -1).T @ gmat).reshape(n, c, kh, kw, ho, wo)
+                cols = (kmat.T @ gmat).reshape(n, c, kh, kw, ho, wo)
                 want_gx = np.zeros_like(xd)
                 for m in range(kh):
                     for q in range(kw):
                         want_gx[:, :, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += cols[:, :, m, q]
                 where = f"{xshape} {kshape}/s{stride}, batch {n}"
+                np.testing.assert_array_equal(out.data, want_out, err_msg=where)
                 np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
                 np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
 

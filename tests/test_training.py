@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capsroute.capsnet import CapsNetParams
+from capsroute import capsnet
+from capsroute.capsnet import CapsNetParams, capsnet_forward
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cnn import CnnParams
 from capsroute.config import TrainConfig
@@ -289,6 +290,19 @@ class TestEvaluate:
         direct = evaluate(params, toy_images(8, seed=60))
         via_path = evaluate(load_model(tmp_path / "m.ckpt")[1], toy_images(8, seed=60))
         assert direct == via_path
+
+    def test_capsnet_predict_never_decodes(self, monkeypatch):
+        """Class scores come from capsule lengths alone; 130 images cross predict's 128-image batch."""
+        params = CapsNetParams.init((32, 32), np.random.default_rng(14), np.float32)
+        pixels = np.random.default_rng(15).integers(0, 256, size=(130, 32, 32), dtype=np.uint8)
+        want = {n: capsnet_forward(pixels[:n], params, mode="eval").predictions for n in (1, 36, 130)}
+
+        def no_decoder(*args, **kwargs):
+            raise AssertionError("predict ran the decoder")
+
+        monkeypatch.setattr(capsnet, "decode", no_decoder)
+        for n, classes in want.items():
+            np.testing.assert_array_equal(predict(params, pixels[:n]), classes, err_msg=f"{n} images")
 
     def test_lineage_violation(self):
         params = MlpParams.init((12, 12), np.random.default_rng(13))
