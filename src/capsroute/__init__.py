@@ -25,11 +25,9 @@ from .signal import (
     EegRecording,
     Label,
     Pvt,
-    Segment,
     SpectrogramImage,
     build_dataset,
     build_synth_corpus,
-    concat_vertical,
     label_from_kss,
     load_dataset,
     load_recording,

@@ -1,12 +1,15 @@
 """EEG channel streams to labeled grayscale spectrogram images.
 
-Recordings are 512 Hz single-channel sample streams. They are cut into
-non-overlapping 13 s segments, turned into 0-20 Hz magnitude spectrograms,
-rendered as 32x32 grayscale images, and (optionally) stacked with the paired
-parietal channel into 64x32 images.
+Recordings are 512 Hz single-channel sample streams. Each recording is cut
+into a [K, 6656] stack of non-overlapping 13 s segments, which is turned into
+[K, 21, 25] 0-20 Hz dB spectrograms and rendered as [K, 32, 32] grayscale
+images in one pass. FzPz datasets stack each segment's Fz image on top of the
+parietal (Pz) image of the same segment into 64x32 images.
 
-All operations are pure given their inputs; dataset building is deterministic
-in manifest order.
+Every spectrogram and imaging function works on the last one or two axes and
+accepts any leading axes; a stack gives, bit for bit, the result of each of
+its members alone. All operations are pure given their inputs; dataset
+building is deterministic in manifest order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "ChannelSet",
     "Label",
     "EegRecording",
-    "Segment",
     "SpectrogramImage",
     "PipelineError",
     "segment",
@@ -38,7 +40,6 @@ __all__ = [
     "resample_bilinear",
     "sample_bilinear_clamped",
     "to_grayscale_image",
-    "concat_vertical",
     "label_from_kss",
     "synth_eeg",
     "load_recording",
@@ -59,8 +60,6 @@ SEGMENT_SAMPLES = SEGMENT_SECONDS * SAMPLE_RATE  # 6656
 STFT_WINDOW = 512
 STFT_HOP = 256  # 50% overlap
 MAX_FREQ_HZ = 20
-N_FREQ_BINS = MAX_FREQ_HZ + 1  # 1 Hz bin spacing at 512-point window
-SEGMENT_FRAMES = (SEGMENT_SAMPLES - STFT_WINDOW) // STFT_HOP + 1  # 25
 
 DB_FLOOR = -80.0
 DB_CEIL = 0.0
@@ -84,8 +83,11 @@ class Channel(Enum):
 
 class ChannelSet(Enum):
     FZ = "Fz"
-    PZ = "Pz"  # intermediate only; datasets hold Fz or FzPz
     FZPZ = "FzPz"
+
+
+# the recordings each channel set is built from, top image first
+_CHANNELS = {ChannelSet.FZ: (Channel.FZ,), ChannelSet.FZPZ: (Channel.FZ, Channel.PZ)}
 
 
 class Label(Enum):
@@ -115,20 +117,6 @@ class EegRecording:
 
 
 @dataclass
-class Segment:
-    subject_id: str
-    pvt: Pvt
-    channel: Channel
-    start_sample: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (SEGMENT_SAMPLES,):
-            raise PipelineError(f"segment must hold exactly {SEGMENT_SAMPLES} samples, got {self.samples.shape}")
-
-
-@dataclass
 class SpectrogramImage:
     pixels: np.ndarray  # uint8, HxW
     label: Label
@@ -152,19 +140,10 @@ class SpectrogramImage:
 # ---------------------------------------------------------------------------
 
 
-def segment(recording: EegRecording) -> list[Segment]:
-    """Consecutive non-overlapping 13 s windows; trailing remainder discarded."""
-    n = len(recording.samples) // SEGMENT_SAMPLES
-    return [
-        Segment(
-            subject_id=recording.subject_id,
-            pvt=recording.pvt,
-            channel=recording.channel,
-            start_sample=i * SEGMENT_SAMPLES,
-            samples=recording.samples[i * SEGMENT_SAMPLES : (i + 1) * SEGMENT_SAMPLES],
-        )
-        for i in range(n)
-    ]
+def segment(recording: EegRecording) -> np.ndarray:
+    """Consecutive non-overlapping 13 s windows as a [K, SEGMENT_SAMPLES] view; trailing remainder discarded."""
+    k = len(recording.samples) // SEGMENT_SAMPLES
+    return recording.samples[: k * SEGMENT_SAMPLES].reshape(k, SEGMENT_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +158,24 @@ def stft_frame_count(n_samples: int, window: int = STFT_WINDOW, hop: int = STFT_
 
 
 def stft_magnitudes(samples: np.ndarray, window: int = STFT_WINDOW, hop: int = STFT_HOP, max_bin: int = MAX_FREQ_HZ) -> np.ndarray:
-    """Hann-windowed STFT magnitudes for bins 0..max_bin; shape [max_bin + 1, frames]."""
+    """Hann-windowed STFT magnitudes of the last axis for bins 0..max_bin; shape [..., max_bin + 1, frames]."""
     samples = np.asarray(samples, dtype=np.float64)
-    n_frames = stft_frame_count(len(samples), window, hop)
+    n_frames = stft_frame_count(samples.shape[-1], window, hop)
     idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[idx] * np.hanning(window)
-    spec = np.abs(np.fft.rfft(frames, n=window, axis=1))[:, : max_bin + 1]
-    return spec.T.copy()
+    frames = samples[..., idx] * np.hanning(window)
+    spec = np.abs(np.fft.rfft(frames, n=window, axis=-1))[..., : max_bin + 1]
+    return np.swapaxes(spec, -1, -2).copy()
 
 
 def to_decibels(magnitudes: np.ndarray) -> np.ndarray:
     return np.clip(20.0 * np.log10(magnitudes + 1e-12), DB_FLOOR, DB_CEIL)
 
 
-def stft_spectrogram(seg: Segment) -> np.ndarray:
-    """dB-scaled magnitude matrix [21 freq bins x 25 frames] for one segment."""
-    spec = to_decibels(stft_magnitudes(seg.samples))
-    assert spec.shape == (N_FREQ_BINS, SEGMENT_FRAMES)
-    return spec
+def stft_spectrogram(segments: np.ndarray) -> np.ndarray:
+    """dB-scaled magnitudes [..., 21 freq bins, 25 frames] of 13 s segments laid along the last axis."""
+    if np.shape(segments)[-1:] != (SEGMENT_SAMPLES,):
+        raise PipelineError(f"segments must hold exactly {SEGMENT_SAMPLES} samples on the last axis, got {np.shape(segments)}")
+    return to_decibels(stft_magnitudes(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +184,12 @@ def stft_spectrogram(seg: Segment) -> np.ndarray:
 
 
 def sample_bilinear_clamped(pixels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Bilinear lookups at fractional (rows, cols), which broadcast to the output shape.
+    """Bilinear lookups at fractional (rows, cols) in the last two axes of ``pixels``.
 
-    Out-of-frame coordinates clamp to the nearest border pixel.
+    rows and cols broadcast to the output's [H, W]; leading axes of ``pixels``
+    carry through. Out-of-frame coordinates clamp to the nearest border pixel.
     """
-    h, w = pixels.shape
+    h, w = pixels.shape[-2:]
     rows = np.clip(rows, 0.0, h - 1.0)
     cols = np.clip(cols, 0.0, w - 1.0)
     r0 = np.floor(rows).astype(int)
@@ -220,48 +200,29 @@ def sample_bilinear_clamped(pixels: np.ndarray, rows: np.ndarray, cols: np.ndarr
     fc = cols - c0
     p = pixels.astype(np.float64)
     # lerp along columns, then between rows: exact at grid points and for constant inputs
-    top = p[r0, c0] + fc * (p[r0, c1] - p[r0, c0])
-    bottom = p[r1, c0] + fc * (p[r1, c1] - p[r1, c0])
+    top = p[..., r0, c0] + fc * (p[..., r0, c1] - p[..., r0, c0])
+    bottom = p[..., r1, c0] + fc * (p[..., r1, c1] - p[..., r1, c0])
     return top + fr * (bottom - top)
 
 
 def resample_bilinear(matrix: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling with endpoints mapped to endpoints."""
+    """Bilinear resampling of the last two axes with endpoints mapped to endpoints."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    in_h, in_w = matrix.shape
+    in_h, in_w = matrix.shape[-2:]
     r = np.linspace(0.0, in_h - 1.0, out_h) if in_h > 1 else np.zeros(out_h)
     c = np.linspace(0.0, in_w - 1.0, out_w) if in_w > 1 else np.zeros(out_w)
     return sample_bilinear_clamped(matrix, r[:, None], c[None, :])
 
 
 def to_grayscale_image(spec_db: np.ndarray) -> np.ndarray:
-    """Map a 21x25 dB matrix onto the fixed [-80, 0] range and resample to 32x32.
+    """Map [..., 21, 25] dB matrices onto the fixed [-80, 0] range and resample to [..., 32, 32] uint8.
 
-    Row 0 of the result is the highest frequency (frequency increases upward).
+    Row 0 of each image is the highest frequency (frequency increases upward).
     """
     spec_db = np.asarray(spec_db, dtype=np.float64)
     norm = (np.clip(spec_db, DB_FLOOR, DB_CEIL) - DB_FLOOR) / (DB_CEIL - DB_FLOOR)
     resized = resample_bilinear(norm, *IMAGE_HW)
-    return np.rint(resized[::-1] * 255.0).astype(np.uint8)
-
-
-def concat_vertical(fz: SpectrogramImage, pz: SpectrogramImage) -> SpectrogramImage:
-    """Stack the Fz image on top of the paired Pz image into a 64x32 image."""
-    if fz.channel_set != ChannelSet.FZ or pz.channel_set != ChannelSet.PZ:
-        raise PipelineError(f"concat_vertical needs an Fz and a Pz image, got {fz.channel_set}, {pz.channel_set}")
-    if fz.subject_id != pz.subject_id or fz.segment_index != pz.segment_index:
-        raise PipelineError(
-            f"provenance mismatch: {fz.subject_id}#{fz.segment_index} vs {pz.subject_id}#{pz.segment_index}"
-        )
-    if fz.pixels.shape != IMAGE_HW or pz.pixels.shape != IMAGE_HW:
-        raise PipelineError("concat_vertical requires two 32x32 images")
-    return SpectrogramImage(
-        pixels=np.vstack([fz.pixels, pz.pixels]),
-        label=fz.label,
-        subject_id=fz.subject_id,
-        channel_set=ChannelSet.FZPZ,
-        segment_index=fz.segment_index,
-    )
+    return np.rint(resized[..., ::-1, :] * 255.0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +287,8 @@ def synth_eeg(label: Label, subject_seed: int, duration_s: float, channel: Chann
     Deterministic in (label, subject_seed, duration, channel). Alert output has
     dominant alpha power; drowsy output has dominant theta power.
     """
-    if duration_s < SEGMENT_SECONDS:
-        raise PipelineError(f"duration must cover at least one segment ({SEGMENT_SECONDS} s)")
+    if not np.isfinite(duration_s) or duration_s < SEGMENT_SECONDS:
+        raise PipelineError(f"duration must be finite and cover at least one segment ({SEGMENT_SECONDS} s), got {duration_s} s")
     n = int(round(duration_s * SAMPLE_RATE))
     rng = np.random.default_rng((0xEE6, subject_seed, 1 if label == Label.DROWSY else 0, 1 if channel == Channel.PZ else 0))
     t = np.arange(n) / SAMPLE_RATE
@@ -361,21 +322,22 @@ def save_recording(path: Path, samples: np.ndarray) -> None:
     np.asarray(samples, dtype="<f4").tofile(path)
 
 
-def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss: int, csv_has_header: bool = False) -> EegRecording:
-    """Read raw little-endian float32 (.f32) or single-column CSV samples."""
+def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss: int) -> EegRecording:
+    """Read raw little-endian float32 (.f32) or headerless single-column UTF-8 CSV samples."""
     path = Path(path)
     if not path.exists():
         raise PipelineError(f"recording file not found: {path}")
     if path.is_dir():
         raise PipelineError(f"recording path {path} is a directory, not a file")
     if path.suffix == ".csv":
-        text = path.read_text().strip().splitlines()
-        if csv_has_header:
-            text = text[1:]
+        try:
+            text = path.read_text(encoding="utf-8").strip().splitlines()
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"CSV recording {path} is not UTF-8 text: {exc}") from exc
         try:
             samples = np.array([float(line.split(",")[0]) for line in text], dtype=np.float64)
         except ValueError as exc:
-            raise PipelineError(f"non-numeric CSV sample in {path} (header present but not flagged?): {exc}") from exc
+            raise PipelineError(f"non-numeric CSV sample in {path}: {exc}") from exc
     else:
         raw = path.read_bytes()
         if len(raw) % 4 != 0:
@@ -443,71 +405,41 @@ def build_synth_corpus(out_dir: Path, n_alert: int, n_drowsy: int, minutes: floa
 # ---------------------------------------------------------------------------
 
 
-def _images_for_recording(rec: EegRecording, label: Label) -> list[SpectrogramImage]:
-    out = []
-    for i, seg in enumerate(segment(rec)):
-        pixels = to_grayscale_image(stft_spectrogram(seg))
-        out.append(
-            SpectrogramImage(
-                pixels=pixels,
-                label=label,
-                subject_id=rec.subject_id,
-                channel_set=ChannelSet.FZ if rec.channel == Channel.FZ else ChannelSet.PZ,
-                segment_index=i,
-            )
-        )
-    return out
-
-
 def build_dataset(recordings: Sequence[EegRecording], channel_set: ChannelSet) -> list[SpectrogramImage]:
     """Segment, transform, and label recordings into spectrogram images.
 
-    Unlabeled recordings (PVT2 or mid KSS) are skipped. FzPz mode pairs each
-    subject's Fz and Pz recordings by segment index and stacks them.
+    Recordings of the set's channels are grouped by (subject, PVT) in order of
+    first appearance; each group needs one recording per channel, one KSS and
+    one segment count. Groups the Fz KSS leaves unlabeled (PVT2 or mid KSS) are
+    skipped. Each segment's channel images are stacked top to bottom (Fz above Pz).
     """
-    if channel_set == ChannelSet.FZ:
-        images = []
-        for rec in recordings:
-            if rec.channel != Channel.FZ:
-                continue
-            label = label_from_kss(rec.kss, rec.pvt)
-            if label is None:
-                continue
-            images.extend(_images_for_recording(rec, label))
-        return images
-
-    if channel_set != ChannelSet.FZPZ:
-        raise PipelineError(f"datasets are built for Fz or FzPz, not {channel_set}")
-
-    by_key: dict[tuple, dict[Channel, EegRecording]] = {}
-    order = []
+    channels = _CHANNELS[channel_set]
+    groups: dict[tuple, dict[Channel, EegRecording]] = {}
     for rec in recordings:
-        key = (rec.subject_id, rec.pvt)
-        if key not in by_key:
-            by_key[key] = {}
-            order.append(key)
-        if rec.channel in by_key[key]:
+        if rec.channel not in channels:
+            continue
+        group = groups.setdefault((rec.subject_id, rec.pvt), {})
+        if rec.channel in group:
             raise PipelineError(f"duplicate {rec.channel.value} recording for subject {rec.subject_id} {rec.pvt.value}")
-        by_key[key][rec.channel] = rec
+        group[rec.channel] = rec
 
     images = []
-    for key in order:
-        pair = by_key[key]
-        if Channel.FZ not in pair or Channel.PZ not in pair:
-            raise PipelineError(f"FzPz mode requires both channels for subject {key[0]} {key[1].value}")
-        fz_rec, pz_rec = pair[Channel.FZ], pair[Channel.PZ]
-        if fz_rec.kss != pz_rec.kss:
-            raise PipelineError(f"KSS disagrees between channels for subject {key[0]}: {fz_rec.kss} vs {pz_rec.kss}")
-        label = label_from_kss(fz_rec.kss, fz_rec.pvt)
+    for (subject_id, pvt), group in groups.items():
+        if len(group) != len(channels):
+            raise PipelineError(f"{channel_set.value} mode requires both channels for subject {subject_id} {pvt.value}")
+        recs = [group[channel] for channel in channels]
+        if any(rec.kss != recs[0].kss for rec in recs):
+            kss = " vs ".join(str(rec.kss) for rec in recs)
+            raise PipelineError(f"KSS disagrees between channels for subject {subject_id}: {kss}")
+        label = label_from_kss(recs[0].kss, pvt)
         if label is None:
             continue
-        fz_images = _images_for_recording(fz_rec, label)
-        pz_images = _images_for_recording(pz_rec, label)
-        if len(fz_images) != len(pz_images):
-            raise PipelineError(
-                f"missing paired Pz segment for subject {key[0]}: {len(fz_images)} Fz vs {len(pz_images)} Pz segments"
-            )
-        images.extend(concat_vertical(f, p) for f, p in zip(fz_images, pz_images))
+        stacks = [segment(rec) for rec in recs]
+        if any(len(stack) != len(stacks[0]) for stack in stacks):
+            counts = " vs ".join(f"{len(stack)} {rec.channel.value}" for stack, rec in zip(stacks, recs))
+            raise PipelineError(f"missing paired Pz segment for subject {subject_id}: {counts} segments")
+        pixels = np.concatenate([to_grayscale_image(stft_spectrogram(stack)) for stack in stacks], axis=1)
+        images.extend(SpectrogramImage(p, label, subject_id, channel_set, i) for i, p in enumerate(pixels))
     return images
 
 

@@ -44,6 +44,11 @@ class TestSynth:
     def test_bad_subjects_spec(self, tmp_path):
         assert main(["synth", "--subjects", "banana", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("minutes", ["0.1", "nan", "inf"])
+    def test_unusable_minutes_is_data_error(self, tmp_path, capsys, minutes):
+        assert main(["synth", "--subjects", "1,1", "--minutes", minutes, "--out", str(tmp_path / "c")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: duration must be finite")
+
 
 class TestPrepare:
     def test_fz_images(self, dataset_dir):
@@ -70,6 +75,26 @@ class TestPrepare:
     def test_missing_manifest(self, tmp_path):
         code = main(["prepare", "--manifest", str(tmp_path / "nope.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
+
+    def test_csv_recording_that_is_not_text(self, tmp_path, capsys):
+        (tmp_path / "r.csv").write_bytes(b"\xff\xfe\x00\x01")
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n")
+        code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "r.csv") in err
+
+    @pytest.mark.parametrize("channels", ["fz", "fzpz"])
+    def test_duplicate_recording_is_data_error(self, corpus_dir, tmp_path, capsys, channels):
+        header, *rows = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        # absolute paths, so the copied manifest still names the corpus files
+        rows = [f"{fields},{corpus_dir / name}" for fields, name in (row.rsplit(",", 1) for row in rows)]
+        assert ",Fz," in rows[0]
+        manifest = tmp_path / "recordings.csv"
+        manifest.write_text(header + "".join(rows) + rows[0])
+        code = main(["prepare", "--manifest", str(manifest), "--channels", channels, "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "duplicate Fz recording" in capsys.readouterr().err
 
 
 def _run_args(dataset_dir, out, extra=()):

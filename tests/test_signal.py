@@ -14,11 +14,8 @@ from capsroute.signal import (
     Label,
     PipelineError,
     Pvt,
-    Segment,
-    SpectrogramImage,
     build_dataset,
     build_synth_corpus,
-    concat_vertical,
     label_from_kss,
     load_dataset,
     load_recording,
@@ -42,7 +39,11 @@ def _recording(samples, kss=3, pvt=Pvt.PVT1, channel=Channel.FZ, subject="s0"):
 
 
 def _segment_of(samples):
-    return Segment(subject_id="s0", pvt=Pvt.PVT1, channel=Channel.FZ, start_sample=0, samples=samples)
+    return np.asarray(samples, dtype=np.float64)
+
+
+def _synth_pair(label, seed, seconds):
+    return synth_eeg(label, seed, seconds, Channel.FZ), synth_eeg(label, seed, seconds, Channel.PZ)
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +84,17 @@ class TestSegment:
         assert len(segment(rec)) == 307200 // SEGMENT_SAMPLES == 46
 
     def test_exact_window_boundary(self):
-        assert len(segment(_recording(np.zeros(SEGMENT_SAMPLES)))) == 1
-        assert len(segment(_recording(np.zeros(SEGMENT_SAMPLES - 1)))) == 0
+        assert segment(_recording(np.zeros(SEGMENT_SAMPLES))).shape == (1, SEGMENT_SAMPLES)
+        assert segment(_recording(np.zeros(SEGMENT_SAMPLES - 1))).shape == (0, SEGMENT_SAMPLES)
 
     def test_windows_are_consecutive_and_disjoint(self):
         samples = np.arange(3 * SEGMENT_SAMPLES + 100, dtype=np.float64)
-        segs = segment(_recording(samples))
-        assert len(segs) == 3
-        for i, s in enumerate(segs):
-            assert s.start_sample == i * SEGMENT_SAMPLES
-            np.testing.assert_array_equal(s.samples, samples[i * SEGMENT_SAMPLES : (i + 1) * SEGMENT_SAMPLES])
+        rec = _recording(samples)
+        segs = segment(rec)
+        assert segs.shape == (3, SEGMENT_SAMPLES)
+        assert np.shares_memory(segs, rec.samples)  # a view, not a copy
+        for i, row in enumerate(segs):
+            np.testing.assert_array_equal(row, samples[i * SEGMENT_SAMPLES : (i + 1) * SEGMENT_SAMPLES])
 
     def test_recording_validation(self):
         with pytest.raises(PipelineError):
@@ -131,8 +133,22 @@ class TestStft:
         assert spec.shape == (21, 25)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(PipelineError):
-            _segment_of(np.zeros(6000))
+        for shape in ((6000,), (2, 6000), (SEGMENT_SAMPLES, 2), ()):
+            with pytest.raises(PipelineError, match="exactly 6656 samples"):
+                stft_spectrogram(np.zeros(shape))
+
+    def test_stack_equals_each_segment_alone(self):
+        # both classes and both channels; one stack per recording and one across all of them
+        recs = [r for label in Label for r in _synth_pair(label, 3, 3 * 13.0)]
+        stacks = [segment(r) for r in recs]
+        for stack in stacks + [np.stack(stacks)]:
+            spec = stft_spectrogram(stack)
+            img = to_grayscale_image(spec)
+            assert spec.shape == stack.shape[:-1] + (21, 25) and img.shape == stack.shape[:-1] + (32, 32)
+            for idx in np.ndindex(stack.shape[:-1]):
+                alone = stft_spectrogram(stack[idx])
+                np.testing.assert_array_equal(spec[idx], alone)
+                np.testing.assert_array_equal(img[idx], to_grayscale_image(alone))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(512, 20000))
@@ -194,30 +210,6 @@ class TestGrayscaleImage:
         rng = np.random.default_rng(4)
         img = to_grayscale_image(rng.uniform(-120, 40, size=(21, 25)))
         assert img.dtype == np.uint8 and img.min() >= 0 and img.max() <= 255
-
-
-class TestConcatVertical:
-    def _img(self, value, channel_set=ChannelSet.FZ, subject="s1", seg=0):
-        return SpectrogramImage(np.full((32, 32), value, dtype=np.uint8), Label.ALERT, subject, channel_set, seg)
-
-    def test_stacking_order(self):
-        out = concat_vertical(self._img(10), self._img(200, ChannelSet.PZ))
-        assert out.pixels.shape == (64, 32)
-        assert (out.pixels[:32] == 10).all() and (out.pixels[32:] == 200).all()
-        assert out.channel_set == ChannelSet.FZPZ
-
-    def test_asymmetry(self):
-        a = concat_vertical(self._img(10), self._img(200, ChannelSet.PZ)).pixels
-        b = np.vstack([np.full((32, 32), 200, np.uint8), np.full((32, 32), 10, np.uint8)])
-        assert not np.array_equal(a, b)
-
-    def test_provenance_mismatch(self):
-        with pytest.raises(PipelineError):
-            concat_vertical(self._img(10), self._img(200, ChannelSet.PZ, subject="other"))
-        with pytest.raises(PipelineError):
-            concat_vertical(self._img(10), self._img(200, ChannelSet.PZ, seg=5))
-        with pytest.raises(PipelineError):
-            concat_vertical(self._img(10), self._img(200))  # second image not Pz
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +296,11 @@ class TestRecordingIO:
 
     def test_csv_and_header_flag(self, tmp_path):
         path = tmp_path / "r.csv"
+        path.write_text("1.5\n-2.5\n")
+        np.testing.assert_array_equal(load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2).samples, [1.5, -2.5])
         path.write_text("value\n1.5\n-2.5\n")
-        with pytest.raises(PipelineError):
+        with pytest.raises(PipelineError, match="non-numeric CSV sample"):
             load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2)
-        rec = load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2, csv_has_header=True)
-        np.testing.assert_array_equal(rec.samples, [1.5, -2.5])
 
     def test_bad_length(self, tmp_path):
         path = tmp_path / "r.f32"
@@ -364,6 +356,35 @@ class TestCorpusAndDataset:
         recs = [r for r in load_recordings_manifest(small_corpus) if r.channel == Channel.FZ]
         with pytest.raises(PipelineError):
             build_dataset(recs, ChannelSet.FZPZ)
+
+    def test_fzpz_halves_are_the_channel_images(self):
+        # Fz on top, Pz below, each the image of that recording's own segment
+        for label, seed in ((Label.ALERT, 4), (Label.DROWSY, 5)):
+            fz, pz = _synth_pair(label, seed, 2 * 13.0 + 1.0)
+            fzpz = build_dataset([pz, fz], ChannelSet.FZPZ)
+            assert [i.segment_index for i in fzpz] == [0, 1]
+            assert all((i.label, i.subject_id, i.channel_set) == (label, fz.subject_id, ChannelSet.FZPZ) for i in fzpz)
+            fz_images = to_grayscale_image(stft_spectrogram(segment(fz)))
+            pz_images = to_grayscale_image(stft_spectrogram(segment(pz)))
+            for img, top, bottom in zip(fzpz, fz_images, pz_images):
+                assert img.pixels.shape == (64, 32)
+                np.testing.assert_array_equal(img.pixels[:32], top)
+                np.testing.assert_array_equal(img.pixels[32:], bottom)
+                assert not np.array_equal(top, bottom)  # so swapped halves would fail
+            for img, fz_img in zip(fzpz, build_dataset([fz, pz], ChannelSet.FZ)):
+                np.testing.assert_array_equal(img.pixels[:32], fz_img.pixels)
+
+    def test_pz_one_segment_short_rejected(self):
+        fz, pz = _synth_pair(Label.ALERT, 6, 2 * 13.0)
+        pz.samples = pz.samples[:SEGMENT_SAMPLES]
+        with pytest.raises(PipelineError, match="2 Fz vs 1 Pz segments"):
+            build_dataset([fz, pz], ChannelSet.FZPZ)
+
+    @pytest.mark.parametrize("channel_set", list(ChannelSet))
+    def test_duplicate_fz_rejected(self, channel_set):
+        fz, pz = _synth_pair(Label.ALERT, 7, 13.0)
+        with pytest.raises(PipelineError, match="duplicate Fz recording"):
+            build_dataset([fz, pz, fz], channel_set)
 
     def test_empty_input(self):
         assert build_dataset([], ChannelSet.FZ) == []
