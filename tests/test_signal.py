@@ -212,6 +212,38 @@ class TestGrayscaleImage:
         assert img.dtype == np.uint8 and img.min() >= 0 and img.max() <= 255
 
 
+class TestConcatVertical:
+    """FzPz images stack the Fz image on top of the Pz image of the same segment."""
+
+    def _fzpz_and_halves(self, label, seed):
+        fz, pz = _synth_pair(label, seed, 2 * 13.0 + 1.0)
+        fzpz = build_dataset([pz, fz], ChannelSet.FZPZ)
+        fz_images = to_grayscale_image(stft_spectrogram(segment(fz)))
+        pz_images = to_grayscale_image(stft_spectrogram(segment(pz)))
+        return fz, pz, fzpz, fz_images, pz_images
+
+    def test_stacking_order(self):
+        # Fz on top, Pz below, each the image of that recording's own segment
+        for label, seed in ((Label.ALERT, 4), (Label.DROWSY, 5)):
+            fz, pz, fzpz, fz_images, pz_images = self._fzpz_and_halves(label, seed)
+            assert [i.segment_index for i in fzpz] == [0, 1]
+            assert all((i.label, i.subject_id, i.channel_set) == (label, fz.subject_id, ChannelSet.FZPZ) for i in fzpz)
+            for img, top, bottom in zip(fzpz, fz_images, pz_images, strict=True):
+                assert img.pixels.shape == (64, 32)
+                np.testing.assert_array_equal(img.pixels[:32], top)
+                np.testing.assert_array_equal(img.pixels[32:], bottom)
+            for img, fz_img in zip(fzpz, build_dataset([fz, pz], ChannelSet.FZ), strict=True):
+                np.testing.assert_array_equal(img.pixels[:32], fz_img.pixels)
+
+    def test_asymmetry(self):
+        # the halves differ, so a Pz-on-top stack is a different image
+        for label, seed in ((Label.ALERT, 4), (Label.DROWSY, 5)):
+            _, _, fzpz, fz_images, pz_images = self._fzpz_and_halves(label, seed)
+            for img, top, bottom in zip(fzpz, fz_images, pz_images, strict=True):
+                assert not np.array_equal(top, bottom)
+                assert not np.array_equal(img.pixels, np.concatenate([bottom, top], axis=0))
+
+
 # ---------------------------------------------------------------------------
 # labeling
 # ---------------------------------------------------------------------------
@@ -356,23 +388,6 @@ class TestCorpusAndDataset:
         recs = [r for r in load_recordings_manifest(small_corpus) if r.channel == Channel.FZ]
         with pytest.raises(PipelineError):
             build_dataset(recs, ChannelSet.FZPZ)
-
-    def test_fzpz_halves_are_the_channel_images(self):
-        # Fz on top, Pz below, each the image of that recording's own segment
-        for label, seed in ((Label.ALERT, 4), (Label.DROWSY, 5)):
-            fz, pz = _synth_pair(label, seed, 2 * 13.0 + 1.0)
-            fzpz = build_dataset([pz, fz], ChannelSet.FZPZ)
-            assert [i.segment_index for i in fzpz] == [0, 1]
-            assert all((i.label, i.subject_id, i.channel_set) == (label, fz.subject_id, ChannelSet.FZPZ) for i in fzpz)
-            fz_images = to_grayscale_image(stft_spectrogram(segment(fz)))
-            pz_images = to_grayscale_image(stft_spectrogram(segment(pz)))
-            for img, top, bottom in zip(fzpz, fz_images, pz_images):
-                assert img.pixels.shape == (64, 32)
-                np.testing.assert_array_equal(img.pixels[:32], top)
-                np.testing.assert_array_equal(img.pixels[32:], bottom)
-                assert not np.array_equal(top, bottom)  # so swapped halves would fail
-            for img, fz_img in zip(fzpz, build_dataset([fz, pz], ChannelSet.FZ)):
-                np.testing.assert_array_equal(img.pixels[:32], fz_img.pixels)
 
     def test_pz_one_segment_short_rejected(self):
         fz, pz = _synth_pair(Label.ALERT, 6, 2 * 13.0)
