@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, einsum2, image_batch, parameter, relu, sigmoid, softmax_axis
+from .tensor import Tensor, affine, conv2d, einsum2, image_batch, parameter, relu, sigmoid, softmax_axis, tensor_fields
 
 __all__ = [
     "SQUASH_EPS",
@@ -150,19 +150,7 @@ class CapsNetParams:
         return self.routing_w.shape[0]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("conv1_w", self.conv1_w),
-            ("conv1_b", self.conv1_b),
-            ("conv2_w", self.conv2_w),
-            ("conv2_b", self.conv2_b),
-            ("routing_w", self.routing_w),
-            ("dec1_w", self.dec1_w),
-            ("dec1_b", self.dec1_b),
-            ("dec2_w", self.dec2_w),
-            ("dec2_b", self.dec2_b),
-            ("dec3_w", self.dec3_w),
-            ("dec3_b", self.dec3_b),
-        ]
+        return tensor_fields(self)
 
     def fingerprint(self) -> dict:
         return {
@@ -216,24 +204,19 @@ def squash(s: Tensor) -> Tensor:
 
 
 def primary_capsules(conv2_out: Tensor, capsule_dim: int = 16) -> Tensor:
-    """Regroup [B, C, h, w] conv features into [B, h*w*(C/capsule_dim), capsule_dim]
+    """Regroup [B, h, w, C] conv features into [B, h*w*(C/capsule_dim), capsule_dim]
     squashed capsules.
 
     Channels split into capsule types of ``capsule_dim`` consecutive channels;
-    capsules are ordered cell-major, then by type.
+    capsules are ordered cell-major, then by type, which is the channels-last
+    order itself.
     """
     if conv2_out.ndim != 4:
-        raise ValueError(f"primary capsules need [B, C, h, w] features, got {conv2_out.shape}")
-    b, c, h, w = conv2_out.shape
+        raise ValueError(f"primary capsules need [B, h, w, C] features, got {conv2_out.shape}")
+    b, h, w, c = conv2_out.shape
     if c % capsule_dim != 0:
         raise ValueError(f"channel count {c} not divisible by capsule dim {capsule_dim}")
-    types = c // capsule_dim
-    u = (
-        conv2_out.reshape(b, types, capsule_dim, h, w)
-        .transpose((0, 3, 4, 1, 2))
-        .reshape(b, h * w * types, capsule_dim)
-    )
-    return squash(u)
+    return squash(conv2_out.reshape(b, h * w * c // capsule_dim, capsule_dim))
 
 
 def votes(u: Tensor, w: Tensor) -> Tensor:
@@ -347,7 +330,7 @@ def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Capsules:
     This is all that class scores need: the decoder is a training regularizer.
     """
     px = image_batch(image, params.conv1_w.dtype, params.input_hw)
-    x = Tensor(px[:, None, :, :])
+    x = Tensor(px[..., None])
     h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=params.conv1_stride))
     h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=params.conv2_stride))
     u = primary_capsules(h2, params.capsule_dim)

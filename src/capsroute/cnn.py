@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu
+from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu, tensor_fields
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
@@ -82,18 +82,7 @@ class CnnParams:
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("conv1_w", self.conv1_w),
-            ("conv1_b", self.conv1_b),
-            ("conv2_w", self.conv2_w),
-            ("conv2_b", self.conv2_b),
-            ("conv3_w", self.conv3_w),
-            ("conv3_b", self.conv3_b),
-            ("fc1_w", self.fc1_w),
-            ("fc1_b", self.fc1_b),
-            ("out_w", self.out_w),
-            ("out_b", self.out_b),
-        ]
+        return tensor_fields(self)
 
     def weight_tensors(self) -> list[Tensor]:
         return [self.conv1_w, self.conv2_w, self.conv3_w, self.fc1_w, self.out_w]
@@ -137,12 +126,13 @@ def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rn
     applies no rescale and is deterministic.
     """
     px = image_batch(image, params.conv1_w.dtype, params.input_hw)
-    x = Tensor(px[:, None, :, :])
+    x = Tensor(px[..., None])
 
     x = _block(x, params.conv1_w, params.conv1_b, params.pool_window)
     x = _block(x, params.conv2_w, params.conv2_b, params.pool_window)
     x = _block(x, params.conv3_w, params.conv3_b, params.pool_window)
-    flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2] * x.shape[3])
+    # fc1_w's columns are in (c, h, w) order
+    flat = x.transpose((0, 3, 1, 2)).reshape(x.shape[0], x.shape[1] * x.shape[2] * x.shape[3])
     hidden = relu(affine(flat, params.fc1_w, params.fc1_b))
     if training:
         if rng is None:

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, image_batch, parameter, relu
+from .tensor import Tensor, affine, image_batch, parameter, relu, tensor_fields
 
 __all__ = ["MlpParams", "mlp_forward"]
 
@@ -36,7 +36,7 @@ class MlpParams:
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("fc1_w", self.fc1_w), ("fc1_b", self.fc1_b), ("out_w", self.out_w), ("out_b", self.out_b)]
+        return tensor_fields(self)
 
     def fingerprint(self) -> dict:
         return {

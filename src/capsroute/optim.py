@@ -32,13 +32,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def clone(self) -> "AdamState":
-        return replace(
-            self,
-            first_moment=[m.copy() for m in self.first_moment],
-            second_moment=[v.copy() for v in self.second_moment],
-        )
-
 
 def adam_init(params: Sequence[np.ndarray], lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     return AdamState(

@@ -335,7 +335,7 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
         except UnicodeDecodeError as exc:
             raise PipelineError(f"CSV recording {path} is not UTF-8 text: {exc}") from exc
         try:
-            samples = np.array([float(line.split(",")[0]) for line in text], dtype=np.float64)
+            samples = np.array([float(line) for line in text], dtype=np.float64)
         except ValueError as exc:
             raise PipelineError(f"non-numeric CSV sample in {path}: {exc}") from exc
     else:

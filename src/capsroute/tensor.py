@@ -10,6 +10,7 @@ All kernels fail fast on NaN/Inf, naming the offending operation.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -34,6 +35,7 @@ __all__ = [
     "cross_entropy_logits",
     "truncated_normal",
     "parameter",
+    "tensor_fields",
     "image_batch",
 ]
 
@@ -136,7 +138,7 @@ class Tensor:
         # written into. It is copied only when not C-contiguous: einsum2's
         # backward can hand back a transposed result, and Adam's elementwise
         # updates over a transposed gradient ran about 30% slower on capsnet;
-        # conv2d's channels-last input gradient arrives transposed as well.
+        # conv2d's kernel gradient arrives permuted from (m, q, c) column order.
         _require_finite(grad, op + ".backward")
         grad = np.asarray(grad, dtype=self.data.dtype, order="C")
         self.grad = grad if self.grad is None else self.grad + grad
@@ -401,129 +403,62 @@ def _taps(extent: int, stride: int, offset: int) -> slice:
     return slice(offset, offset + (extent - 1) * stride + 1, stride)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Channel-major columns of ``x`` [N, C, H, W] for a valid kh x kw window, as one matrix.
-
-    Returns ``cols`` [C*kh*kw, N*Ho*Wo]. Row (c, m, q) holds the cell at
-    offset (m, q) of every window in channel c, ordered like a flattened
-    [C_out, C, kh, kw] kernel's columns. Column n*Ho*Wo + i*Wo + j is window
-    (i, j) of image n, so image n owns column block n, Ho*Wo columns wide.
-
-    Rows lie an odd number of cache lines apart in memory: a GEMM over one
-    column block reads down C*kh*kw rows, and at a power-of-two row stride
-    (maps of 256 or 512 positions) those reads all fall in the same cache
-    sets, which made the forward 1.5x slower at batch 128.
-    """
-    n, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    width = n * ho * wo
-    line = max(1, 64 // x.itemsize)
-    cols = np.empty((c * kh * kw, (-(-width // line) | 1) * line), dtype=x.dtype)[:, :width]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols.reshape(c, kh, kw, n, ho, wo)[...] = win.transpose(1, 4, 5, 0, 2, 3)
-    return cols
-
-
 def _im2row(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Position-major rows of ``x`` [N, C, H, W] for a valid kh x kw window: [N*Ho*Wo, C*kh*kw].
+    """Rows of ``x`` [N, H, W, C] for a valid kh x kw window: [N*Ho*Wo, kh*kw*C].
 
     Row n*Ho*Wo + i*Wo + j is window (i, j) of image n, its columns ordered
-    (c, m, q) like a flattened [C_out, C, kh, kw] kernel's, so the copy runs
-    kw cells at a time from both sides.
+    (m, q, c) by kernel offset (m, q), then channel, so each of a window's kh
+    rows is copied as one run of kw*C cells.
     """
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    rows = np.empty((n * ho * wo, c * kh * kw), dtype=x.dtype)
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    rows.reshape(n, ho, wo, c, kh, kw)[...] = win.transpose(0, 2, 3, 1, 4, 5)
+    rows = np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    rows.reshape(n, ho, wo, kh, kw, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
     return rows
 
 
-def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Sum column gradients ``gcols`` [N, C*kh*kw, Ho*Wo], one block per image, back onto [N, C, H, W].
+def _add_windows(gwin: np.ndarray, xshape: tuple, stride: int) -> np.ndarray:
+    """Sum window gradients ``gwin`` [N, Ho, Wo, kh, kw, C] back onto [N, H, W, C].
 
     Loops over the kernel offsets, so each input cell adds its terms in
     increasing kernel-offset order (m, q).
     """
-    n, c, h, w = xshape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    g = gcols.reshape(n, c, kh, kw, ho, wo)
-    gx = np.zeros(xshape, dtype=gcols.dtype)
+    _, ho, wo, kh, kw, _ = gwin.shape
+    gx = np.zeros(xshape, dtype=gwin.dtype)
     for m in range(kh):
         for q in range(kw):
-            gx[..., _taps(ho, stride, m), _taps(wo, stride, q)] += g[:, :, m, q]
+            gx[:, _taps(ho, stride, m), _taps(wo, stride, q)] += gwin[:, :, :, m, q]
     return gx
-
-
-# bytes of the source per block of a transposing copy: the block's rows stay in L1 while its columns are written
-_TRANSPOSE_BLOCK_BYTES = 32 * 1024
-
-
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """``a.T`` of a 2-D array as a new C-ordered array.
-
-    Copies blocks of ``a``'s rows in turn: one pass over all of ``a`` per
-    output row made capsnet conv2's [5184, 128] kernel gradient copy 4x
-    slower (3.4 against 0.8 ms, float32).
-    """
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    step = max(1, _TRANSPOSE_BLOCK_BYTES // (a.shape[1] * a.itemsize))
-    for r in range(0, len(a), step):
-        out[:, r : r + step] = a[r : r + step].T
-    return out
-
-
-def _add_windows(gwin: np.ndarray, xshape: tuple, stride: int) -> np.ndarray:
-    """Sum channels-last window gradients ``gwin`` [N, Ho, Wo, kh, kw, C] onto [N, C, H, W].
-
-    Loops over the output positions, last to first, adding each position's
-    whole [kh, kw*C] window at once, so each input cell adds its terms in
-    increasing kernel-offset order, as ``_col2im`` does.
-    """
-    n, c, h, w = xshape
-    _, ho, wo, kh, kw, _ = gwin.shape
-    gwin = gwin.reshape(n, ho, wo, kh, kw * c)
-    gx = np.zeros((n, h, w * c), dtype=gwin.dtype)
-    for i in reversed(range(ho)):
-        for j in reversed(range(wo)):
-            gx[:, i * stride : i * stride + kh, j * stride * c : (j * stride + kw) * c] += gwin[:, i, j]
-    return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 2-D cross-correlation summed over input channels, plus bias.
 
-    ``x`` is [N, C_in, H, W]; kernels are [C_out, C_in, kh, kw]. The output is
-    [N, C_out, Ho, Wo] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
+    ``x`` is [N, H, W, C_in]; kernels are [C_out, C_in, kh, kw]. The output is
+    [N, Ho, Wo, C_out] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
 
-    The layout of the unfolded input follows the kernel's offsets against the
-    map's positions. When kh*kw > Ho*Wo (capsnet conv2), ``_im2row`` builds
-    one position-major matrix [N*Ho*Wo, C*kh*kw] and the forward is one GEMM
-    for the batch, ``rows @ kmat.T``. Otherwise ``_im2col`` builds one
-    channel-major matrix [C*kh*kw, N*Ho*Wo] and the forward is one GEMM per
-    image over its column block, all in one batched matmul. Either way each
-    output is one image position's dot product over the same kernel row,
-    summed in the same order whatever the other images hold, so an image's
-    output and input gradient are bit-identical to a GEMM over that image
-    alone, whatever its batch (the tests check this at every conv shape the
-    models build).
+    ``_im2row`` unfolds the input into one matrix, a row per (image, output
+    position) and a column per (m, q, c) kernel cell, and the kernels are
+    permuted once per call into ``kmat`` [C_out, kh*kw*C_in] of the same
+    column order. The forward is one GEMM for the batch, ``rows @ kmat.T``,
+    and lands channels-last. Each output is one row's dot product with one
+    kernel row, summed in the same order whatever the other images hold, so
+    an image's output and input gradient are bit-identical to those of a
+    batch of one (the tests check this at every conv shape the models build).
 
-    The kernel gradient is one GEMM over the unfolded input, summing the
-    N*Ho*Wo (image, position) terms image-major. The input gradient runs one
-    GEMM per image and sums the columns back in kernel-offset order
-    (``_col2im``); on the position-major path it is instead one GEMM for the
-    batch whose rows are channels-last windows, added position by position
-    (``_add_windows``) in the same per-cell order.
+    The kernel gradient is ``grows.T @ rows``, summing the N*Ho*Wo (image,
+    position) terms image-major. The input gradient is ``grows @ kmat``, one
+    window gradient per row, summed back onto the input by kernel offset
+    (``_add_windows``).
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
     if x.ndim != 4:
-        raise ValueError(f"conv2d input must be [N, C, H, W], got shape {x.shape}")
+        raise ValueError(f"conv2d input must be [N, H, W, C], got shape {x.shape}")
     cout, cin, kh, kw = kernels.shape
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if c != cin:
         raise ValueError(f"conv2d channels disagree: input {c}, kernels {cin}")
     if kh > h or kw > w:
@@ -534,57 +469,45 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     p = ho * wo
-    k = cin * kh * kw
-    kmat = kernels.data.reshape(cout, k)
-    by_position = kh * kw > p
-    if by_position:
-        rows = _im2row(x.data, kh, kw, stride)
-        # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
-        # each other once per block of K; when both start on one core, each wait took a scheduler
-        # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
-        padded = rows if n * p > cout else np.concatenate([rows, np.zeros((cout + 1 - n * p, k), rows.dtype)])
-        res = (padded @ kmat.T)[: n * p].reshape(n, p, cout).transpose(0, 2, 1)
-    else:
-        cols = _im2col(x.data, kh, kw, stride)
-        res = kmat @ cols.reshape(k, n, p).transpose(1, 0, 2)
-    out = np.add(res, bias.data[:, None], order="C").reshape(n, cout, ho, wo)
+    k = kh * kw * cin
+    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
+    rows = _im2row(x.data, kh, kw, stride)
+    # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
+    # each other once per block of K; when both start on one core, each wait took a scheduler
+    # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
+    padded = rows if n * p > cout else np.concatenate([rows, np.zeros((cout + 1 - n * p, k), rows.dtype)])
+    out = np.add((padded @ kmat.T)[: n * p], bias.data).reshape(n, ho, wo, cout)
 
     def backward(g: np.ndarray) -> None:
-        gmat = g.reshape(n, cout, p)
-        grows = gmat.transpose(0, 2, 1).reshape(n * p, cout)  # row n*P + position
-        if kernels.requires_grad and by_position:
-            kernels._accumulate((grows.T @ rows).reshape(kernels.shape), "conv2d")
-        elif kernels.requires_grad:
-            # [K, N*P] @ [N*P, C_out]: BLAS may run the transposed product, [C_out, N*P] @ [N*P, K],
-            # through another kernel with another summation order when it is small (batch-3 stems)
-            kernels._accumulate(_transposed(cols @ grows).reshape(kernels.shape), "conv2d")
+        grows = g.reshape(n * p, cout)  # row n*P + position
+        if kernels.requires_grad:
+            kernels._accumulate((grows.T @ rows).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), "conv2d")
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)), "conv2d")
-        if x.requires_grad and by_position:
-            # [N*P, C_out] @ [C_out, kh*kw*C] -> [N, Ho, Wo, kh, kw, C]
-            gwin = grows @ kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
-            x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, c), x.shape, stride), "conv2d")
-        elif x.requires_grad:
-            x._accumulate(_col2im(kmat.T @ gmat, x.shape, kh, kw, stride), "conv2d")
+            bias._accumulate(grows.sum(axis=0), "conv2d")
+        if x.requires_grad:
+            # kmat as the transpose of a C-ordered [K, C_out] copy: given kmat itself, OpenBLAS 0.3.31
+            # summed float64 products under about 1e6 multiply-adds (a stem's image) in another order
+            # than larger ones, so an image's input gradient changed with its batch.
+            gwin = (grows @ np.ascontiguousarray(kmat.T).T).reshape(n, ho, wo, kh, kw, cin)
+            x._accumulate(_add_windows(gwin, x.shape, stride), "conv2d")
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
 
 def pad2d(x: Tensor, pad: tuple) -> Tensor:
-    """Zero-pad the last two axes by (top, bottom, left, right)."""
+    """Zero-pad the H and W axes of [N, H, W, C] by (top, bottom, left, right)."""
     top, bottom, left, right = pad
-    width = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
-    out_data = np.pad(x.data, width)
-    sl = tuple([slice(None)] * (x.ndim - 2) + [slice(top, out_data.shape[-2] - bottom), slice(left, out_data.shape[-1] - right)])
+    _, h, w, _ = x.shape
+    out_data = np.pad(x.data, [(0, 0), (top, bottom), (left, right), (0, 0)])
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g[sl], "pad2d")
+        x._accumulate(g[:, top : top + h, left : left + w], "pad2d")
 
     return Tensor._result(out_data, (x,), backward, "pad2d")
 
 
 def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
-    """Ceil-mode max pooling over [N, C, H, W].
+    """Ceil-mode max pooling over the H and W axes of [N, H, W, C].
 
     The input is zero-extended on the bottom/right so output extents are
     ceil(H / stride) x ceil(W / stride); window (i, j) covers rows
@@ -595,21 +518,21 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     none on.
     """
     if x.ndim != 4:
-        raise ValueError(f"maxpool2d input must be [N, C, H, W], got shape {x.shape}")
+        raise ValueError(f"maxpool2d input must be [N, H, W, C], got shape {x.shape}")
     ph, pw = window
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     ho = -(-h // stride)
     wo = -(-w // stride)
     hp = max((ho - 1) * stride + ph, h)
     wp = max((wo - 1) * stride + pw, w)
-    xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-    xp[:, :, :h, :w] = x.data
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xp[:, :h, :w] = x.data
     # running maximum over the ph*pw taps, tap t = m * pw + q at window offset (m, q)
-    out = xp[:, :, _taps(ho, stride, 0), _taps(wo, stride, 0)].copy()
+    out = xp[:, _taps(ho, stride, 0), _taps(wo, stride, 0)].copy()
     winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
     better = np.empty(out.shape, dtype=bool)
     for t in range(1, ph * pw):
-        tap = xp[:, :, _taps(ho, stride, t // pw), _taps(wo, stride, t % pw)]
+        tap = xp[:, _taps(ho, stride, t // pw), _taps(wo, stride, t % pw)]
         np.greater(tap, out, out=better)  # strict, so the first maximum keeps the window
         np.maximum(out, tap, out=out)
         np.maximum(winner, better * winner.dtype.type(t), out=winner)  # every earlier tap is < t
@@ -617,12 +540,12 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # flat index in the padded buffer of each window's winning cell
         tap_offset = (np.arange(ph)[:, None] * wp + np.arange(pw)).ravel()
-        origin = np.arange(ho)[:, None] * (stride * wp) + np.arange(wo) * stride
-        plane = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp)
-        flat = (plane + origin + tap_offset[winner]).ravel()
-        gxp = np.zeros(n * c * hp * wp, dtype=g.dtype)
+        origin = np.arange(ho)[:, None, None] * (stride * wp) + np.arange(wo)[:, None] * stride
+        cell = np.arange(n).reshape(n, 1, 1, 1) * (hp * wp) + origin + tap_offset[winner]
+        flat = (cell * c + np.arange(c)).ravel()
+        gxp = np.zeros(n * hp * wp * c, dtype=g.dtype)
         np.add.at(gxp, flat, g.ravel())
-        x._accumulate(gxp.reshape(n, c, hp, wp)[:, :, :h, :w], "maxpool2d")
+        x._accumulate(gxp.reshape(n, hp, wp, c)[:, :h, :w], "maxpool2d")
 
     return Tensor._result(out, (x,), backward, "maxpool2d")
 
@@ -717,6 +640,12 @@ def parameter(shape, rng: Optional[np.random.Generator], dtype) -> Tensor:
     out = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
     out.data = np.zeros(shape, dtype=dtype)
     return out
+
+
+def tensor_fields(params) -> list[tuple[str, Tensor]]:
+    """The ``Tensor`` fields of dataclass instance ``params`` as (name, tensor), in declaration order."""
+    fields = ((f.name, getattr(params, f.name)) for f in dataclasses.fields(params))
+    return [(name, value) for name, value in fields if isinstance(value, Tensor)]
 
 
 def image_batch(images, dtype, input_hw: tuple) -> np.ndarray:

@@ -89,11 +89,11 @@ class TestCriterion2ShapeConformance:
         rng = np.random.default_rng(0)
         traces = {}
         for hw, conv1_hw, conv2_hw, n_primary, recon in (
-            ((32, 32), (64, 14, 14), (128, 3, 3), 72, 1024),
-            ((64, 32), (64, 30, 14), (128, 11, 3), 264, 2048),
+            ((32, 32), (14, 14, 64), (3, 3, 128), 72, 1024),
+            ((64, 32), (30, 14, 64), (11, 3, 128), 264, 2048),
         ):
             params = CapsNetParams.init(hw, rng, dtype=np.float32)
-            x = Tensor(rng.random((1, *hw), dtype=np.float32)[None].transpose(1, 0, 2, 3))
+            x = Tensor(rng.random((1, *hw), dtype=np.float32)[..., None])
             c1 = conv2d(x, params.conv1_w, params.conv1_b, stride=2)
             c2 = conv2d(c1, params.conv2_w, params.conv2_b, stride=2)
             out = capsnet_forward(rng.random((1, *hw), dtype=np.float32), params)

@@ -97,29 +97,29 @@ class TestSquash:
 
 class TestPrimaryCapsules:
     def test_72_capsules_for_3x3(self):
-        conv_out = Tensor(np.random.default_rng(3).normal(size=(128, 3, 3))[None])
+        conv_out = Tensor(np.random.default_rng(3).normal(size=(3, 3, 128))[None])
         u = primary_capsules(conv_out, 16)
         assert u.shape == (1, 72, 16)
 
     def test_264_capsules_for_11x3(self):
-        conv_out = Tensor(np.random.default_rng(4).normal(size=(128, 11, 3))[None])
+        conv_out = Tensor(np.random.default_rng(4).normal(size=(11, 3, 128))[None])
         u = primary_capsules(conv_out, 16)
         assert u.shape == (1, 264, 16)
 
     def test_all_norms_below_one(self):
-        conv_out = Tensor(np.random.default_rng(5).normal(scale=10.0, size=(32, 4, 4))[None])
+        conv_out = Tensor(np.random.default_rng(5).normal(scale=10.0, size=(4, 4, 32))[None])
         u = primary_capsules(conv_out, 16)
         assert (capsule_lengths(u) < 1.0).all()
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError):
-            primary_capsules(Tensor(np.zeros((1, 30, 3, 3))), 16)
+            primary_capsules(Tensor(np.zeros((1, 3, 3, 30))), 16)
 
     def test_channel_grouping_is_consecutive(self):
         # capsule type t at cell (i, j) reads channels [t*dim, (t+1)*dim)
         c, h, w, dim = 8, 2, 2, 4
-        data = np.zeros((c, h, w))
-        data[4:8, 1, 0] = [1.0, 2.0, 3.0, 4.0]  # type 1 at cell (1, 0)
+        data = np.zeros((h, w, c))
+        data[1, 0, 4:8] = [1.0, 2.0, 3.0, 4.0]  # type 1 at cell (1, 0)
         u = primary_capsules(Tensor(data[None]), dim).data[0]
         p = (1 * w + 0) * (c // dim) + 1  # cell-major, then type
         np.testing.assert_allclose(u[p], squash_oracle(np.array([1.0, 2.0, 3.0, 4.0])), rtol=1e-12)

@@ -84,6 +84,14 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path / "r.csv") in err
 
+    def test_multi_column_csv_recording_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "r.csv").write_text("1.5,9\n-2.5,x\n")
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n")
+        code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-numeric CSV sample" in err
+
     @pytest.mark.parametrize("channels", ["fz", "fzpz"])
     def test_duplicate_recording_is_data_error(self, corpus_dir, tmp_path, capsys, channels):
         header, *rows = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)

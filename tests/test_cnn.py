@@ -33,11 +33,11 @@ class TestShapes:
     def test_pooling_halves_every_block(self):
         # ceil-division with zero padding halves exactly for both input sizes
         for h, w, window in ((32, 32, (2, 2)), (64, 32, (4, 2))):
-            x = Tensor(np.random.default_rng(2).normal(size=(1, h, w))[None])
+            x = Tensor(np.random.default_rng(2).normal(size=(h, w, 1))[None])
             for _ in range(3):
                 x = maxpool2d(x, window, stride=2)
                 h, w = -(-h // 2), -(-w // 2)
-                assert x.shape == (1, 1, h, w)
+                assert x.shape == (1, h, w, 1)
         assert (h, w) == (8, 4) or (h, w) == (4, 4)
 
     def test_batched(self):

@@ -1,5 +1,7 @@
 """Adam update arithmetic."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ class TestAdamStep:
         params = [rng.normal(size=(3, 4))]
         grads = [rng.normal(size=(3, 4))]
         state = adam_init(params)
-        p1, s1 = adam_step(params, grads, state.clone())
-        p2, s2 = adam_step(params, grads, state.clone())
+        p1, s1 = adam_step(params, grads, copy.deepcopy(state))
+        p2, s2 = adam_step(params, grads, copy.deepcopy(state))
         np.testing.assert_array_equal(p1[0], p2[0])
         np.testing.assert_array_equal(s1.first_moment[0], s2.first_moment[0])
 

@@ -326,13 +326,14 @@ class TestRecordingIO:
         np.testing.assert_array_equal(rec.samples, samples.astype(np.float64))
         assert len(segment(rec)) == 1
 
-    def test_csv_and_header_flag(self, tmp_path):
+    def test_csv_one_number_per_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1.5\n-2.5\n")
         np.testing.assert_array_equal(load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2).samples, [1.5, -2.5])
-        path.write_text("value\n1.5\n-2.5\n")
-        with pytest.raises(PipelineError, match="non-numeric CSV sample"):
-            load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2)
+        for text in ("value\n1.5\n-2.5\n", "1.5,9\n-2.5,x\n"):  # a header line; a second column
+            path.write_text(text)
+            with pytest.raises(PipelineError, match="non-numeric CSV sample"):
+                load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2)
 
     def test_bad_length(self, tmp_path):
         path = tmp_path / "r.f32"

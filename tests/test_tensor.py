@@ -13,7 +13,7 @@ from capsroute.tensor import (
     GraphError,
     NumericError,
     Tensor,
-    _col2im,
+    _add_windows,
     affine,
     conv2d,
     cross_entropy_logits,
@@ -36,12 +36,12 @@ from gradcheck import check_gradients
 
 
 def conv2d_direct(x, k, b, stride):
-    """Quadruple-loop direct summation of the convolution definition."""
+    """Quadruple-loop direct summation of the convolution definition over one [H, W, C] image."""
     cout, cin, kh, kw = k.shape
-    _, h, w = x.shape
+    h, w, _ = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    out = np.zeros((cout, ho, wo))
+    out = np.zeros((ho, wo, cout))
     for o in range(cout):
         for i in range(ho):
             for j in range(wo):
@@ -49,15 +49,15 @@ def conv2d_direct(x, k, b, stride):
                 for c in range(cin):
                     for m in range(kh):
                         for n in range(kw):
-                            acc += x[c, i * stride + m, j * stride + n] * k[o, c, m, n]
-                out[o, i, j] = acc + b[o]
+                            acc += x[i * stride + m, j * stride + n, c] * k[o, c, m, n]
+                out[i, j, o] = acc + b[o]
     return out
 
 
 def conv2d_grads_direct(x, k, g, stride):
-    """Input and kernel gradients of conv2d, summed output position by kernel offset."""
+    """Input and kernel gradients of conv2d over [N, H, W, C], summed output position by kernel offset."""
     _, _, kh, kw = k.shape
-    _, _, ho, wo = g.shape
+    _, ho, wo, _ = g.shape
     gx = np.zeros_like(x)
     gk = np.zeros_like(k)
     for i in range(ho):
@@ -65,8 +65,8 @@ def conv2d_grads_direct(x, k, g, stride):
             for m in range(kh):
                 for n in range(kw):
                     r, c = i * stride + m, j * stride + n
-                    gx[:, :, r, c] += g[:, :, i, j] @ k[:, :, m, n]
-                    gk[:, :, m, n] += g[:, :, i, j].T @ x[:, :, r, c]
+                    gx[:, r, c, :] += g[:, i, j, :] @ k[:, :, m, n]
+                    gk[:, :, m, n] += g[:, i, j, :].T @ x[:, r, c, :]
     return gx, gk
 
 
@@ -77,10 +77,10 @@ def maxpool2d_direct(x, window, stride, g):
     maximum; cells past the input's bottom/right edge read 0 and take no
     gradient.
     """
-    batch, chans, h, w = x.shape
+    batch, h, w, chans = x.shape
     ph, pw = window
     ho, wo = -(-h // stride), -(-w // stride)
-    out = np.zeros((batch, chans, ho, wo), dtype=x.dtype)
+    out = np.zeros((batch, ho, wo, chans), dtype=x.dtype)
     gx = np.zeros_like(x)
     for b in range(batch):
         for c in range(chans):
@@ -90,12 +90,12 @@ def maxpool2d_direct(x, window, stride, g):
                     for m in range(ph):
                         for n in range(pw):
                             r, q = i * stride + m, j * stride + n
-                            value = x[b, c, r, q] if r < h and q < w else 0.0
+                            value = x[b, r, q, c] if r < h and q < w else 0.0
                             if best is None or value > best:
                                 best, at = value, (r, q)
-                    out[b, c, i, j] = best
+                    out[b, i, j, c] = best
                     if at[0] < h and at[1] < w:
-                        gx[b, c, at[0], at[1]] += g[b, c, i, j]
+                        gx[b, at[0], at[1], c] += g[b, i, j, c]
     return out, gx
 
 
@@ -116,24 +116,24 @@ def affine_direct(x, w, b):
 
 class TestConv2d:
     def test_capsnet_stem_shape_32(self):
-        """64 kernels 5x5 stride 2 on 1x32x32 give 64 feature maps of 14x14."""
+        """64 kernels 5x5 stride 2 on 32x32x1 give 64 feature maps of 14x14."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 32, 32))[None])
+        x = Tensor(rng.normal(size=(32, 32, 1))[None])
         k = Tensor(rng.normal(size=(64, 1, 5, 5)))
         b = Tensor(np.zeros(64))
-        assert conv2d(x, k, b, stride=2).shape == (1, 64, 14, 14)
+        assert conv2d(x, k, b, stride=2).shape == (1, 14, 14, 64)
 
     def test_capsnet_stem_shape_64(self):
         """The 64x32 input variant yields 30x14 feature maps."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 64, 32))[None])
+        x = Tensor(rng.normal(size=(64, 32, 1))[None])
         k = Tensor(rng.normal(size=(64, 1, 5, 5)))
         b = Tensor(np.zeros(64))
-        assert conv2d(x, k, b, stride=2).shape == (1, 64, 30, 14)
+        assert conv2d(x, k, b, stride=2).shape == (1, 30, 14, 64)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(1, 6, 6))[None])
+        x = Tensor(rng.normal(size=(6, 6, 1))[None])
         k = Tensor(np.ones((1, 1, 1, 1)))
         b = Tensor(np.zeros(1))
         out = conv2d(x, k, b, stride=1)
@@ -141,7 +141,7 @@ class TestConv2d:
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 6, 6))
+        x = rng.normal(size=(6, 6, 1))
         k = rng.normal(size=(1, 1, 3, 3))
         b = rng.normal(size=1)
         got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=2)
@@ -149,7 +149,7 @@ class TestConv2d:
 
     def test_matches_direct_summation_multichannel(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(3, 7, 5))
+        x = rng.normal(size=(7, 5, 3))
         k = rng.normal(size=(4, 3, 3, 2))
         b = rng.normal(size=4)
         got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=1)
@@ -157,7 +157,7 @@ class TestConv2d:
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(4)
-        xs = rng.normal(size=(3, 2, 8, 8))
+        xs = rng.normal(size=(3, 8, 8, 2))
         k = rng.normal(size=(5, 2, 3, 3))
         b = rng.normal(size=5)
         batched = conv2d(Tensor(xs), Tensor(k), Tensor(b), stride=2).data
@@ -166,7 +166,7 @@ class TestConv2d:
             np.testing.assert_array_equal(batched[i], single[0])
 
     # (x shape, kernel shape, stride): Ho*Wo < kh*kw (the capsnet 9x9/s2 layer), then Ho*Wo > kh*kw
-    GRAD_SHAPES = [((2, 2, 14, 14), (3, 2, 9, 9), 2), ((2, 3, 7, 6), (4, 3, 3, 2), 1)]
+    GRAD_SHAPES = [((2, 14, 14, 2), (3, 2, 9, 9), 2), ((2, 7, 6, 3), (4, 3, 3, 2), 1)]
 
     @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
     def test_gradients_match_direct_summation(self, xshape, kshape, stride):
@@ -180,7 +180,7 @@ class TestConv2d:
         gx, gk = conv2d_grads_direct(x.data, k.data, g, stride)
         np.testing.assert_allclose(x.grad, gx, rtol=1e-12)
         np.testing.assert_allclose(k.grad, gk, rtol=1e-12)
-        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1, 2)), rtol=1e-12)
 
     @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
     def test_batched_input_gradient_matches_per_sample(self, xshape, kshape, stride):
@@ -201,22 +201,22 @@ class TestConv2d:
 
     @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
     def test_col2im_sums_in_kernel_offset_order(self, xshape, kshape, stride):
-        """Each input cell adds its terms in increasing kernel offset, whichever loop _col2im runs."""
-        _, c, h, w = xshape
+        """The input gradient's summation, _add_windows, adds each input cell's terms in increasing kernel offset."""
+        _, h, w, c = xshape
         _, _, kh, kw = kshape
         ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-        g = np.random.default_rng(14).normal(size=(2, c, kh, kw, ho, wo)).astype(np.float32)
-        want = np.zeros((2, c, h, w), dtype=np.float32)
+        g = np.random.default_rng(14).normal(size=(2, ho, wo, kh, kw, c)).astype(np.float32)
+        want = np.zeros((2, h, w, c), dtype=np.float32)
         for m in range(kh):
             for n in range(kw):
-                want[:, :, m : m + (ho - 1) * stride + 1 : stride, n : n + (wo - 1) * stride + 1 : stride] += g[:, :, m, n]
-        got = _col2im(g.reshape(2, c * kh * kw, ho * wo), (2, c, h, w), kh, kw, stride)
+                want[:, m : m + (ho - 1) * stride + 1 : stride, n : n + (wo - 1) * stride + 1 : stride] += g[:, :, :, m, n]
+        got = _add_windows(g, (2, h, w, c), stride)
         np.testing.assert_array_equal(got, want)
 
     @staticmethod
     @functools.cache
     def model_conv_shapes():
-        """(input [C, H, W], kernel shape, stride) of every conv2d the capsnet and the CNN run at 32x32 and 64x32."""
+        """(input [H, W, C], kernel shape, stride) of every conv2d the capsnet and the CNN run at 32x32 and 64x32."""
         shapes = []
 
         def spy(x, kernels, bias, stride=1):
@@ -245,9 +245,9 @@ class TestConv2d:
         for xshape, kshape, stride in shapes:
             k = Tensor((rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype))
             b = Tensor(rng.normal(size=kshape[0]).astype(dtype))
-            (c, h, w), (cout, _, kh, kw) = xshape, kshape
-            pool = rng.normal(size=(max(sizes) + max(offsets), c, h, w)).astype(dtype)
-            gpool = rng.normal(size=(len(pool), cout, (h - kh) // stride + 1, (w - kw) // stride + 1)).astype(dtype)
+            (h, w, c), (cout, _, kh, kw) = xshape, kshape
+            pool = rng.normal(size=(max(sizes) + max(offsets), h, w, c)).astype(dtype)
+            gpool = rng.normal(size=(len(pool), (h - kh) // stride + 1, (w - kw) // stride + 1, cout)).astype(dtype)
 
             def run(lo, hi):
                 x = Tensor(pool[lo:hi], requires_grad=True)
@@ -268,48 +268,50 @@ class TestConv2d:
     def test_output_and_gradients_equal_gemm_oracles_at_model_shapes(self, dtype):
         """Output, kernel and input gradients equal, bit for bit, per-image reference formulas.
 
-        The output is checked against one [C_out, C*kh*kw] @ [C*kh*kw, Ho*Wo]
-        GEMM per image plus the bias, the kernel gradient against an einsum
-        over (image, position) rows of im2col columns, the input gradient
-        against one [C*kh*kw, C_out] @ [C_out, Ho*Wo] GEMM per image summed
-        back in kernel-offset order. A changed summation order in any of the
-        three fails here, at batches 3, 8 and 36. Capsnet conv2 has no more
-        rows than kernels at batch 3, and at batch 8 on 32x32 inputs, so its
-        rows are zero-padded there.
+        Each image's window rows are in (m, q, c) column order, as are the
+        columns of the kernel matrix ``kmat`` [C_out, kh*kw*C]. The output is
+        checked against one ``rows_i @ kmat.T`` GEMM per image plus the bias,
+        the kernel gradient against an einsum over (image, position) rows, the
+        input gradient against one ``grows_i @ kmat`` GEMM per image, kmat
+        given as the transpose of a C-ordered copy as conv2d gives it, summed
+        back in kernel-offset order. A changed summation order in
+        any of the three fails here, at batches 3, 8 and 36. Capsnet conv2 has
+        no more rows than kernels at batch 3, and at batch 8 on 32x32 inputs,
+        so its rows are zero-padded there.
         """
         shapes = self.model_conv_shapes()
         assert len(shapes) == 10
         rng = np.random.default_rng(16)
         for xshape, kshape, stride in shapes:
-            (c, h, w), (cout, _, kh, kw) = xshape, kshape
+            (h, w, c), (cout, _, kh, kw) = xshape, kshape
             ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
             kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
             bd = rng.normal(size=cout).astype(dtype)
-            kmat = kd.reshape(cout, -1)
+            kmat = kd.transpose(0, 2, 3, 1).reshape(cout, -1)
             for n in (3, 8, 36):
                 xd = rng.normal(size=(n, *xshape)).astype(dtype)
-                g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+                g = rng.normal(size=(n, ho, wo, cout)).astype(dtype)
                 x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
                 out = conv2d(x, k, Tensor(bd), stride=stride)
                 (out * Tensor(g)).sum().backward()
 
-                win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-                rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
-                want_out = np.stack([kmat @ np.ascontiguousarray(r.T) + bd[:, None] for r in rows]).reshape(out.shape)
-                gmat = g.reshape(n, cout, ho * wo)
-                want_gk = np.einsum("nop,npk->ok", gmat, rows, optimize=True).reshape(kshape)
-                cols = (kmat.T @ gmat).reshape(n, c, kh, kw, ho, wo)
+                win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+                rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
+                want_out = np.stack([r @ kmat.T + bd for r in rows]).reshape(out.shape)
+                grows = g.reshape(n, ho * wo, cout)
+                want_gk = np.einsum("npo,npk->ok", grows, rows, optimize=True).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+                gwin = np.stack([gr @ np.ascontiguousarray(kmat.T).T for gr in grows]).reshape(n, ho, wo, kh, kw, c)
                 want_gx = np.zeros_like(xd)
                 for m in range(kh):
                     for q in range(kw):
-                        want_gx[:, :, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += cols[:, :, m, q]
+                        want_gx[:, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += gwin[:, :, :, m, q]
                 where = f"{xshape} {kshape}/s{stride}, batch {n}"
                 np.testing.assert_array_equal(out.data, want_out, err_msg=where)
                 np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
                 np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
 
     def test_shape_and_stride_errors(self):
-        x = Tensor(np.zeros((1, 1, 4, 4)))
+        x = Tensor(np.zeros((1, 4, 4, 1)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
         b = Tensor(np.zeros(1))
         with pytest.raises(ValueError):
@@ -321,7 +323,7 @@ class TestConv2d:
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 9, 9))[None]
+        x = rng.normal(size=(9, 9, 2))[None]
         k = rng.normal(size=(3, 2, 4, 4))
         b = rng.normal(size=3)
         a = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
@@ -339,12 +341,12 @@ class TestConv2d:
         cin = data.draw(st.integers(1, 3))
         cout = data.draw(st.integers(1, 3))
         out = conv2d(
-            Tensor(np.zeros((1, cin, h, w))),
+            Tensor(np.zeros((1, h, w, cin))),
             Tensor(np.zeros((cout, cin, kh, kw))),
             Tensor(np.zeros(cout)),
             stride=stride,
         )
-        assert out.shape == (1, cout, (h - kh) // stride + 1, (w - kw) // stride + 1)
+        assert out.shape == (1, (h - kh) // stride + 1, (w - kw) // stride + 1, cout)
 
 
 # ---------------------------------------------------------------------------
@@ -354,31 +356,31 @@ class TestConv2d:
 
 class TestMaxpool2d:
     def test_two_by_two(self):
-        out = maxpool2d(Tensor([[[[1.0, 3.0], [2.0, 4.0]]]]), (2, 2), stride=2)
+        out = maxpool2d(Tensor([[[[1.0], [3.0]], [[2.0], [4.0]]]]), (2, 2), stride=2)
         np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_zero_pad_ceil_shape(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(128, 8, 4))[None])
+        x = Tensor(np.random.default_rng(0).normal(size=(8, 4, 128))[None])
         out = maxpool2d(x, (4, 2), stride=2)
-        assert out.shape == (1, 128, 4, 2)
+        assert out.shape == (1, 4, 2, 128)
 
     def test_constant_input(self):
-        out = maxpool2d(Tensor(np.full((1, 2, 6, 6), 3.5)), (2, 2), stride=2)
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 3, 3), 3.5))
+        out = maxpool2d(Tensor(np.full((1, 6, 6, 2), 3.5)), (2, 2), stride=2)
+        np.testing.assert_array_equal(out.data, np.full((1, 3, 3, 2), 3.5))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "case,shape,window",
         [
-            ("normal", (2, 3, 8, 6), (2, 2)),
-            ("normal", (2, 3, 7, 5), (2, 2)),
-            ("normal", (2, 3, 9, 5), (4, 2)),
-            ("constant", (1, 2, 7, 6), (2, 2)),
-            ("constant", (1, 2, 9, 5), (4, 2)),
-            ("relu", (2, 3, 8, 6), (2, 2)),
-            ("relu", (2, 3, 9, 5), (4, 2)),
-            ("negative", (1, 2, 7, 5), (2, 2)),
-            ("negative", (1, 2, 9, 5), (4, 2)),
+            ("normal", (2, 8, 6, 3), (2, 2)),
+            ("normal", (2, 7, 5, 3), (2, 2)),
+            ("normal", (2, 9, 5, 3), (4, 2)),
+            ("constant", (1, 7, 6, 2), (2, 2)),
+            ("constant", (1, 9, 5, 2), (4, 2)),
+            ("relu", (2, 8, 6, 3), (2, 2)),
+            ("relu", (2, 9, 5, 3), (4, 2)),
+            ("negative", (1, 7, 5, 2), (2, 2)),
+            ("negative", (1, 9, 5, 2), (4, 2)),
         ],
     )
     def test_matches_direct_loop(self, case, shape, window, dtype):
@@ -414,8 +416,8 @@ class TestMaxpool2d:
         ph = data.draw(st.integers(1, 5))
         pw = data.draw(st.integers(1, 5))
         stride = data.draw(st.integers(1, 4))
-        out = maxpool2d(Tensor(np.zeros((1, 1, h, w))), (ph, pw), stride=stride)
-        assert out.shape == (1, 1, -(-h // stride), -(-w // stride))
+        out = maxpool2d(Tensor(np.zeros((1, h, w, 1))), (ph, pw), stride=stride)
+        assert out.shape == (1, -(-h // stride), -(-w // stride), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +659,7 @@ class TestFiniteDifferences:
 
     def test_conv2d(self):
         def build(rng):
-            x = Tensor(rng.normal(size=(2, 2, 7, 6)), requires_grad=True)
+            x = Tensor(rng.normal(size=(2, 7, 6, 2)), requires_grad=True)
             k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
             b = Tensor(rng.normal(size=3), requires_grad=True)
 
@@ -670,7 +672,7 @@ class TestFiniteDifferences:
 
     def test_pad2d(self):
         def build(rng):
-            x = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+            x = Tensor(rng.normal(size=(2, 4, 5, 2)), requires_grad=True)
 
             def loss():
                 return _weighted_sum_loss(pad2d(x, (1, 1, 2, 1)), np.random.default_rng(91))
@@ -681,7 +683,7 @@ class TestFiniteDifferences:
 
     def test_maxpool2d(self):
         def build(rng):
-            x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+            x = Tensor(rng.normal(size=(1, 6, 6, 2)), requires_grad=True)
 
             def loss():
                 out = maxpool2d(x, (2, 2), stride=2)
@@ -693,7 +695,7 @@ class TestFiniteDifferences:
 
     def test_maxpool2d_overlapping_window(self):
         def build(rng):
-            x = Tensor(rng.normal(size=(1, 1, 8, 4)), requires_grad=True)
+            x = Tensor(rng.normal(size=(1, 8, 4, 1)), requires_grad=True)
 
             def loss():
                 out = maxpool2d(x, (4, 2), stride=2)
