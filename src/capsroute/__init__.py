@@ -36,7 +36,7 @@ from .signal import (
     synth_eeg,
     to_grayscale_image,
 )
-from .augment import AugmentConfig, augment_one, coarse_dropout, expand_dataset
+from .augment import augment_one, coarse_dropout, expand_dataset
 from .capsnet import CapsNetParams, capsnet_forward, dynamic_routing, margin_loss, squash, total_loss, votes
 from .cnn import CnnParams, cnn_forward, cnn_loss
 from .mlp import MlpParams, mlp_forward

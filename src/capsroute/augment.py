@@ -8,7 +8,6 @@ to the nearest border pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .signal import SpectrogramImage, sample_bilinear_clamped
 
 __all__ = [
-    "AugmentConfig",
     "AugmentError",
     "apply_geometric",
     "apply_brightness",
@@ -27,30 +25,19 @@ __all__ = [
     "audit_lineage",
 ]
 
+# the fixed recipe; a run sets only whether to augment and the expansion factor
+ZOOM_RANGE = 0.15  # zoom drawn from 1 +- this
+WIDTH_SHIFT = 0.15  # column shift drawn from +- this times the width
+HEIGHT_SHIFT = 0.10  # row shift drawn from +- this times the height
+ROTATION_DEG = 10.0
+BRIGHTNESS_RANGE = (0.5, 1.5)
+COARSE_PIXEL_FRAC = 0.02  # share of downscaled cells a dropout zeroes
+COARSE_APPLY_PROB = (0.2, 0.5)  # range of the per-image dropout probability
+COARSE_DOWNSCALE = 0.5  # dropout grid scale; 0.5 gives 2x2 blocks
+
 
 class AugmentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    zoom_range: float = 0.15
-    width_shift: float = 0.15
-    height_shift: float = 0.10
-    rotation_deg: float = 10.0
-    brightness_range: tuple = (0.5, 1.5)
-    fill_mode: str = "nearest"
-    coarse_pixel_frac: float = 0.02
-    coarse_apply_prob: tuple = (0.2, 0.5)
-    coarse_downscale: float = 0.5
-    expansion_factor: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.expansion_factor < 1:
-            raise AugmentError(f"expansion_factor must be >= 1, got {self.expansion_factor}")
-        if self.fill_mode != "nearest":
-            raise AugmentError(f"only nearest fill is supported, got {self.fill_mode!r}")
 
 
 def apply_geometric(pixels: np.ndarray, zoom: float, shift_cols: float, shift_rows: float, angle_deg: float) -> np.ndarray:
@@ -75,13 +62,13 @@ def apply_brightness(pixels: np.ndarray, factor: float) -> np.ndarray:
     return np.clip(np.rint(pixels.astype(np.float64) * factor), 0, 255).astype(np.uint8)
 
 
-def drop_blocks(pixels: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def drop_blocks(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero round(frac * cells) blocks on the downscaled grid (2x2 squares at full size)."""
     h, w = pixels.shape
-    block = int(round(1.0 / cfg.coarse_downscale))
+    block = int(round(1.0 / COARSE_DOWNSCALE))
     gh, gw = h // block, w // block
     n_cells = gh * gw
-    n_drop = int(round(cfg.coarse_pixel_frac * n_cells))
+    n_drop = int(round(COARSE_PIXEL_FRAC * n_cells))
     if n_drop == 0:
         return pixels.copy()
     cells = rng.choice(n_cells, size=n_drop, replace=False)
@@ -92,49 +79,52 @@ def drop_blocks(pixels: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
     return out
 
 
-def coarse_dropout(image: SpectrogramImage, cfg: AugmentConfig, rng: np.random.Generator) -> SpectrogramImage:
-    """Apply block dropout with probability drawn from the configured range."""
-    p_apply = rng.uniform(*cfg.coarse_apply_prob)
+def coarse_dropout(image: SpectrogramImage, rng: np.random.Generator) -> SpectrogramImage:
+    """Apply block dropout with a probability drawn from ``COARSE_APPLY_PROB``."""
+    p_apply = rng.uniform(*COARSE_APPLY_PROB)
     if rng.random() >= p_apply:
         return image.copy_with(pixels=image.pixels.copy())
-    return image.copy_with(pixels=drop_blocks(image.pixels, cfg, rng))
+    return image.copy_with(pixels=drop_blocks(image.pixels, rng))
 
 
-def augment_one(image: SpectrogramImage, cfg: AugmentConfig, rng: np.random.Generator) -> SpectrogramImage:
+def augment_one(image: SpectrogramImage, rng: np.random.Generator) -> SpectrogramImage:
     """One randomized copy; label and provenance are preserved."""
-    zoom = rng.uniform(1.0 - cfg.zoom_range, 1.0 + cfg.zoom_range)
+    zoom = rng.uniform(1.0 - ZOOM_RANGE, 1.0 + ZOOM_RANGE)
     h, w = image.pixels.shape
-    shift_cols = rng.uniform(-cfg.width_shift, cfg.width_shift) * w
-    shift_rows = rng.uniform(-cfg.height_shift, cfg.height_shift) * h
-    angle = rng.uniform(-cfg.rotation_deg, cfg.rotation_deg)
-    brightness = rng.uniform(*cfg.brightness_range)
+    shift_cols = rng.uniform(-WIDTH_SHIFT, WIDTH_SHIFT) * w
+    shift_rows = rng.uniform(-HEIGHT_SHIFT, HEIGHT_SHIFT) * h
+    angle = rng.uniform(-ROTATION_DEG, ROTATION_DEG)
+    brightness = rng.uniform(*BRIGHTNESS_RANGE)
     pixels = apply_geometric(image.pixels, zoom, shift_cols, shift_rows, angle)
     pixels = apply_brightness(pixels, brightness)
     out = image.copy_with(pixels=pixels)
-    return coarse_dropout(out, cfg, rng)
+    return coarse_dropout(out, rng)
 
 
-def expand_dataset(train_images: Sequence[SpectrogramImage], cfg: AugmentConfig) -> tuple[list[SpectrogramImage], list[dict]]:
-    """Originals plus expansion_factor - 1 augmented copies each, with lineage rows.
+def expand_dataset(train_images: Sequence[SpectrogramImage], factor: int, seed: int) -> tuple[list[SpectrogramImage], list[dict]]:
+    """Originals plus ``factor - 1`` augmented copies each, with lineage rows.
 
-    Refuses images flagged as test-split; augmentation never sees held-out data.
+    Refuses a factor below 1 and images flagged as test-split; augmentation
+    never sees held-out data.
     """
+    if factor < 1:
+        raise AugmentError(f"expansion factor must be >= 1, got {factor}")
     for i, img in enumerate(train_images):
         if img.split == "test":
             raise AugmentError(f"image {i} is flagged test-split; augmentation applies to training data only")
     images = list(train_images)
     lineage = []
-    for copy_index in range(1, cfg.expansion_factor):
+    for copy_index in range(1, factor):
         for i, img in enumerate(train_images):
-            stream_seed = (cfg.seed, i, copy_index)
+            stream_seed = (seed, i, copy_index)
             rng = np.random.default_rng(stream_seed)
-            images.append(augment_one(img, cfg, rng))
+            images.append(augment_one(img, rng))
             lineage.append(
                 {
                     "parent_path": img.source_path if img.source_path else f"mem:{i}",
                     "parent_index": i,
                     "copy_index": copy_index,
-                    "seed": cfg.seed,
+                    "seed": seed,
                 }
             )
     return images, lineage

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import AugmentConfig, audit_lineage, expand_dataset
+from .augment import audit_lineage, expand_dataset
 from .config import RunSettings
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
 from .signal import SpectrogramImage, load_dataset
@@ -96,7 +96,7 @@ def _check_snapshot(path: Path, expected: str) -> None:
     """
     if not path.exists():
         raise ExperimentError(f"missing {path}; run the train stage first")
-    stored = dict(line.partition("=")[::2] for line in path.read_text().splitlines())
+    stored = dict(line.partition("=")[::2] for line in _read_text(path).splitlines())
     wanted = dict(line.partition("=")[::2] for line in expected.splitlines())
     differing = sorted(
         key
@@ -116,8 +116,7 @@ def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSetting
     train_images = [images[i].copy_with(split="train") for i in fold.train_indices]
     fold_cfg = replace(settings, seed=_fold_seed(settings.seed, fold_idx))
     if settings.augment:
-        aug_cfg = AugmentConfig(expansion_factor=settings.augment_factor, seed=_fold_seed(settings.seed, fold_idx) ^ 0x5EED)
-        train_images, lineage = expand_dataset(train_images, aug_cfg)
+        train_images, lineage = expand_dataset(train_images, settings.augment_factor, fold_cfg.seed ^ 0x5EED)
         audit_lineage(lineage, fold.train_indices, fold.test_indices)
         columns = ("parent_path", "parent_index", "copy_index", "seed")
         _write_csv(out_dir / f"augmented_fold{fold_idx}.csv", columns, ([r[c] for c in columns] for r in lineage))
@@ -141,9 +140,16 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in (header, *rows)))
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ExperimentError(f"{path} is not a text file: {exc}") from exc
+
+
 def _read_confusion(path: Path) -> ConfusionMatrix:
     """Two rows of two counts under a header; anything else raises ExperimentError."""
-    lines = path.read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     try:
         (tn, fp), (fn, tp) = ([int(v) for v in line.split(",")[1:]] for line in lines[1:])
     except ValueError as exc:
@@ -212,6 +218,8 @@ def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
             raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {settings.kind}")
         if i == 0:  # after the kind check, which names the model the directory holds
             _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
+        if images[0].pixels.shape != params.input_hw:  # load_dataset gives every image one shape
+            raise ExperimentError(f"{ckpt} takes {params.input_hw} images but {settings.dataset} holds {images[0].pixels.shape}")
         train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
         test_images = [images[j].copy_with(split="test") for j in fold.test_indices]
         cm = evaluate(params, test_images, train_paths=train_paths)

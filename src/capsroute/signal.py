@@ -512,9 +512,13 @@ def load_dataset(manifest_path: Path) -> list[SpectrogramImage]:
             label, channel_set, segment_index = Label(row["label"]), ChannelSet(row["channel_set"]), int(row["segment_index"])
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"bad dataset row {row} in {manifest_path}: {exc}") from exc
+        path = manifest_path.parent / row["image_path"]
+        pixels = read_pgm(path)
+        if images and pixels.shape != images[0].pixels.shape:
+            raise PipelineError(f"{path} has shape {pixels.shape}, but {images[0].source_path} has {images[0].pixels.shape}")
         images.append(
             SpectrogramImage(
-                pixels=read_pgm(manifest_path.parent / row["image_path"]),
+                pixels=pixels,
                 label=label,
                 subject_id=row["subject_id"],
                 channel_set=channel_set,

@@ -29,9 +29,6 @@ class Fold:
 @dataclass(frozen=True)
 class SplitPlan:
     folds: list[Fold]
-    seed: int
-    stratified: bool
-    mode: str
 
 
 def _per_class_train_counts(class_sizes: dict, train_frac: float, n_train_total: int) -> dict:
@@ -93,7 +90,7 @@ def make_splits(
                 test_parts.append(chunks[i])
                 train_parts.append(np.concatenate([ch for j, ch in enumerate(chunks) if j != i]))
             folds.append(_fold(train_parts, test_parts))
-    return SplitPlan(folds=folds, seed=seed, stratified=True, mode=mode)
+    return SplitPlan(folds=folds)
 
 
 def _fold(train_parts, test_parts) -> Fold:
@@ -125,4 +122,4 @@ def _grouped_holdout(labels: np.ndarray, groups: np.ndarray, k: int, train_frac:
         train = np.sort(np.concatenate([members[g] for g in train_groups]))
         test = np.sort(np.setdiff1d(np.arange(len(labels)), train))
         folds.append(Fold(train_indices=train, test_indices=test))
-    return SplitPlan(folds=folds, seed=seed, stratified=False, mode="holdout-grouped")
+    return SplitPlan(folds=folds)

@@ -213,7 +213,7 @@ def load_model(path: Union[Path, str]) -> tuple[str, ModelParams]:
         raise CheckpointError(f"unknown architecture {arch!r} in {path}")
     try:
         params = MODELS[kind].params.from_fingerprint(fp)
-    except ValueError as exc:  # a geometry the architecture cannot build
+    except (ValueError, MemoryError) as exc:  # a geometry the architecture cannot build or allocate
         raise CheckpointError(f"{path}: {exc}") from exc
     if params.fingerprint() != fp:
         raise CheckpointError(f"rebuilt fingerprint disagrees with stored one for {path}")

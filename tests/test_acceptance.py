@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsroute.augment import AugmentConfig, apply_brightness, apply_geometric, audit_lineage, drop_blocks, expand_dataset
+from capsroute.augment import apply_brightness, apply_geometric, audit_lineage, drop_blocks, expand_dataset
 from capsroute.capsnet import CapsNetParams, capsnet_forward, dynamic_routing, total_loss
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import RunSettings, TrainConfig
@@ -237,12 +237,11 @@ class TestCriterion8DeskExperiment:
 class TestCriterion9AugmentationContract:
     def test_coarse_dropout_identity_and_lineage(self):
         start = time.perf_counter()
-        cfg = AugmentConfig()
         base = np.full((32, 32), 255, dtype=np.uint8)
         fractions = []
         blocks_ok = True
         for trial in range(1000):
-            out = drop_blocks(base, cfg, np.random.default_rng((7, trial)))
+            out = drop_blocks(base, np.random.default_rng((7, trial)))
             mask = out == 0
             per_block = mask.reshape(16, 2, 16, 2).sum(axis=(1, 3))
             blocks_ok &= set(np.unique(per_block)) <= {0, 4} and per_block.sum() == mask.sum()
@@ -260,7 +259,7 @@ class TestCriterion9AugmentationContract:
             SpectrogramImage(rng.integers(0, 256, size=(32, 32)).astype(np.uint8), Label.ALERT, f"s{i}", ChannelSet.FZ, i, split="train")
             for i in range(6)
         ]
-        _, lineage = expand_dataset(train, AugmentConfig(expansion_factor=3, seed=1))
+        _, lineage = expand_dataset(train, 3, 1)
         audit_lineage(lineage, train_indices=list(range(10, 16)), test_indices=list(range(6)))
         elapsed = time.perf_counter() - start
         ok = blocks_ok and coverage_ok and identity_ok and elapsed < 60.0

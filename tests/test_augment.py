@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capsroute.augment import (
-    AugmentConfig,
+    COARSE_APPLY_PROB,
     AugmentError,
     apply_brightness,
     apply_geometric,
@@ -76,24 +76,21 @@ class TestBrightness:
 class TestCoarseDropout:
     def test_counting_oracle_32x32(self):
         # half-res grid 16x16 -> round(0.02 * 256) = 5 blocks -> 20 zeroed pixels
-        cfg = AugmentConfig()
         px = np.full((32, 32), 255, dtype=np.uint8)
-        out = drop_blocks(px, cfg, np.random.default_rng(5))
+        out = drop_blocks(px, np.random.default_rng(5))
         zeroed = int((out == 0).sum())
         assert zeroed == 5 * 4
         assert abs(zeroed / px.size - 0.02) < 0.005
 
     def test_counting_oracle_64x32(self):
-        cfg = AugmentConfig()
         px = np.full((64, 32), 255, dtype=np.uint8)
-        out = drop_blocks(px, cfg, np.random.default_rng(6))
+        out = drop_blocks(px, np.random.default_rng(6))
         assert int((out == 0).sum()) == round(0.02 * 32 * 16) * 4
 
     def test_blocks_are_even_aligned_2x2(self):
-        cfg = AugmentConfig()
         px = np.full((32, 32), 255, dtype=np.uint8)
         for seed in range(20):
-            out = drop_blocks(px, cfg, np.random.default_rng(seed))
+            out = drop_blocks(px, np.random.default_rng(seed))
             mask = out == 0
             # every zeroed pixel belongs to a fully-zeroed 2x2 block at even coords
             coarse = mask.reshape(16, 2, 16, 2)
@@ -102,24 +99,22 @@ class TestCoarseDropout:
             assert mask.sum() == per_block.sum()
 
     def test_gate_not_applied_leaves_image_unchanged(self):
-        cfg = AugmentConfig()
         img = _image()
         # find a seed whose probability draw fails, then replay it through the op
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            p = rng.uniform(*cfg.coarse_apply_prob)
+            p = rng.uniform(*COARSE_APPLY_PROB)
             if rng.random() >= p:
-                out = coarse_dropout(img, cfg, np.random.default_rng(seed))
+                out = coarse_dropout(img, np.random.default_rng(seed))
                 assert np.array_equal(out.pixels, img.pixels)
                 return
         pytest.fail("no non-applying seed found in 100 tries")
 
     def test_gate_apply_rate_in_configured_band(self):
-        cfg = AugmentConfig()
         img = _image(np.full((32, 32), 255, dtype=np.uint8))
         applied = 0
         for seed in range(1000):
-            out = coarse_dropout(img, cfg, np.random.default_rng((9, seed)))
+            out = coarse_dropout(img, np.random.default_rng((9, seed)))
             applied += int((out.pixels == 0).any())
         # acceptance probability is uniform in [0.2, 0.5] -> mean 0.35
         assert 0.25 <= applied / 1000 <= 0.45
@@ -128,14 +123,13 @@ class TestCoarseDropout:
 class TestAugmentOne:
     def test_same_seed_twice_is_identical(self):
         img = _image()
-        cfg = AugmentConfig(seed=3)
-        a = augment_one(img, cfg, np.random.default_rng(42))
-        b = augment_one(img, cfg, np.random.default_rng(42))
+        a = augment_one(img, np.random.default_rng(42))
+        b = augment_one(img, np.random.default_rng(42))
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_label_and_provenance_preserved(self):
         img = _image(label=Label.DROWSY, subject="s9", seg=7)
-        out = augment_one(img, AugmentConfig(), np.random.default_rng(1))
+        out = augment_one(img, np.random.default_rng(1))
         assert out.label == Label.DROWSY
         assert out.subject_id == "s9"
         assert out.segment_index == 7
@@ -144,7 +138,7 @@ class TestAugmentOne:
     def test_pixel_range(self):
         img = _image()
         for seed in range(10):
-            out = augment_one(img, AugmentConfig(), np.random.default_rng(seed))
+            out = augment_one(img, np.random.default_rng(seed))
             assert out.pixels.dtype == np.uint8
 
 
@@ -157,24 +151,24 @@ class TestExpandDataset:
         ]
 
     def test_expansion_arithmetic(self):
-        images, lineage = expand_dataset(self._train_set(8), AugmentConfig(expansion_factor=3, seed=0))
+        images, lineage = expand_dataset(self._train_set(8), 3, 0)
         assert len(images) == 24
         assert len(lineage) == 16
 
     def test_factor_one_is_identity(self):
         train = self._train_set(4)
-        images, lineage = expand_dataset(train, AugmentConfig(expansion_factor=1, seed=0))
+        images, lineage = expand_dataset(train, 1, 0)
         assert images == train
         assert lineage == []
 
     def test_class_balance_preserved(self):
-        images, _ = expand_dataset(self._train_set(8), AugmentConfig(expansion_factor=4, seed=0))
+        images, _ = expand_dataset(self._train_set(8), 4, 0)
         alert = sum(1 for i in images if i.label == Label.ALERT)
         assert alert == len(images) // 2
 
     def test_originals_retained_in_place(self):
         train = self._train_set(4)
-        images, _ = expand_dataset(train, AugmentConfig(expansion_factor=2, seed=0))
+        images, _ = expand_dataset(train, 2, 0)
         for orig, kept in zip(train, images[:4]):
             assert np.array_equal(orig.pixels, kept.pixels)
 
@@ -182,25 +176,26 @@ class TestExpandDataset:
         bad = self._train_set(3)
         bad[1] = bad[1].copy_with(split="test")
         with pytest.raises(AugmentError):
-            expand_dataset(bad, AugmentConfig())
+            expand_dataset(bad, 3, 0)
 
     def test_reproducible_from_seed_alone(self):
         train = self._train_set(6)
-        a, _ = expand_dataset(train, AugmentConfig(expansion_factor=3, seed=123))
-        b, _ = expand_dataset(train, AugmentConfig(expansion_factor=3, seed=123))
-        c, _ = expand_dataset(train, AugmentConfig(expansion_factor=3, seed=124))
+        a, _ = expand_dataset(train, 3, 123)
+        b, _ = expand_dataset(train, 3, 123)
+        c, _ = expand_dataset(train, 3, 124)
         assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
         assert any(not np.array_equal(x.pixels, y.pixels) for x, y in zip(a, c))
 
     def test_invalid_factor(self):
+        train = self._train_set(2)
         with pytest.raises(AugmentError):
-            AugmentConfig(expansion_factor=0)
+            expand_dataset(train, 0, 0)
 
 
 class TestLineage:
     def test_audit_passes_for_train_parents(self):
         train = TestExpandDataset()._train_set(4)
-        _, lineage = expand_dataset(train, AugmentConfig(expansion_factor=2, seed=0))
+        _, lineage = expand_dataset(train, 2, 0)
         audit_lineage(lineage, train_indices=[10, 11, 12, 13], test_indices=[0, 1, 2])
 
     def test_audit_catches_test_parent(self):

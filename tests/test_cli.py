@@ -291,6 +291,54 @@ class TestTrainEvalReport:
         assert "'fc1_w'" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_oversized_checkpoint_architecture_is_data_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "huge"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        ckpt = out / "model_fold0.ckpt"
+        arrays, fingerprint = load_checkpoint(ckpt)
+        # 2**40 x 1024 float64 zeros is 8 PiB, beyond any address space, so the allocation fails at once
+        save_checkpoint(ckpt, arrays, {**fingerprint, "hidden": 2**40})
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("eval", "config.snapshot"), ("report", "config.snapshot"), ("report", "confusion_fold0.csv")],
+        ids=["eval-snapshot", "report-snapshot", "report-confusion"],
+    )
+    def test_binary_run_file_is_data_error(self, dataset_dir, tmp_path, capsys, command, name):
+        out = tmp_path / "binary"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
+        (out / name).write_bytes(b"\xff\xfe" * 32)
+        capsys.readouterr()
+        assert main([command, *_run_args(dataset_dir, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out / name) in err
+
+    def test_images_of_two_sizes_are_data_error(self, dataset_dir, tmp_path, capsys):
+        mixed = tmp_path / "mixed"
+        shutil.copytree(dataset_dir, mixed)
+        pgm = sorted(mixed.glob("*.pgm"))[1]
+        pgm.write_bytes(b"P5\n16 32\n255\n" + bytes(16 * 32))
+        assert main(["train", *_run_args(mixed, tmp_path / "run")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(pgm) in err
+
+    def test_eval_of_dataset_rebuilt_at_other_size_is_data_error(self, corpus_dir, tmp_path, capsys):
+        ds, out = tmp_path / "ds", tmp_path / "run"
+        prepare = ["prepare", "--manifest", str(corpus_dir / "recordings.csv"), "--out", str(ds), "--channels"]
+        assert main([*prepare, "fz"]) == EXIT_OK
+        assert main(["train", *_run_args(ds, out)]) == EXIT_OK
+        assert main([*prepare, "fzpz"]) == EXIT_OK  # same dataset.csv path, 64x32 images
+        capsys.readouterr()
+        assert main(["eval", *_run_args(ds, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(32, 32)" in err and "(64, 32)" in err
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize(
         "argv, code",
         [
