@@ -9,11 +9,10 @@ import numpy as np
 
 __all__ = ["AdamState", "adam_init", "adam_step"]
 
-# Bytes of each array that one pass of the update works on: p, g, m, v, the
-# three outputs and two scratch buffers keep 9 chunks in flight. On a Xeon
-# with 2 MiB of L2 per core, 256 KiB was the fastest of 64, 128 and 256 KiB
-# for the capsnet, CNN and MLP parameter sets in both dtypes (64 KiB took
-# 6-18% longer, 128 KiB 0-6%).
+# Bytes of each array that one pass of the update works on (p, g, m, v and two
+# scratch buffers). On a Xeon with 2 MiB of L2 per core, 256 KiB was the fastest
+# of 64, 128 and 256 KiB for the capsnet, CNN and MLP parameter sets in both
+# dtypes (64 KiB took 6-18% longer, 128 KiB 0-6%).
 CHUNK_BYTES = 256 * 1024
 
 
@@ -46,12 +45,15 @@ def adam_init(params: Sequence[np.ndarray], lr: float = 1e-3, beta1: float = 0.9
 
 
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh arrays and state.
+    """One bias-corrected Adam update, in place: returns the given param arrays
+    and a state with the same moment arrays, both updated, and ``step_count`` + 1.
 
-    Each parameter is updated chunk by chunk (``CHUNK_BYTES`` of each array at
-    a time), so one chunk of ``p``, ``g``, ``m`` and ``v`` stays in cache
-    through every elementwise op. The ops and their order per element are
-    those of the unblocked formula, so the result is the same bit for bit.
+    Params and moments must be C-contiguous and writeable; every check runs
+    before the first write, so a rejected call changes nothing. Each parameter
+    is updated ``CHUNK_BYTES`` of each array at a time, so one chunk of ``p``,
+    ``g``, ``m`` and ``v`` stays in cache through every elementwise op. The ops
+    and their order per element are those of the unblocked formula, so the
+    result is the same bit for bit.
     """
     if not len(params) == len(grads) == len(state.first_moment) == len(state.second_moment):
         raise ValueError("adam_step requires matching params/grads/state lengths")
@@ -60,36 +62,33 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: 
             raise ValueError(f"adam_step shape mismatch: param {p.shape}, grad {g.shape}, moments {m.shape}, {v.shape}")
         if not p.dtype == g.dtype == m.dtype == v.dtype:
             raise ValueError(f"adam_step dtype mismatch: param {p.dtype}, grad {g.dtype}, moments {m.dtype}, {v.dtype}")
+        if not all(a.flags.c_contiguous and a.flags.writeable for a in (p, m, v)):
+            raise ValueError(f"adam_step updates in place: param and moments of shape {p.shape} must be C-contiguous and writeable")
 
     t = state.step_count + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     scratch = {}
-    out_p, out_m, out_v = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        new_p, new_m, new_v = (np.empty(p.shape, p.dtype) for _ in range(3))  # C order: flat views below
-        out_p.append(new_p)
-        out_m.append(new_m)
-        out_v.append(new_v)
         step = CHUNK_BYTES // p.itemsize
         if p.dtype not in scratch:
             scratch[p.dtype] = (np.empty(step, p.dtype), np.empty(step, p.dtype))
-        flat = [a.reshape(-1) for a in (p, g, m, v, new_p, new_m, new_v)]
+        flat = [a.reshape(-1) for a in (p, g, m, v)]  # views: p, m and v are C-contiguous
         for lo in range(0, p.size, step):
-            pc, gc, mc, vc, pn, mn, vn = (a[lo : lo + step] for a in flat)
+            pc, gc, mc, vc = (a[lo : lo + step] for a in flat)
             s1, s2 = (s[: len(pc)] for s in scratch[p.dtype])
-            np.multiply(mc, b1, out=mn)
+            mc *= b1
             np.multiply(gc, 1.0 - b1, out=s1)
-            mn += s1
-            np.multiply(vc, b2, out=vn)
+            mc += s1
+            vc *= b2
             np.multiply(gc, 1.0 - b2, out=s1)
             s1 *= gc
-            vn += s1
-            np.divide(mn, c1, out=s1)  # m_hat
-            np.divide(vn, c2, out=s2)  # v_hat
+            vc += s1
+            np.divide(mc, c1, out=s1)  # m_hat
+            np.divide(vc, c2, out=s2)  # v_hat
             np.sqrt(s2, out=s2)
             s2 += eps
             s1 *= lr
             s1 /= s2
-            np.subtract(pc, s1, out=pn)
-    return out_p, replace(state, first_moment=out_m, second_moment=out_v, step_count=t)
+            pc -= s1
+    return list(params), replace(state, step_count=t)

@@ -3,7 +3,9 @@
 Default mode draws k independent stratified random holdouts (each fold its
 own 80/20 draw with a fold-derived seed). A strict-partition mode is kept
 behind ``mode="partition"`` for the conventional disjoint-test-chunks k-fold
-reading. An optional subject grouping keeps a subject's images on one side.
+reading. An optional subject grouping keeps a subject's images on one side:
+grouped holdout draws whole groups per fold, grouped partition gives each fold
+a disjoint chunk of the groups as its test side.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ def make_splits(
             raise SplitError(f"class {c} has only {len(idx)} samples, fewer than k={k}")
 
     if groups is not None:
-        return _grouped_holdout(labels, np.asarray(groups), k, train_frac, seed)
+        groups = np.asarray(groups)
+        if len(groups) != n:
+            raise SplitError("groups must parallel labels")
+        if mode == "partition":
+            return _grouped_partition(groups, k, seed)
+        return _grouped_holdout(labels, groups, k, train_frac, seed)
 
     folds = []
     if mode == "holdout":
@@ -99,10 +106,21 @@ def _fold(train_parts, test_parts) -> Fold:
     return Fold(train_indices=train, test_indices=test)
 
 
+def _grouped_partition(groups: np.ndarray, k: int, seed: int) -> SplitPlan:
+    """Shuffled groups in k disjoint chunks; fold i tests chunk i's images."""
+    unique = np.unique(groups)
+    if len(unique) < k:
+        raise SplitError(f"grouped partition needs at least k={k} groups, got {len(unique)}")
+    chunks = np.array_split(np.random.default_rng((seed,)).permutation(unique), k)
+    folds = []
+    for chunk in chunks:
+        in_test = np.isin(groups, chunk)
+        folds.append(Fold(train_indices=np.flatnonzero(~in_test), test_indices=np.flatnonzero(in_test)))
+    return SplitPlan(folds=folds)
+
+
 def _grouped_holdout(labels: np.ndarray, groups: np.ndarray, k: int, train_frac: float, seed: int) -> SplitPlan:
     """Whole-group assignment: greedy fill toward the train target per fold."""
-    if len(groups) != len(labels):
-        raise SplitError("groups must parallel labels")
     unique = sorted(set(groups.tolist()))
     members = {g: np.flatnonzero(groups == g) for g in unique}
     target = train_frac * len(labels)

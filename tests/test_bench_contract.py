@@ -43,3 +43,4 @@ def test_traced_stages_record_layers(toy_csv, tmp_path):
     metrics = tracer.layer_metrics()
     for name in ("experiment.stage_train_s", "signal.load_dataset_s", "optim.adam_step.calls"):
         assert metrics[name] > 0, name
+    assert metrics["optim.alloc_bytes_per_step"] == 0  # Adam returns the very arrays it was given

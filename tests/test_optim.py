@@ -12,9 +12,10 @@ from capsroute.optim import CHUNK_BYTES, adam_init, adam_step
 class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        before = [p.copy() for p in params]
         state = adam_init(params)
         new_params, new_state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-        for p, q in zip(params, new_params):
+        for p, q in zip(before, new_params):
             np.testing.assert_array_equal(p, q)
         assert new_state.step_count == 1
         assert state.step_count == 0  # input state untouched
@@ -33,8 +34,9 @@ class TestAdamStep:
         params = [rng.normal(size=(3, 4))]
         grads = [rng.normal(size=(3, 4))]
         state = adam_init(params)
-        p1, s1 = adam_step(params, grads, copy.deepcopy(state))
-        p2, s2 = adam_step(params, grads, copy.deepcopy(state))
+        p1, s1 = adam_step(copy.deepcopy(params), grads, copy.deepcopy(state))
+        p2, s2 = adam_step(copy.deepcopy(params), grads, copy.deepcopy(state))
+        assert p1[0] is not p2[0]
         np.testing.assert_array_equal(p1[0], p2[0])
         np.testing.assert_array_equal(s1.first_moment[0], s2.first_moment[0])
 
@@ -91,20 +93,23 @@ def _capsnet_shapes(dtype):
 class TestBlockedAdamMatchesOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shapes", [_chunk_edge_shapes, _capsnet_shapes], ids=["chunk-edges", "capsnet32"])
-    def test_five_steps_bit_identical_and_inputs_untouched(self, dtype, shapes):
+    def test_five_steps_bit_identical_and_updated_in_place(self, dtype, shapes):
         rng = np.random.default_rng(7)
         params = [rng.normal(size=s).astype(dtype) for s in shapes(dtype)]
         state = adam_init(params, lr=0.01)
         for step in range(5):
             grads = [(rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)).astype(dtype) for p in params]
-            inputs = [a.copy() for a in params + grads + state.first_moment + state.second_moment]
+            grads_before = [g.copy() for g in grads]
+            arrays = params + state.first_moment + state.second_moment
             want_p, want_m, want_v = _oracle_step(params, grads, state)
             new_params, new_state = adam_step(params, grads, state)
-            for got, want in zip(new_params + new_state.first_moment + new_state.second_moment, want_p + want_m + want_v):
+            got_arrays = new_params + new_state.first_moment + new_state.second_moment
+            for got, want in zip(got_arrays, want_p + want_m + want_v):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got.reshape(-1).view(np.uint8), want.reshape(-1).view(np.uint8))
-            for before, after in zip(inputs, params + grads + state.first_moment + state.second_moment):
+            for before, after in zip(grads_before, grads):
                 np.testing.assert_array_equal(before, after)
+            assert len(got_arrays) == len(arrays) and all(got is a for got, a in zip(got_arrays, arrays))
             assert state.step_count == step and new_state.step_count == step + 1
             params, state = new_params, new_state
 
@@ -112,3 +117,36 @@ class TestBlockedAdamMatchesOracle:
         state = adam_init([np.zeros(2, np.float32)])
         with pytest.raises(ValueError):
             adam_step([np.zeros(2, np.float32)], [np.zeros(2, np.float64)], state)
+
+
+class TestInPlaceContract:
+    def _call_is_rejected(self, params, state):
+        grads = [np.full_like(p, 0.5) for p in params]
+        arrays = params + grads + state.first_moment + state.second_moment
+        before = [a.copy() for a in arrays]
+        with pytest.raises(ValueError, match="C-contiguous and writeable"):
+            adam_step(params, grads, state)
+        for b, a in zip(before, arrays):
+            np.testing.assert_array_equal(b, a)
+        assert state.step_count == 0
+
+    def test_fortran_ordered_param_raises_and_changes_nothing(self):
+        params = [np.arange(6.0).reshape(2, 3), np.asfortranarray(np.arange(12.0).reshape(3, 4))]
+        state = adam_init(params)
+        self._call_is_rejected(params, state)
+
+    def test_read_only_second_moment_raises_and_changes_nothing(self):
+        params = [np.arange(6.0).reshape(2, 3), np.arange(4.0)]
+        state = adam_init(params)
+        state.second_moment[1].flags.writeable = False
+        self._call_is_rejected(params, state)
+
+    def test_gradients_may_have_any_layout(self):
+        params = [np.arange(12.0).reshape(3, 4)]
+        grad = np.asfortranarray(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        grad.flags.writeable = False
+        want_p, want_m, want_v = _oracle_step(params, [grad], adam_init(params))
+        new_params, new_state = adam_step(params, [grad], adam_init(params))
+        np.testing.assert_array_equal(new_params[0], want_p[0])
+        np.testing.assert_array_equal(new_state.first_moment[0], want_m[0])
+        np.testing.assert_array_equal(new_state.second_moment[0], want_v[0])

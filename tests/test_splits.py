@@ -98,3 +98,21 @@ class TestGrouped:
             train_groups = {groups[i] for i in fold.train_indices}
             test_groups = {groups[i] for i in fold.test_indices}
             assert train_groups & test_groups == set()
+
+    def test_grouped_partition_tests_every_image_once(self):
+        labels = np.array([0, 0, 0, 1, 1, 1] * 10)
+        groups = [f"subj{i // 6}" for i in range(60)]
+        plan = make_splits(labels, k=5, seed=5, mode="partition", groups=groups)
+        tested = np.concatenate([fold.test_indices for fold in plan.folds])
+        np.testing.assert_array_equal(np.sort(tested), np.arange(60))
+        for fold in plan.folds:
+            np.testing.assert_array_equal(np.sort(np.concatenate([fold.train_indices, fold.test_indices])), np.arange(60))
+            train_groups = {groups[i] for i in fold.train_indices}
+            test_groups = {groups[i] for i in fold.test_indices}
+            assert train_groups & test_groups == set()
+
+    def test_grouped_partition_needs_k_groups(self):
+        labels = np.array([0, 1] * 20)
+        groups = [f"subj{i % 4}" for i in range(40)]
+        with pytest.raises(SplitError, match="at least k=5 groups"):
+            make_splits(labels, k=5, mode="partition", groups=groups)

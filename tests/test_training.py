@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_optim import _oracle_step
 
 from capsroute import capsnet
 from capsroute.capsnet import CapsNetParams, capsnet_forward
@@ -137,6 +138,32 @@ class TestTrainModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="model must be one of"):
             TrainConfig(kind="svm")
+
+    @pytest.mark.parametrize(
+        "cfg, hw",
+        [
+            (TrainConfig(kind="mlp", epochs=3, batch_size=8, seed=5), (12, 12)),
+            (TrainConfig(kind="capsnet", epochs=2, batch_size=4, seed=2, precision="float32"), (32, 32)),
+        ],
+        ids=["mlp", "capsnet"],
+    )
+    def test_in_place_adam_trains_as_a_pure_update_would(self, cfg, hw, tmp_path, monkeypatch):
+        # nothing in the loop or the recorded graph may read a parameter after Adam overwrote it
+        import capsroute.training as training_mod
+
+        imgs = toy_images(8, hw=hw)
+        shipped, shipped_curve = train_model(imgs, cfg)
+        save_model(tmp_path / "in_place.ckpt", shipped)
+
+        def pure_adam_step(params, grads, state):
+            new_p, new_m, new_v = _oracle_step(params, grads, state)
+            return new_p, replace(state, first_moment=new_m, second_moment=new_v, step_count=state.step_count + 1)
+
+        monkeypatch.setattr(training_mod, "adam_step", pure_adam_step)
+        pure, pure_curve = train_model(imgs, cfg)
+        save_model(tmp_path / "pure.ckpt", pure)
+        assert shipped_curve == pure_curve
+        assert (tmp_path / "in_place.ckpt").read_bytes() == (tmp_path / "pure.ckpt").read_bytes()
 
 
 MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 3, "dtype": "float64"}
