@@ -65,6 +65,9 @@ def cmd_synth(args) -> int:
     except ValueError:
         print(f"--subjects expects 'ALERT,DROWSY' counts, got {args.subjects!r}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     manifest = build_synth_corpus(Path(args.out), alert, drowsy, args.minutes, args.seed)
     rows = manifest.read_text().strip().splitlines()
     print(f"wrote {len(rows) - 1} recordings under {args.out} (manifest: {manifest})")

@@ -57,7 +57,7 @@ def _at_least(low):
 @dataclass
 class TrainConfig:
     kind: str = _key("capsnet", name="model", choices=MODEL_KINDS)
-    seed: int = 0
+    seed: int = _key(0, check=_at_least(0))
     epochs: int = _key(500, check=_at_least(1))
     batch_size: int = _key(32, check=_at_least(1))
     learning_rate: float = 1e-3

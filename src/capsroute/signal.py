@@ -15,6 +15,7 @@ building is deterministic in manifest order.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -264,12 +265,30 @@ _CHANNEL_GAIN = {
 _NOISE_SIGMA = 0.0004
 
 
-def _band_component(rng: np.random.Generator, band: tuple, amplitude: float, t: np.ndarray) -> np.ndarray:
+_ANGLE_BLOCK = 256  # samples per coarse angle step: half a second
+
+
+def _band_component(rng: np.random.Generator, band: tuple, amplitude: float, n: int) -> np.ndarray:
+    """n samples of eight sinusoids with random frequencies in ``band`` and random phases, summed.
+
+    Sample i = B*a + b (B = _ANGLE_BLOCK) of sin(w*i/fs + phi) is expanded by
+    angle addition into sin(x_a)*cos(y_b) + cos(x_a)*sin(y_b), with
+    x_a = w*B*a/fs + phi and y_b = w*b/fs. That takes 2*(ceil(n/B) + B) sines
+    and cosines per sinusoid instead of n; the eight are summed in one
+    [ceil(n/B), 16] x [16, B] einsum, which makes no BLAS call, so the result
+    does not depend on the BLAS build or its thread count.
+    """
     k = 8
     freqs = rng.uniform(band[0], band[1], size=k)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    parts = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
-    return (amplitude / np.sqrt(k)) * parts.sum(axis=0)
+    omega = 2.0 * np.pi * freqs
+    blocks = -(-n // _ANGLE_BLOCK)
+    x = omega * (np.arange(blocks) * _ANGLE_BLOCK / SAMPLE_RATE)[:, None] + phases
+    y = omega[:, None] * (np.arange(_ANGLE_BLOCK) / SAMPLE_RATE)
+    coarse = np.concatenate([np.sin(x), np.cos(x)], axis=1)
+    fine = np.concatenate([np.cos(y), np.sin(y)], axis=0)
+    parts = np.einsum("ak,kb->ab", coarse, fine)
+    return (amplitude / np.sqrt(k)) * parts.reshape(-1)[:n]
 
 
 def _pink_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
@@ -290,15 +309,19 @@ def synth_eeg(label: Label, subject_seed: int, duration_s: float, channel: Chann
     if not np.isfinite(duration_s) or duration_s < SEGMENT_SECONDS:
         raise PipelineError(f"duration must be finite and cover at least one segment ({SEGMENT_SECONDS} s), got {duration_s} s")
     n = int(round(duration_s * SAMPLE_RATE))
+    if n > np.iinfo(np.intp).max // 8:
+        raise PipelineError(f"cannot synthesize {duration_s} s: its float64 samples exceed the largest possible array")
     rng = np.random.default_rng((0xEE6, subject_seed, 1 if label == Label.DROWSY else 0, 1 if channel == Channel.PZ else 0))
-    t = np.arange(n) / SAMPLE_RATE
     amp = _CLASS_AMPLITUDES[label]
     gain = _CHANNEL_GAIN[channel]
     jitter = {band: 1.0 + 0.2 * rng.uniform(-1.0, 1.0) for band in amp}
-    samples = _pink_noise(rng, n, _NOISE_SIGMA)
-    samples += _band_component(rng, _THETA_BAND, amp["theta"] * gain["theta"] * jitter["theta"], t)
-    samples += _band_component(rng, _ALPHA_BAND, amp["alpha"] * gain["alpha"] * jitter["alpha"], t)
-    samples += _band_component(rng, _BETA_BAND, amp["beta"] * gain["beta"] * jitter["beta"], t)
+    try:
+        samples = _pink_noise(rng, n, _NOISE_SIGMA)
+        samples += _band_component(rng, _THETA_BAND, amp["theta"] * gain["theta"] * jitter["theta"], n)
+        samples += _band_component(rng, _ALPHA_BAND, amp["alpha"] * gain["alpha"] * jitter["alpha"], n)
+        samples += _band_component(rng, _BETA_BAND, amp["beta"] * gain["beta"] * jitter["beta"], n)
+    except MemoryError as exc:  # a duration too long to hold in memory
+        raise PipelineError(f"cannot synthesize {duration_s} s ({n} samples): {exc}") from exc
     # KSS belongs to the subject, not the channel: draw from a channel-free stream
     kss_rng = np.random.default_rng((0x55, subject_seed, 1 if label == Label.DROWSY else 0))
     kss = int(kss_rng.integers(1, 5)) if label == Label.ALERT else int(kss_rng.integers(7, 10))
@@ -382,6 +405,9 @@ def build_synth_corpus(out_dir: Path, n_alert: int, n_drowsy: int, minutes: floa
         raise PipelineError("need at least one subject per class")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an old manifest must not name a mix of old and new recordings if this run stops part-way
+    manifest = out_dir / "recordings.csv"
+    manifest.unlink(missing_ok=True)
     rows = []
     plan = [(Label.ALERT, f"a{i:02d}", i) for i in range(n_alert)]
     plan += [(Label.DROWSY, f"d{i:02d}", i) for i in range(n_drowsy)]
@@ -392,11 +418,12 @@ def build_synth_corpus(out_dir: Path, n_alert: int, n_drowsy: int, minutes: floa
             fname = f"{subject_id}_{rec.pvt.value}_{channel.value}.f32"
             save_recording(out_dir / fname, rec.samples)
             rows.append({"subject_id": subject_id, "pvt": rec.pvt.value, "channel": channel.value, "kss": rec.kss, "path": fname})
-    manifest = out_dir / "recordings.csv"
-    with open(manifest, "w", newline="") as fh:
+    partial = manifest.with_name(manifest.name + ".tmp")
+    with open(partial, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["subject_id", "pvt", "channel", "kss", "path"])
         writer.writeheader()
         writer.writerows(rows)
+    os.replace(partial, manifest)
     return manifest
 
 

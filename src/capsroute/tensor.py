@@ -624,10 +624,12 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.1, dtype=np.float64) -> np.ndarray:
     """Normal(0, std) with draws beyond 2 std resampled."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    # redraw in C order, then rescan only the redrawn cells
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while idx.size:
+        flat[idx] = rng.normal(0.0, std, size=idx.size)
+        idx = idx[np.abs(flat[idx]) > 2.0 * std]
     return out.astype(dtype)
 
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from capsroute import signal
 from capsroute.checkpoint import load_checkpoint, save_checkpoint
 from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config_file
 from capsroute.config import KEYS, resolve_run_settings
-from capsroute.signal import load_dataset
+from capsroute.signal import load_dataset, save_recording
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,37 @@ class TestSynth:
     def test_unusable_minutes_is_data_error(self, tmp_path, capsys, minutes):
         assert main(["synth", "--subjects", "1,1", "--minutes", minutes, "--out", str(tmp_path / "c")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: duration must be finite")
+
+    # 1e12 minutes fails its first allocation at once; 1e20 is past the largest array NumPy can describe
+    @pytest.mark.parametrize("minutes", ["1e12", "1e20"])
+    def test_minutes_too_long_to_hold_is_data_error(self, tmp_path, capsys, minutes):
+        assert main(["synth", "--subjects", "1,1", "--minutes", minutes, "--out", str(tmp_path / "c")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: cannot synthesize")
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert main(["synth", "--subjects", "1,1", "--minutes", "0.5", "--seed", "-1", "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.suffix for p in out.iterdir()) == [".csv"] + [".f32"] * 8  # no temp manifest left
+        calls = []
+
+        def failing_save(path, samples):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            save_recording(path, samples)
+
+        monkeypatch.setattr(signal, "save_recording", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "4", "--out", str(out)])
+        assert not (out / "recordings.csv").exists()  # two new and six old recordings: nothing may name them
+        assert not list(out.glob("*.tmp"))
+        code = main(["prepare", "--manifest", str(out / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "d")])
+        assert code == EXIT_DATA
 
 
 class TestPrepare:
@@ -124,6 +156,11 @@ def _run_args(dataset_dir, out, extra=()):
 
 
 class TestTrainEvalReport:
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_negative_seed_is_config_error(self, dataset_dir, tmp_path, capsys, command):
+        assert main([command, *_run_args(dataset_dir, tmp_path / "run", ["--seed", "-1"])]) == EXIT_CONFIG
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_full_staged_pipeline(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK

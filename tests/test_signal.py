@@ -1,10 +1,13 @@
 """Signal pipeline: segmentation, spectrograms, imaging, labeling, synthesis, IO."""
 
+import filecmp
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsroute import signal
 from capsroute.signal import (
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
@@ -63,6 +66,16 @@ def naive_dft_magnitudes(samples, window=512, hop=256, max_bin=20):
         frame = samples[f * hop : f * hop + window] * win
         out[:, f] = np.abs(dft @ frame)
     return out
+
+
+def direct_band_component(rng, band, amplitude, n):
+    """One sine per sample: the definition the angle-addition kernel must reproduce."""
+    t = np.arange(n) / SAMPLE_RATE
+    k = 8
+    freqs = rng.uniform(band[0], band[1], size=k)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    parts = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
+    return (amplitude / np.sqrt(k)) * parts.sum(axis=0)
 
 
 def band_psd(samples, lo, hi):
@@ -274,6 +287,38 @@ class TestLabelFromKss:
 # ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------
+
+
+class TestBandComponent:
+    @pytest.mark.parametrize("seconds", [13.0, 13.3, 120.0])  # a multiple of the angle block, not one, 2 min
+    def test_matches_direct_sines(self, seconds):
+        n = int(round(seconds * SAMPLE_RATE))
+        amplitude = 0.006
+        for seed in range(20):
+            for band in (signal._THETA_BAND, signal._ALPHA_BAND, signal._BETA_BAND):
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = signal._band_component(rng, band, amplitude, n)
+                want = direct_band_component(oracle_rng, band, amplitude, n)
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * amplitude)
+                assert rng.random() == oracle_rng.random()  # the stream is left where the oracle leaves it
+
+    def test_corpus_images_equal_direct_sines(self, tmp_path, monkeypatch):
+        """The kernel's last-bit differences from the direct sines never reach a pixel."""
+        corpora = {}
+        for name in ("direct", "kernel"):
+            with monkeypatch.context() as patch:
+                if name == "direct":
+                    patch.setattr(signal, "_band_component", direct_band_component)
+                corpora[name] = load_recordings_manifest(build_synth_corpus(tmp_path / name, 2, 2, 1.0, seed=5))
+        for channel_set in ChannelSet:
+            dirs = [write_dataset(build_dataset(corpora[name], channel_set), tmp_path / f"{name}_{channel_set.value}").parent
+                    for name in ("direct", "kernel")]
+            names = sorted(p.name for p in dirs[0].iterdir())
+            assert len(names) == 8 * 2 + 1  # 4 Fz recordings x 2 segments, plus dataset.csv
+            assert names == sorted(p.name for p in dirs[1].iterdir())
+            match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
+            assert (mismatch, errors) == ([], [])
 
 
 class TestSynthEeg:

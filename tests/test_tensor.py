@@ -776,12 +776,32 @@ class TestEinsum2Validation:
         np.testing.assert_allclose(got, np.einsum("pjd,pd->pj", a, b), rtol=1e-13)
 
 
+def rescanning_truncated_normal(rng, shape, std, dtype):
+    """Redraw every out-of-range cell, rescanning the whole array each round."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out.astype(dtype)
+
+
 class TestTruncatedNormal:
     def test_bounds_and_determinism(self):
         a = truncated_normal(np.random.default_rng(42), (1000,), std=0.1)
         b = truncated_normal(np.random.default_rng(42), (1000,), std=0.1)
         assert np.array_equal(a, b)
         assert np.abs(a).max() <= 0.2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (1000,), (64, 33), (3, 4, 5, 6), (512, 700)])
+    def test_equals_full_rescan_oracle(self, shape, dtype):
+        for seed in range(4):
+            for std in (0.1, 0.5):
+                got = truncated_normal(np.random.default_rng(seed), shape, std=std, dtype=dtype)
+                want = rescanning_truncated_normal(np.random.default_rng(seed), shape, std, dtype)
+                assert got.dtype == dtype and got.shape == shape
+                assert np.array_equal(got, want)
 
 
 class TestDropout:
