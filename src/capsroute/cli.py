@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .checkpoint import CheckpointError
-from .config import KEYS, ConfigError, RunSettings, parse_bool, resolve_run_settings
+from .config import KEYS, ConfigError, RunSettings, parse_bool, read_config_file, resolve_run_settings
 from .experiment import ExperimentError, stage_eval, stage_report, stage_train
 from .metrics import MetricsError
 from .signal import ChannelSet, PipelineError, build_dataset, build_synth_corpus, load_recordings_manifest, write_dataset
+from .splits import SplitError
 from .tensor import NumericError
 from .training import LeakageError, TrainingError
 
@@ -24,28 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-
-def read_config_file(path: Path) -> dict:
-    """key=value lines; '#' comments and blank lines ignored."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
-        raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
-    values = {}
-    errors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            errors.append(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            continue
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
-    if errors:
-        raise ConfigError(errors)
-    return values
 
 
 def _settings_from_args(args) -> RunSettings:
@@ -69,8 +49,7 @@ def cmd_synth(args) -> int:
         print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = build_synth_corpus(Path(args.out), alert, drowsy, args.minutes, args.seed)
-    rows = manifest.read_text().strip().splitlines()
-    print(f"wrote {len(rows) - 1} recordings under {args.out} (manifest: {manifest})")
+    print(f"wrote {2 * (alert + drowsy)} recordings under {args.out} (manifest: {manifest})")  # an Fz and a Pz per subject
     return EXIT_OK
 
 
@@ -79,9 +58,7 @@ def cmd_prepare(args) -> int:
     recordings = load_recordings_manifest(Path(args.manifest))
     images = build_dataset(recordings, channel_set)
     manifest = write_dataset(images, Path(args.out))
-    counts = {}
-    for img in images:
-        counts[img.label.value] = counts.get(img.label.value, 0) + 1
+    counts = Counter(img.label.value for img in images)
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     print(f"wrote {len(images)} images ({summary}) to {args.out} (manifest: {manifest})")
     return EXIT_OK
@@ -104,10 +81,8 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     settings = _settings_from_args(args)
-    agg = stage_report(settings)
-    print("metric,mean,std")
-    for name, (mean, std) in agg.items():
-        print(f"{name},{mean!r},{'' if std is None else repr(std)}")
+    stage_report(settings)
+    print((Path(settings.out_dir) / "aggregate.csv").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 
@@ -166,9 +141,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    # a missing input, a directory named as a file, or a file in the way of an output directory
-    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, FileNotFoundError, IsADirectoryError,
-            FileExistsError, NotADirectoryError) as exc:
+    # a missing input, a directory named as a file, a file in the way of an output directory, or a dataset too small to split
+    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, SplitError, FileNotFoundError,
+            IsADirectoryError, FileExistsError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericError) as exc:

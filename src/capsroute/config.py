@@ -19,7 +19,7 @@ import numpy as np
 from .cnn import DROPOUT_KEEP, L2_BETA
 from .training import MODEL_KINDS
 
-__all__ = ["ConfigError", "Key", "KEYS", "RunSettings", "TrainConfig", "config_problems", "parse_bool", "resolve_run_settings"]
+__all__ = ["ConfigError", "Key", "KEYS", "RunSettings", "TrainConfig", "config_problems", "parse_bool", "read_config_file", "resolve_run_settings"]
 
 
 class ConfigError(Exception):
@@ -92,10 +92,13 @@ class RunSettings(TrainConfig):
     split_mode: str = _key("holdout", choices=("holdout", "partition"))
     subject_grouped: bool = False
 
+    def snapshot_values(self) -> dict[str, str]:
+        """The snapshot's values as text, by key name in sorted order."""
+        return {key.name: str(getattr(self, key.attr)) for key in sorted(KEYS.values(), key=lambda key: key.name) if key.snapshot}
+
     def snapshot(self) -> str:
         """Sorted ``key=value`` lines: a config file that, given ``--out``, reruns this experiment."""
-        keys = sorted((key for key in KEYS.values() if key.snapshot), key=lambda key: key.name)
-        return "".join(f"{key.name}={getattr(self, key.attr)}\n" for key in keys)
+        return "".join(f"{name}={value}\n" for name, value in self.snapshot_values().items())
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,28 @@ def config_problems(values: dict) -> list[str]:
     """Every problem with ``values`` (field name -> value)."""
     problems = [KEYS[attr].problem(value) for attr, value in values.items()]
     return [p for p in problems if p is not None]
+
+
+def read_config_file(path: Path) -> dict:
+    """key=value lines of UTF-8 text; '#' comments and blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+        raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+    values = {}
+    errors = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            errors.append(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            continue
+        key, _, raw = stripped.partition("=")
+        values[key.strip()] = raw.strip()
+    if errors:
+        raise ConfigError(errors)
+    return values
 
 
 def resolve_run_settings(file_values: dict, flag_values: dict) -> RunSettings:

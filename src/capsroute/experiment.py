@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .augment import audit_lineage, expand_dataset
-from .config import RunSettings
+from .config import ConfigError, RunSettings, read_config_file
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
-from .signal import SpectrogramImage, load_dataset
+from .signal import Label, SpectrogramImage, load_dataset, read_rows, write_rows
 from .splits import SplitPlan, make_splits
 from .training import evaluate, images_to_arrays, load_model, save_model, train_model
 
@@ -85,19 +85,20 @@ def _same_file(a: Optional[str], b: Optional[str]) -> bool:
     """Whether two path spellings name one existing file."""
     try:
         return a is not None and b is not None and os.path.samefile(a, b)
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a path holding NUL
         return False
 
 
-def _check_snapshot(path: Path, expected: str) -> None:
+def _check_snapshot(path: Path, settings: RunSettings) -> None:
     """Refuse to use a directory's outputs under settings other than the ones it was trained with.
 
     ``dataset`` also matches when both spellings of the path name the same file.
     """
-    if not path.exists():
-        raise ExperimentError(f"missing {path}; run the train stage first")
-    stored = dict(line.partition("=")[::2] for line in _read_text(path).splitlines())
-    wanted = dict(line.partition("=")[::2] for line in expected.splitlines())
+    try:
+        stored = read_config_file(path)
+    except ConfigError as exc:  # the snapshot is a run file, so a missing or damaged one is a data error
+        raise ExperimentError(str(exc)) from exc
+    wanted = {key: value.strip() for key, value in settings.snapshot_values().items()}  # stripped, as read_config_file reads
     differing = sorted(
         key
         for key in stored.keys() | wanted.keys()
@@ -119,11 +120,11 @@ def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSetting
         train_images, lineage = expand_dataset(train_images, settings.augment_factor, fold_cfg.seed ^ 0x5EED)
         audit_lineage(lineage, fold.train_indices, fold.test_indices)
         columns = ("parent_path", "parent_index", "copy_index", "seed")
-        _write_csv(out_dir / f"augmented_fold{fold_idx}.csv", columns, ([r[c] for c in columns] for r in lineage))
+        write_rows(out_dir / f"augmented_fold{fold_idx}.csv", columns, ([r[c] for c in columns] for r in lineage))
     params, curve = train_model(train_images, fold_cfg)
     save_model(out_dir / f"model_fold{fold_idx}.ckpt", params)
     rows = ((r["epoch"], _fmt(r["mean_loss"]), _fmt(r["train_accuracy"])) for r in curve)
-    _write_csv(out_dir / f"curve_fold{fold_idx}.csv", ("epoch", "mean_loss", "train_accuracy"), rows)
+    write_rows(out_dir / f"curve_fold{fold_idx}.csv", ("epoch", "mean_loss", "train_accuracy"), rows)
     return curve
 
 
@@ -132,29 +133,19 @@ def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSetting
 # ---------------------------------------------------------------------------
 
 
-_CONFUSION_HEADER = ("true\\predicted", "Alert", "Drowsy")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """The header and then each row, as comma-joined ``str`` cells."""
-    path.write_text("".join(",".join(map(str, row)) + "\n" for row in (header, *rows)))
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ExperimentError(f"{path} is not a text file: {exc}") from exc
+_TRUE_CLASS = "true\\predicted"
+# confusion file columns in written order: the true class, then the count predicted as each class
+_CONFUSION_COLUMNS = {_TRUE_CLASS: Label, "Alert": int, "Drowsy": int}
 
 
 def _read_confusion(path: Path) -> ConfusionMatrix:
-    """Two rows of two counts under a header; anything else raises ExperimentError."""
-    lines = _read_text(path).strip().splitlines()
-    try:
-        (tn, fp), (fn, tp) = ([int(v) for v in line.split(",")[1:]] for line in lines[1:])
-    except ValueError as exc:
-        raise ExperimentError(f"malformed confusion file {path}: {exc}") from exc
-    return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
+    """One Alert row and one Drowsy row, each read by its class name; anything else raises."""
+    rows = read_rows(path, _CONFUSION_COLUMNS)
+    by_class = {row[_TRUE_CLASS]: row for row in rows}
+    if len(rows) != 2 or len(by_class) != 2:
+        raise ExperimentError(f"{path} must hold one Alert row and one Drowsy row, got {[row[_TRUE_CLASS].value for row in rows]}")
+    alert, drowsy = by_class[Label.ALERT], by_class[Label.DROWSY]
+    return ConfusionMatrix(tn=alert["Alert"], fp=alert["Drowsy"], fn=drowsy["Alert"], tp=drowsy["Drowsy"])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +179,7 @@ def stage_train(settings: RunSettings) -> list[list[dict]]:
     for pattern in _RUN_OUTPUTS:
         for path in out_dir.glob(pattern):
             path.unlink()
-    (out_dir / "config.snapshot").write_text(settings.snapshot())
+    (out_dir / "config.snapshot").write_text(settings.snapshot(), encoding="utf-8")
 
     def work(i):
         return _train_one_fold(i, images, plan, settings, out_dir)
@@ -217,17 +208,17 @@ def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
         if stored_kind != settings.kind:
             raise ExperimentError(f"{ckpt} holds a {stored_kind} model but the config requests {settings.kind}")
         if i == 0:  # after the kind check, which names the model the directory holds
-            _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
+            _check_snapshot(out_dir / "config.snapshot", settings)
         if images[0].pixels.shape != params.input_hw:  # load_dataset gives every image one shape
             raise ExperimentError(f"{ckpt} takes {params.input_hw} images but {settings.dataset} holds {images[0].pixels.shape}")
         train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
         test_images = [images[j].copy_with(split="test") for j in fold.test_indices]
         cm = evaluate(params, test_images, train_paths=train_paths)
         rows = [("Alert", cm.tn, cm.fp), ("Drowsy", cm.fn, cm.tp)]
-        _write_csv(out_dir / f"confusion_fold{i}.csv", _CONFUSION_HEADER, rows)
+        write_rows(out_dir / f"confusion_fold{i}.csv", list(_CONFUSION_COLUMNS), rows)
         confusions.append(cm)
     rows = ((i, *map(_fmt, metrics(cm).as_row())) for i, cm in enumerate(confusions))
-    _write_csv(out_dir / "report.csv", ("fold", *TABLE_COLUMNS), rows)
+    write_rows(out_dir / "report.csv", ("fold", *TABLE_COLUMNS), rows)
     return confusions
 
 
@@ -243,14 +234,14 @@ def stage_report(settings: RunSettings) -> dict:
         if not path.exists():
             raise ExperimentError(f"missing {path}; run the eval stage first")
         confusions.append(_read_confusion(path))
-    _check_snapshot(out_dir / "config.snapshot", settings.snapshot())
+    _check_snapshot(out_dir / "config.snapshot", settings)
     reports = [metrics(cm) for cm in confusions]
     agg = aggregate(reports)
     rows = ((column, *map(_fmt, agg[column])) for column in TABLE_COLUMNS)
-    _write_csv(out_dir / "aggregate.csv", ("metric", "mean", "std"), rows)
+    write_rows(out_dir / "aggregate.csv", ("metric", "mean", "std"), rows)
     for i, cm in enumerate(confusions):
         rows = ((name, *map(_fmt, row)) for name, row in zip(("Alert", "Drowsy"), normalize_confusion(cm)))
-        _write_csv(out_dir / f"confusion_fold{i}_normalized.csv", _CONFUSION_HEADER, rows)
+        write_rows(out_dir / f"confusion_fold{i}_normalized.csv", list(_CONFUSION_COLUMNS), rows)
     return agg
 
 

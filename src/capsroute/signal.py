@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "EegRecording",
     "SpectrogramImage",
     "PipelineError",
+    "read_rows",
+    "write_rows",
     "segment",
     "stft_frame_count",
     "stft_magnitudes",
@@ -69,6 +71,44 @@ IMAGE_HW = (32, 32)
 
 class PipelineError(ValueError):
     """Invalid recording, segment, or manifest input."""
+
+
+def read_rows(path: Path, schema: Mapping[str, Callable[[str], object]]) -> list[dict]:
+    """The rows of a UTF-8 CSV file whose header names the columns of ``schema`` (name -> cell parser) in any order.
+
+    A missing or extra cell, a cell holding NUL or a line break or rejected by its parser, and non-CSV text raise PipelineError.
+    """
+    rows = []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if sorted(header) != sorted(schema):
+                raise PipelineError(f"{path} must have columns {sorted(schema)}, got {header}")
+            for cells in filter(None, reader):  # blank lines are skipped
+                where = f"{path} line {reader.line_num}"
+                if len(cells) != len(header):
+                    raise PipelineError(f"{where}: expected {len(header)} cells, got {len(cells)}: {cells}")
+                row = {}
+                for name, cell in zip(header, cells):
+                    try:
+                        if "\0" in cell or "\r" in cell or "\n" in cell:  # no path holds NUL, and every row is one line
+                            raise ValueError("a cell cannot hold a NUL character or a line break")
+                        row[name] = schema[name](cell)
+                    except ValueError as exc:
+                        raise PipelineError(f"{where}: bad {name} {cell!r}: {exc}") from exc
+                rows.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise PipelineError(f"cannot read {path} as CSV text: {exc}") from exc
+    return rows
+
+
+def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write UTF-8 CSV with "\\n" line endings to a temp file in ``path``'s directory, then move it to ``path``."""
+    partial = Path(f"{path}.tmp")
+    with open(partial, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    os.replace(partial, path)
 
 
 class Pvt(Enum):
@@ -371,32 +411,17 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
     return EegRecording(subject_id=subject_id, pvt=pvt, channel=channel, sample_rate=SAMPLE_RATE, samples=samples, kss=kss)
 
 
-def _read_manifest(path: Path, columns: set, what: str) -> list[dict]:
-    """The rows of a CSV manifest that has exactly ``columns``; PipelineError if it is not such a text file."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) != columns:
-                raise PipelineError(f"{what} must have columns {sorted(columns)}, got {reader.fieldnames}")
-            return list(reader)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise PipelineError(f"{what} {path} is not a CSV text file: {exc}") from exc
+# recordings.csv columns in written order, each with the parser of its cells
+_RECORDING_COLUMNS = {"subject_id": str, "pvt": Pvt, "channel": Channel, "kss": int, "path": str}
 
 
 def load_recordings_manifest(manifest_path: Path) -> list[EegRecording]:
     """Read recordings.csv (subject_id,pvt,channel,kss,path) and load each file."""
     manifest_path = Path(manifest_path)
-    recordings = []
-    columns = {"subject_id", "pvt", "channel", "kss", "path"}
-    for row in _read_manifest(manifest_path, columns, "recordings manifest"):
-        try:
-            pvt = Pvt(row["pvt"])
-            channel = Channel(row["channel"])
-            kss = int(row["kss"])
-        except (ValueError, KeyError) as exc:
-            raise PipelineError(f"bad manifest row {row}: {exc}") from exc
-        recordings.append(load_recording(manifest_path.parent / row["path"], row["subject_id"], pvt, channel, kss))
-    return recordings
+    return [
+        load_recording(manifest_path.parent / row["path"], row["subject_id"], row["pvt"], row["channel"], row["kss"])
+        for row in read_rows(manifest_path, _RECORDING_COLUMNS)
+    ]
 
 
 def build_synth_corpus(out_dir: Path, n_alert: int, n_drowsy: int, minutes: float, seed: int) -> Path:
@@ -417,13 +442,8 @@ def build_synth_corpus(out_dir: Path, n_alert: int, n_drowsy: int, minutes: floa
             rec = synth_eeg(label, subject_seed, minutes * 60.0, channel)
             fname = f"{subject_id}_{rec.pvt.value}_{channel.value}.f32"
             save_recording(out_dir / fname, rec.samples)
-            rows.append({"subject_id": subject_id, "pvt": rec.pvt.value, "channel": channel.value, "kss": rec.kss, "path": fname})
-    partial = manifest.with_name(manifest.name + ".tmp")
-    with open(partial, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["subject_id", "pvt", "channel", "kss", "path"])
-        writer.writeheader()
-        writer.writerows(rows)
-    os.replace(partial, manifest)
+            rows.append((subject_id, rec.pvt.value, channel.value, rec.kss, fname))
+    write_rows(manifest, list(_RECORDING_COLUMNS), rows)
     return manifest
 
 
@@ -507,50 +527,36 @@ def read_pgm(path: Path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
+# dataset.csv columns in written order, each with the parser of its cells
+_DATASET_COLUMNS = {"image_path": str, "label": Label, "subject_id": str, "channel_set": ChannelSet, "segment_index": int}
+
+
 def write_dataset(images: Sequence[SpectrogramImage], out_dir: Path) -> Path:
     """Write PGM files plus dataset.csv; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an old manifest must not name a mix of old and new images if this run stops part-way
     manifest = out_dir / "dataset.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["image_path", "label", "subject_id", "channel_set", "segment_index"])
-        writer.writeheader()
-        for i, img in enumerate(images):
-            fname = f"{i:05d}_{img.subject_id}_{img.segment_index:04d}.pgm"
-            write_pgm(out_dir / fname, img.pixels)
-            writer.writerow(
-                {
-                    "image_path": fname,
-                    "label": img.label.value,
-                    "subject_id": img.subject_id,
-                    "channel_set": img.channel_set.value,
-                    "segment_index": img.segment_index,
-                }
-            )
+    manifest.unlink(missing_ok=True)
+    rows = []
+    for i, img in enumerate(images):
+        fname = f"{i:05d}_{img.subject_id}_{img.segment_index:04d}.pgm"
+        write_pgm(out_dir / fname, img.pixels)
+        rows.append((fname, img.label.value, img.subject_id, img.channel_set.value, img.segment_index))
+    write_rows(manifest, list(_DATASET_COLUMNS), rows)
     return manifest
 
 
 def load_dataset(manifest_path: Path) -> list[SpectrogramImage]:
     manifest_path = Path(manifest_path)
     images = []
-    columns = {"image_path", "label", "subject_id", "channel_set", "segment_index"}
-    for row in _read_manifest(manifest_path, columns, "dataset manifest"):
-        try:
-            label, channel_set, segment_index = Label(row["label"]), ChannelSet(row["channel_set"]), int(row["segment_index"])
-        except (ValueError, TypeError) as exc:
-            raise PipelineError(f"bad dataset row {row} in {manifest_path}: {exc}") from exc
+    for row in read_rows(manifest_path, _DATASET_COLUMNS):
         path = manifest_path.parent / row["image_path"]
         pixels = read_pgm(path)
         if images and pixels.shape != images[0].pixels.shape:
             raise PipelineError(f"{path} has shape {pixels.shape}, but {images[0].source_path} has {images[0].pixels.shape}")
-        images.append(
-            SpectrogramImage(
-                pixels=pixels,
-                label=label,
-                subject_id=row["subject_id"],
-                channel_set=channel_set,
-                segment_index=segment_index,
-                source_path=row["image_path"],
-            )
-        )
+        fields = (row["label"], row["subject_id"], row["channel_set"], row["segment_index"])
+        images.append(SpectrogramImage(pixels, *fields, source_path=row["image_path"]))
+    if not images:
+        raise PipelineError(f"{manifest_path} lists no images")
     return images

@@ -103,6 +103,8 @@ def make_splits(
 def _fold(train_parts, test_parts) -> Fold:
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
+    if not (len(train) and len(test)):  # too few images for train_frac
+        raise SplitError(f"a fold needs train and test images, got {len(train)} and {len(test)}")
     return Fold(train_indices=train, test_indices=test)
 
 

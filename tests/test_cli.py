@@ -1,10 +1,13 @@
 """CLI commands, config precedence, and exit-code categories."""
 
+import csv
 import random
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capsroute import signal
 from capsroute.checkpoint import load_checkpoint, save_checkpoint
@@ -123,6 +126,18 @@ class TestPrepare:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-numeric CSV sample" in err
+
+    @pytest.mark.parametrize(
+        "row", ["a00,PVT1,Fz,1", "a00,PVT1,Fz", "a00,PVT1,Fz,1,a00_PVT1_Fz.f32,extra"], ids=["no-path", "no-kss-or-path", "sixth-cell"]
+    )
+    def test_recordings_row_with_missing_or_extra_cell_is_data_error(self, tmp_path, capsys, row):
+        manifest = tmp_path / "recordings.csv"
+        manifest.write_text(f"subject_id,pvt,channel,kss,path\n{row}\n")
+        code = main(["prepare", "--manifest", str(manifest), "--channels", "fz", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{manifest} line 2: expected 5 cells" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("channels", ["fz", "fzpz"])
     def test_duplicate_recording_is_data_error(self, corpus_dir, tmp_path, capsys, channels):
@@ -270,8 +285,10 @@ class TestTrainEvalReport:
         assert main(["train", *_run_args(dataset_dir, fresh), "--epochs", "1"]) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
 
-    @pytest.mark.parametrize("row", ["Alert,x,1", "Alert,1"], ids=["not-a-count", "short-row"])
-    def test_malformed_confusion_is_data_error(self, dataset_dir, tmp_path, capsys, row):
+    @pytest.mark.parametrize(
+        "row, bad", [("Alert,x,1", "bad Alert 'x'"), ("Alert,1", "['Alert', '1']")], ids=["not-a-count", "short-row"]
+    )
+    def test_malformed_confusion_is_data_error(self, dataset_dir, tmp_path, capsys, row, bad):
         out = tmp_path / "confused"
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
         assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
@@ -279,8 +296,64 @@ class TestTrainEvalReport:
         header, _, drowsy = confusion.read_text().splitlines()
         confusion.write_text(f"{header}\n{row}\n{drowsy}\n")
         assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_DATA
-        assert f"malformed confusion file {confusion}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{confusion} line 2:" in err and bad in err
         assert not (out / "aggregate.csv").exists()
+
+    def test_confusion_rows_are_read_by_class_name(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "swapped"
+        for command in ("train", "eval"):
+            assert main([command, *_run_args(dataset_dir, out)]) == EXIT_OK
+        confusion = out / "confusion_fold0.csv"
+        header, alert, drowsy = confusion.read_text().splitlines()[0], "Alert,2,0", "Drowsy,1,1"
+        confusion.write_text(f"{header}\n{alert}\n{drowsy}\n")
+        assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
+        in_order = (out / "aggregate.csv").read_bytes()
+        confusion.write_text(f"{header}\n{drowsy}\n{alert}\n")
+        assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
+        assert (out / "aggregate.csv").read_bytes() == in_order
+        for rows in ((alert, alert), (alert,), (alert, drowsy, drowsy)):
+            confusion.write_text("\n".join((header, *rows)) + "\n")
+            capsys.readouterr()
+            assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and f"{confusion} must hold one Alert row and one Drowsy row" in err
+
+    @pytest.mark.parametrize("keep", ["two-alert", "one-alert"])
+    def test_dataset_too_small_to_split_is_data_error(self, dataset_dir, tmp_path, capsys, keep):
+        small = tmp_path / "small"
+        shutil.copytree(dataset_dir, small)
+        header, *rows = (small / "dataset.csv").read_text().splitlines(keepends=True)
+        alert = [row for row in rows if ",Alert," in row]
+        # two Alert images leave no test image at train_frac 0.8; one Alert image is fewer than the two folds
+        rows = alert[:2] if keep == "two-alert" else alert[:1] + [row for row in rows if ",Drowsy," in row]
+        (small / "dataset.csv").write_text(header + "".join(rows))
+        assert main(["train", *_run_args(small, tmp_path / "run")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_nul_in_dataset_image_path_is_data_error(self, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
+        (broken / "dataset.csv").write_text(header + "x\0" + first + "".join(rest))
+        assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{broken / 'dataset.csv'} line 2: bad image_path 'x\\x00" in err
+
+    def test_augmented_lineage_of_subject_with_comma_reads_back(self, corpus_dir, tmp_path):
+        header, *rows = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        # absolute paths, so the copied manifest still names the corpus files
+        rows = [f"{fields},{corpus_dir / name}" for fields, name in (row.rsplit(",", 1) for row in rows)]
+        manifest = tmp_path / "recordings.csv"
+        manifest.write_text(header + "".join(row.replace("a00,", '"a,00",', 1) for row in rows))
+        assert main(["prepare", "--manifest", str(manifest), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_OK
+        out = tmp_path / "run"
+        assert main(["train", *_run_args(tmp_path / "ds", out, ["--epochs", "1", "--augment"])]) == EXIT_OK
+        with open(out / "augmented_fold0.csv", newline="", encoding="utf-8") as fh:
+            lineage = list(csv.reader(fh))
+        assert lineage[0] == ["parent_path", "parent_index", "copy_index", "seed"]
+        assert all(len(row) == 4 for row in lineage)
+        assert any("a,00" in row[0] for row in lineage[1:])
 
     def test_eval_accepts_other_spelling_of_dataset_path(self, dataset_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "spelled"
@@ -295,6 +368,14 @@ class TestTrainEvalReport:
         shutil.copytree(dataset_dir, tmp_path / "copy")
         assert main(["eval", *_run_args(tmp_path / "copy", out)]) == EXIT_DATA
         assert "in: dataset" in capsys.readouterr().err
+
+    def test_dataset_path_ending_in_a_space_matches_its_snapshot(self, dataset_dir, tmp_path):
+        spaced = tmp_path / "spaced"
+        shutil.copytree(dataset_dir, spaced)
+        (spaced / "dataset.csv").rename(spaced / "dataset.csv ")
+        args = [*_run_args(spaced, tmp_path / "run"), "--dataset", str(spaced / "dataset.csv ")]
+        for command in ("train", "eval", "report"):
+            assert main([command, *args]) == EXIT_OK
 
     def test_malformed_dataset_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -475,3 +556,66 @@ class TestConfigSchema:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(snapshot)
         assert resolve_run_settings(read_config_file(cfg), {"out_dir": out}) == settings
+
+
+# the damage done to a run file: byte flips, truncation, duplicated or deleted spans and inserted tokens
+_TOKENS = (b",", b'"', b"\0", b"\n", b"\r")
+
+
+def _damage(data, raw: bytes) -> bytes:
+    for _ in range(data.draw(st.integers(1, 3), label="damages")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        end = data.draw(st.integers(at, len(raw)), label="end")
+        kind = data.draw(st.sampled_from(["flip", "truncate", "duplicate", "delete", "insert"]), label="kind")
+        if kind == "flip" and at < len(raw):
+            raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="mask")]) + raw[at + 1 :]
+        elif kind == "truncate":
+            raw = raw[:at]
+        elif kind == "duplicate":
+            raw = raw[:end] + raw[at:end] + raw[end:]
+        elif kind == "delete":
+            raw = raw[:at] + raw[end:]
+        elif kind == "insert":
+            raw = raw[:at] + data.draw(st.sampled_from(_TOKENS), label="token") + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
+    """Copies of the corpus and dataset, an mlp run on the copy (2 folds, 1 epoch) through report, and its config file."""
+    root = tmp_path_factory.mktemp("trained")
+    shutil.copytree(corpus_dir, root / "corpus")
+    shutil.copytree(dataset_dir, root / "ds")
+    # at seed 0 one epoch predicts Drowsy in some fold, so report has an F1 to aggregate and exits 0
+    run = _run_args(root / "ds", root / "run", ["--epochs", "1", "--seed", "0"])
+    for command in ("train", "eval", "report"):
+        assert main([command, *run]) == EXIT_OK
+    (root / "run.cfg").write_text(f"out_dir={root / 'run'}\n" + (root / "run" / "config.snapshot").read_text())
+    return root, run
+
+
+class TestDamagedRunFiles:
+    """A damaged run file exits 0, 2 or 3 and raises nothing, whatever the damage."""
+
+    @pytest.mark.parametrize("kind", ["recordings", "dataset", "confusion", "snapshot", "config"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_run_file_exits_0_2_or_3(self, trained_run, tmp_path, kind, data):
+        root, run = trained_run
+        out = tmp_path / "run"  # eval and report write here, so the trained run stays as it was
+        shutil.copytree(root / "run", out, dirs_exist_ok=True)
+        run = [*run, "--out", str(out)]
+        manifest = root / "corpus" / "recordings.csv"
+        target, argv = {
+            "recordings": (manifest, ["prepare", "--manifest", str(manifest), "--channels", "fzpz", "--out", str(tmp_path / "ds")]),
+            "dataset": (root / "ds" / "dataset.csv", ["eval", *run]),
+            "confusion": (out / "confusion_fold0.csv", ["report", *run]),
+            "snapshot": (out / "config.snapshot", ["report", *run]),
+            "config": (root / "run.cfg", ["report", "--config", str(root / "run.cfg")]),
+        }[kind]
+        original = target.read_bytes()
+        target.write_bytes(_damage(data, original))
+        try:
+            assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+        finally:
+            target.write_bytes(original)

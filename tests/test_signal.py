@@ -1,6 +1,8 @@
 """Signal pipeline: segmentation, spectrograms, imaging, labeling, synthesis, IO."""
 
 import filecmp
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from capsroute.signal import (
     load_recording,
     load_recordings_manifest,
     read_pgm,
+    read_rows,
     resample_bilinear,
     save_recording,
     segment,
@@ -34,6 +37,7 @@ from capsroute.signal import (
     to_grayscale_image,
     write_dataset,
     write_pgm,
+    write_rows,
 )
 
 
@@ -498,9 +502,12 @@ class TestDatasetIO:
         # size line is a PipelineError naming the row or file
         header, first, *rest = manifest.read_text().splitlines(keepends=True)
         image_path, label, subject_id, channel_set, _ = first.rstrip("\n").split(",")
-        for bad_row in (f"{image_path},Sleepy,{subject_id},{channel_set},0\n", f"{image_path},{label},{subject_id},{channel_set},a\n"):
+        for bad_row, bad in (
+            (f"{image_path},Sleepy,{subject_id},{channel_set},0\n", "label 'Sleepy'"),
+            (f"{image_path},{label},{subject_id},{channel_set},a\n", "segment_index 'a'"),
+        ):
             manifest.write_text(header + bad_row + "".join(rest))
-            with pytest.raises(PipelineError, match=f"bad dataset row .*{bad_row.split(',')[1]}"):
+            with pytest.raises(PipelineError, match=re.escape(f"{manifest} line 2: bad {bad}")):
                 load_dataset(manifest)
         for directory in ("", "."):
             manifest.write_text(header + f"{directory},{label},{subject_id},{channel_set},0\n" + "".join(rest))
@@ -523,3 +530,66 @@ class TestDatasetIO:
         write_dataset(images, out)
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+class TestRunFiles:
+    def test_rows_round_trip_in_any_column_order(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = [("a,00", 'say "hi"', 3), ("", "x", -1)]
+        write_rows(path, ("name", "note", "n"), rows)
+        assert path.read_bytes() == b'name,note,n\n"a,00","say ""hi""",3\n,x,-1\n'
+        assert [tuple(row.values()) for row in read_rows(path, {"name": str, "note": str, "n": int})] == rows
+        assert read_rows(path, {"n": int, "note": str, "name": str}) == read_rows(path, {"name": str, "note": str, "n": int})
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("name,n\nx,1\n", "must have columns"),
+            ("name,note,n\nx,y\n", "line 2: expected 3 cells, got 2"),
+            ("name,note,n\nx,y,1\nx,y,1,1\n", "line 3: expected 3 cells, got 4"),
+            ("name,note,n\nx,y,one\n", "line 2: bad n 'one'"),
+            ('name,note,n\n"x\ny",y,1\n', "line 3: bad name 'x\\ny'"),
+            ("name,note,n\nx\0,y,1\n", "line 2: bad name 'x\\x00'"),
+        ],
+        ids=["columns", "missing-cell", "extra-cell", "bad-cell", "line-break", "nul"],
+    )
+    def test_malformed_rows_name_file_and_line(self, tmp_path, text, problem):
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{path} {problem}")):
+            read_rows(path, {"name": str, "note": str, "n": int})
+
+    def test_write_that_raises_leaves_old_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, ("n",), [(1,)])
+
+        def rows():
+            yield (2,)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_rows(path, ("n",), rows())
+        assert path.read_text(encoding="utf-8") == "n\n1\n"
+
+    def test_manifests_with_crlf_lines_load_the_same(self, small_corpus, tmp_path):
+        crlf = tmp_path / "crlf"
+        shutil.copytree(small_corpus.parent, crlf)
+        manifest = crlf / "recordings.csv"
+        manifest.write_bytes(small_corpus.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in manifest.read_bytes()
+        recs = load_recordings_manifest(manifest)
+        for a, b in zip(load_recordings_manifest(small_corpus), recs, strict=True):
+            assert (a.subject_id, a.pvt, a.channel, a.kss) == (b.subject_id, b.pvt, b.channel, b.kss)
+            np.testing.assert_array_equal(a.samples, b.samples)
+        dataset = write_dataset(build_dataset(recs, ChannelSet.FZ), tmp_path / "ds")
+        images = load_dataset(dataset)
+        dataset.write_bytes(dataset.read_bytes().replace(b"\n", b"\r\n"))
+        for a, b in zip(images, load_dataset(dataset), strict=True):
+            np.testing.assert_array_equal(a.pixels, b.pixels)
+            assert (a.label, a.subject_id, a.channel_set, a.segment_index, a.source_path) == (
+                b.label,
+                b.subject_id,
+                b.channel_set,
+                b.segment_index,
+                b.source_path,
+            )

@@ -69,6 +69,15 @@ class TestHoldout:
         with pytest.raises(SplitError):
             make_splits(np.array([0, 0, 0, 1, 1, 1]), k=5)
 
+    @pytest.mark.parametrize(
+        "labels, train_frac, sizes",
+        [([0, 0], 0.8, "2 and 0"), ([0, 0, 1, 1], 0.9, "4 and 0"), ([0, 0, 1, 1], 0.1, "0 and 4")],
+        ids=["one-class", "no-test-image", "no-train-image"],
+    )
+    def test_fold_without_train_or_test_images(self, labels, train_frac, sizes):
+        with pytest.raises(SplitError, match=f"a fold needs train and test images, got {sizes}"):
+            make_splits(np.array(labels), k=2, train_frac=train_frac)
+
 
 class TestPartitionMode:
     def test_each_sample_tested_once(self):
