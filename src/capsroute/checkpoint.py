@@ -102,13 +102,12 @@ def _read_tensor(path: Path, name: str, meta, fh, blob_start: int, blob_size: in
     return arr
 
 
-def check_fingerprint(fp: dict, ints: tuple, lists: dict, numbers: tuple = ()) -> type:
+def check_fingerprint(fp: dict, ints: tuple, lists: dict) -> type:
     """Refuse a fingerprint unless each of ``ints`` is a positive int, each of
-    ``lists`` a list of that many positive ints, each of ``numbers`` a number
-    and ``dtype`` a parameter dtype, which is returned."""
+    ``lists`` a list of that many positive ints and ``dtype`` a parameter
+    dtype, which is returned."""
     bad = [key for key in ints if not _positive(fp.get(key))]
     bad += [key for key, n in lists.items() if not (isinstance(fp.get(key), list) and len(fp[key]) == n and all(map(_positive, fp[key])))]
-    bad += [key for key in numbers if type(fp.get(key)) not in (int, float)]
     if fp.get("dtype") not in tuple(_PARAM_DTYPES):
         bad.append("dtype")
     if bad:

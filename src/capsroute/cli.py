@@ -30,7 +30,7 @@ EXIT_RUNTIME = 4
 
 def _settings_from_args(args) -> RunSettings:
     file_values = read_config_file(args.config) if args.config else {}
-    flags = {key.name: getattr(args, key.name) for key in KEYS.values() if key.option}
+    flags = {key.name: getattr(args, key.name) for key in KEYS.values()}
     return resolve_run_settings(file_values, flags)
 
 
@@ -89,8 +89,6 @@ def cmd_report(args) -> int:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value run config file")
     for key in sorted(KEYS.values(), key=lambda key: not key.required):  # --dataset and --out first
-        if not key.option:
-            continue
         if key.parse is parse_bool:
             kind = dict(action=argparse.BooleanOptionalAction, default=None)
         elif key.choices:

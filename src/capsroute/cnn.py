@@ -19,7 +19,7 @@ from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
-# the published head settings; TrainConfig takes its defaults from here
+# the published head settings, fixed for every run; fingerprint() records them
 DROPOUT_KEEP = 0.5
 L2_BETA = 0.001
 
@@ -38,8 +38,6 @@ class CnnParams:
     out_b: Tensor
     input_hw: tuple
     pool_window: tuple
-    dropout_keep: float
-    l2_beta: float
 
     ARCH = "cnn-v1"
 
@@ -51,8 +49,6 @@ class CnnParams:
         dtype=np.float64,
         filters: tuple = (32, 64, 128),
         fc_hidden: int = 512,
-        dropout_keep: float = DROPOUT_KEEP,
-        l2_beta: float = L2_BETA,
     ) -> "CnnParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         h, w = input_hw
@@ -77,8 +73,6 @@ class CnnParams:
             out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
             pool_window=pool_window,
-            dropout_keep=dropout_keep,
-            l2_beta=l2_beta,
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -94,22 +88,20 @@ class CnnParams:
             "filters": [int(self.conv1_w.shape[0]), int(self.conv2_w.shape[0]), int(self.conv3_w.shape[0])],
             "fc_hidden": int(self.fc1_w.shape[0]),
             "pool_window": list(self.pool_window),
-            "dropout_keep": self.dropout_keep,
-            "l2_beta": self.l2_beta,
+            "dropout_keep": DROPOUT_KEEP,
+            "l2_beta": L2_BETA,
             "dtype": str(self.conv1_w.dtype),
         }
 
     @classmethod
     def from_fingerprint(cls, fp: dict) -> "CnnParams":
         """The architecture ``fp`` describes, with zero-filled weights."""
-        dtype = check_fingerprint(fp, ("fc_hidden",), {"input_hw": 2, "filters": 3}, numbers=("dropout_keep", "l2_beta"))
+        dtype = check_fingerprint(fp, ("fc_hidden",), {"input_hw": 2, "filters": 3})
         return cls.init(
             tuple(fp["input_hw"]),
             dtype=dtype,
             filters=tuple(fp["filters"]),
             fc_hidden=fp["fc_hidden"],
-            dropout_keep=fp["dropout_keep"],
-            l2_beta=fp["l2_beta"],
         )
 
 
@@ -137,16 +129,16 @@ def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rn
     if training:
         if rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        hidden = dropout(hidden, params.dropout_keep, rng)
+        hidden = dropout(hidden, DROPOUT_KEEP, rng)
     logits = affine(hidden, params.out_w, params.out_b)
     return logits
 
 
 def cnn_loss(logits: Tensor, labels, params: CnnParams) -> Tensor:
-    """Softmax cross-entropy plus l2_beta * sum of squared weights (biases excluded)."""
+    """Softmax cross-entropy plus L2_BETA * sum of squared weights (biases excluded)."""
     ce = cross_entropy_logits(logits, labels)
     l2 = None
     for w in params.weight_tensors():
         term = w.square().sum()
         l2 = term if l2 is None else l2 + term
-    return ce + params.l2_beta * l2
+    return ce + L2_BETA * l2

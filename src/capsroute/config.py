@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .cnn import DROPOUT_KEEP, L2_BETA
 from .training import MODEL_KINDS
 
 __all__ = ["ConfigError", "Key", "KEYS", "RunSettings", "TrainConfig", "config_problems", "parse_bool", "read_config_file", "resolve_run_settings"]
@@ -61,12 +60,6 @@ class TrainConfig:
     epochs: int = _key(500, check=_at_least(1))
     batch_size: int = _key(32, check=_at_least(1))
     learning_rate: float = 1e-3
-    beta1: float = _key(0.9, file_only=True)
-    beta2: float = _key(0.999, file_only=True)
-    eps: float = _key(1e-8, file_only=True)
-    # cnn head only
-    dropout_keep: float = _key(DROPOUT_KEEP, check=(lambda v: 0.0 < v <= 1.0, "in (0, 1]"), file_only=True)
-    l2_beta: float = _key(L2_BETA, check=_at_least(0.0), file_only=True)
     # float64 is the verifiable default; float32 trades precision for speed
     precision: str = _key("float64", choices=("float32", "float64"))
     augment: bool = False
@@ -113,7 +106,6 @@ class Key:
     check: Optional[tuple] = None  # (predicate, rule text)
     required: bool = False
     flag: Optional[str] = None  # when not derived from the name
-    file_only: bool = False
     snapshot: bool = True
     help: Optional[str] = None
 
@@ -123,10 +115,8 @@ class Key:
         return cls(attr=f.name, name=spec.pop("name", f.name), parse=_PARSERS[f.type], default=f.default, **spec)
 
     @property
-    def option(self) -> Optional[str]:
-        """The CLI flag, or None for a config-file-only key."""
-        if self.file_only:
-            return None
+    def option(self) -> str:
+        """The CLI flag."""
         return self.flag or "--" + self.name.replace("_", "-")
 
     def problem(self, value) -> Optional[str]:

@@ -92,8 +92,7 @@ def read_rows(path: Path, schema: Mapping[str, Callable[[str], object]]) -> list
                 row = {}
                 for name, cell in zip(header, cells):
                     try:
-                        if "\0" in cell or "\r" in cell or "\n" in cell:  # no path holds NUL, and every row is one line
-                            raise ValueError("a cell cannot hold a NUL character or a line break")
+                        _check_cell(cell)
                         row[name] = schema[name](cell)
                     except ValueError as exc:
                         raise PipelineError(f"{where}: bad {name} {cell!r}: {exc}") from exc
@@ -103,11 +102,25 @@ def read_rows(path: Path, schema: Mapping[str, Callable[[str], object]]) -> list
     return rows
 
 
+def _check_cell(cell: str) -> None:
+    if "\0" in cell or "\r" in cell or "\n" in cell:  # no path holds NUL, and every row is one line
+        raise ValueError("a cell cannot hold a NUL character or a line break")
+
+
 def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write UTF-8 CSV with "\\n" line endings to a temp file in ``path``'s directory, then move it to ``path``."""
+    """Write UTF-8 CSV with "\\n" line endings to a temp file in ``path``'s directory, then move it to ``path``.
+
+    A cell that ``read_rows`` would refuse raises PipelineError before any file is written.
+    """
+    table = [header, *rows]
+    for cell in (str(cell) for row in table for cell in row):
+        try:
+            _check_cell(cell)
+        except ValueError as exc:
+            raise PipelineError(f"cannot write {cell!r} to {path}: {exc}") from None
     partial = Path(f"{path}.tmp")
     with open(partial, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        csv.writer(fh, lineterminator="\n").writerows(table)
     os.replace(partial, path)
 
 
@@ -388,13 +401,15 @@ def save_recording(path: Path, samples: np.ndarray) -> None:
 def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss: int) -> EegRecording:
     """Read raw little-endian float32 (.f32) or headerless single-column UTF-8 CSV samples."""
     path = Path(path)
-    if not path.exists():
-        raise PipelineError(f"recording file not found: {path}")
-    if path.is_dir():
-        raise PipelineError(f"recording path {path} is a directory, not a file")
+    try:
+        raw = path.read_bytes()
+    except IsADirectoryError:
+        raise PipelineError(f"recording path {path} is a directory, not a file") from None
+    except OSError as exc:  # missing, unreadable or a name too long
+        raise PipelineError(f"cannot read recording {path}: {exc.strerror}") from exc
     if path.suffix == ".csv":
         try:
-            text = path.read_text(encoding="utf-8").strip().splitlines()
+            text = raw.decode("utf-8").strip().splitlines()
         except UnicodeDecodeError as exc:
             raise PipelineError(f"CSV recording {path} is not UTF-8 text: {exc}") from exc
         try:
@@ -402,7 +417,6 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
         except ValueError as exc:
             raise PipelineError(f"non-numeric CSV sample in {path}: {exc}") from exc
     else:
-        raw = path.read_bytes()
         if len(raw) % 4 != 0:
             raise PipelineError(f"{path} has {len(raw)} bytes, not a whole number of float32 samples")
         samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
@@ -505,9 +519,12 @@ def write_pgm(path: Path, pixels: np.ndarray) -> None:
 
 def read_pgm(path: Path) -> np.ndarray:
     path = Path(path)
-    if path.is_dir():
-        raise PipelineError(f"{path} is a directory, not a PGM file")
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except IsADirectoryError:
+        raise PipelineError(f"{path} is a directory, not a PGM file") from None
+    except OSError as exc:  # missing, unreadable or a name too long
+        raise PipelineError(f"cannot read PGM {path}: {exc.strerror}") from exc
     if not raw.startswith(b"P5"):
         raise PipelineError(f"{path} is not a binary PGM file")
     parts = raw.split(b"\n", 3)

@@ -56,7 +56,6 @@ class Model:
     ``fingerprint``, ``named_parameters``, the ``ARCH`` tag); pixels are uint8 [B, H, W]."""
 
     params: type
-    init: Callable[[TrainConfig, tuple, np.random.Generator], ModelParams]
     loss: Callable[..., tuple]  # (params, pixels, labels, dropout rng) -> (loss tensor, predicted classes)
     predict: Callable[[ModelParams, np.ndarray], np.ndarray]  # (params, pixels) -> predicted classes
 
@@ -84,21 +83,16 @@ def _mlp_loss(params: MlpParams, px: np.ndarray, labels: np.ndarray, dropout_rng
 MODELS: dict[str, Model] = {
     "capsnet": Model(
         CapsNetParams,
-        init=lambda cfg, input_hw, rng: CapsNetParams.init(input_hw, rng, dtype=cfg.dtype),
         loss=_capsnet_loss,
         predict=lambda params, px: capsule_forward(px, params).predictions,
     ),
     "cnn": Model(
         CnnParams,
-        init=lambda cfg, input_hw, rng: CnnParams.init(
-            input_hw, rng, dtype=cfg.dtype, dropout_keep=cfg.dropout_keep, l2_beta=cfg.l2_beta
-        ),
         loss=_cnn_loss,
         predict=lambda params, px: cnn_forward(px, params, training=False).data.argmax(axis=-1),
     ),
     "mlp": Model(
         MlpParams,
-        init=lambda cfg, input_hw, rng: MlpParams.init(input_hw, rng, dtype=cfg.dtype),
         loss=_mlp_loss,
         predict=lambda params, px: mlp_forward(px, params).data.argmax(axis=-1),
     ),
@@ -129,9 +123,9 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
     pixels, labels = images_to_arrays(train_images)
     n = len(labels)
     model = MODELS[cfg.kind]
-    params = model.init(cfg, pixels.shape[1:], np.random.default_rng((cfg.seed, 0x1)))
+    params = model.params.init(pixels.shape[1:], np.random.default_rng((cfg.seed, 0x1)), dtype=cfg.dtype)
     named = params.named_parameters()
-    state = adam_init([p.data for _, p in named], lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    state = adam_init([p.data for _, p in named], lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng((cfg.seed, 0x2))
     dropout_rng = np.random.default_rng((cfg.seed, 0x3))
 

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from capsroute import signal
 from capsroute.checkpoint import load_checkpoint, save_checkpoint
-from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, read_config_file
+from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _settings_from_args, build_parser, main, read_config_file
 from capsroute.config import KEYS, resolve_run_settings
 from capsroute.signal import load_dataset, save_recording
 
@@ -398,6 +399,25 @@ class TestTrainEvalReport:
         assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
         assert "is a directory" in capsys.readouterr().err
 
+    def test_recording_path_too_long_is_data_error(self, corpus_dir, tmp_path, capsys):
+        recordings = tmp_path / "recordings.csv"
+        header, first, *rest = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        name = "x" * 300 + ".f32"
+        recordings.write_text(header + first[: first.rindex(",") + 1] + name + "\n" + "".join(rest))
+        assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read recording") and name in err
+
+    def test_image_path_too_long_is_data_error(self, dataset_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
+        name = "x" * 300 + ".pgm"
+        (broken / "dataset.csv").write_text(header + name + first[first.index(",") :] + "".join(rest))
+        assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read PGM") and name in err
+
     def test_non_finite_checkpoint_is_data_error(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "poisoned"
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
@@ -527,11 +547,6 @@ class TestConfigSchema:
         "epochs": 3,
         "batch_size": 5,
         "learning_rate": 0.02,
-        "beta1": 0.8,
-        "beta2": 0.99,
-        "eps": 1e-6,
-        "dropout_keep": 0.7,
-        "l2_beta": 0.01,
         "precision": "float32",
         "augment": True,
         "augment_factor": 2,
@@ -556,6 +571,23 @@ class TestConfigSchema:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(snapshot)
         assert resolve_run_settings(read_config_file(cfg), {"out_dir": out}) == settings
+
+    def test_every_key_has_a_flag(self, tmp_path):
+        # the non-default values given as flags alone resolve as they do given as settings
+        argv = ["train", "--out", str(tmp_path)]
+        for key in KEYS.values():
+            if key.snapshot:
+                value = self.NON_DEFAULT[key.name]
+                argv += [key.option] if value is True else [key.option, str(value)]
+        settings = _settings_from_args(build_parser().parse_args(argv))
+        assert settings == resolve_run_settings({}, {**self.NON_DEFAULT, "out_dir": tmp_path})
+
+    def test_readme_config_example_resolves(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(re.search(r"```\n(dataset=runs/fz/dataset\.csv\n.*?)```", readme, re.DOTALL).group(1), encoding="utf-8")
+        settings = resolve_run_settings(read_config_file(cfg), {})
+        assert (settings.kind, settings.epochs, settings.augment, settings.split_mode) == ("capsnet", 30, True, "holdout")
 
 
 # the damage done to a run file: byte flips, truncation, duplicated or deleted spans and inserted tokens
@@ -597,7 +629,7 @@ def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
 class TestDamagedRunFiles:
     """A damaged run file exits 0, 2 or 3 and raises nothing, whatever the damage."""
 
-    @pytest.mark.parametrize("kind", ["recordings", "dataset", "confusion", "snapshot", "config"])
+    @pytest.mark.parametrize("kind", ["recordings", "recording", "dataset", "pgm", "confusion", "snapshot", "config"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_damaged_run_file_exits_0_2_or_3(self, trained_run, tmp_path, kind, data):
@@ -606,9 +638,12 @@ class TestDamagedRunFiles:
         shutil.copytree(root / "run", out, dirs_exist_ok=True)
         run = [*run, "--out", str(out)]
         manifest = root / "corpus" / "recordings.csv"
+        prepare = ["prepare", "--manifest", str(manifest), "--channels", "fzpz", "--out", str(tmp_path / "ds")]
         target, argv = {
-            "recordings": (manifest, ["prepare", "--manifest", str(manifest), "--channels", "fzpz", "--out", str(tmp_path / "ds")]),
+            "recordings": (manifest, prepare),
+            "recording": (min((root / "corpus").glob("*.f32")), prepare),
             "dataset": (root / "ds" / "dataset.csv", ["eval", *run]),
+            "pgm": (min((root / "ds").glob("*.pgm")), ["eval", *run]),
             "confusion": (out / "confusion_fold0.csv", ["report", *run]),
             "snapshot": (out / "config.snapshot", ["report", *run]),
             "config": (root / "run.cfg", ["report", "--config", str(root / "run.cfg")]),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capsroute import cnn
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import TrainConfig
 from gradcheck import check_gradients
@@ -113,8 +114,8 @@ class TestDefaults:
     def test_published_settings(self):
         cfg = TrainConfig(kind="cnn")
         assert cfg.epochs == 500
-        assert cfg.dropout_keep == 0.5
-        assert cfg.l2_beta == 0.001
+        assert cnn.DROPOUT_KEEP == 0.5
+        assert cnn.L2_BETA == 0.001
         assert cfg.batch_size == 32
         assert cfg.learning_rate == 1e-3
 

@@ -19,6 +19,7 @@ from capsroute.signal import (
     Label,
     PipelineError,
     Pvt,
+    SpectrogramImage,
     build_dataset,
     build_synth_corpus,
     label_from_kss,
@@ -570,6 +571,30 @@ class TestRunFiles:
         with pytest.raises(OSError, match="disk full"):
             write_rows(path, ("n",), rows())
         assert path.read_text(encoding="utf-8") == "n\n1\n"
+
+    def test_write_that_fails_part_way_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rows.csv"
+        write_rows(path, ("n",), [(1,)])
+
+        class FullDisk:
+            def __init__(self, fh, **kwargs):
+                self.fh = fh
+
+            def writerows(self, rows):
+                self.fh.write("n\n")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(signal.csv, "writer", FullDisk)
+        with pytest.raises(OSError, match="disk full"):
+            write_rows(path, ("n",), [(2,)])
+        assert path.read_text(encoding="utf-8") == "n\n1\n"
+
+    def test_cell_that_cannot_be_read_back_is_refused_before_any_file(self, tmp_path):
+        image = SpectrogramImage(np.zeros((32, 32), np.uint8), Label.ALERT, "a\rb", ChannelSet.FZ, 0)
+        with pytest.raises(PipelineError, match=r"cannot write '00000_a\\rb_0000\.pgm' to .* cannot hold a NUL character or a line break"):
+            write_dataset([image], tmp_path)
+        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "dataset.csv.tmp").exists()
 
     def test_manifests_with_crlf_lines_load_the_same(self, small_corpus, tmp_path):
         crlf = tmp_path / "crlf"

@@ -115,25 +115,17 @@ class TestTrainModel:
         assert params.fc1_w.dtype == np.float32
 
     def test_nan_abort_names_epoch_and_batch(self, monkeypatch):
-        import capsroute.training as training_mod
+        init = MlpParams.init
 
-        mlp = training_mod.MODELS["mlp"]
-
-        def poisoned_init(cfg, input_hw, rng):
-            params = mlp.init(cfg, input_hw, rng)
+        def poisoned_init(cls, *args, **kwargs):
+            params = init(*args, **kwargs)
             params.fc1_w.data[0, 0] = np.inf
             return params
 
-        monkeypatch.setitem(training_mod.MODELS, "mlp", replace(mlp, init=poisoned_init))
+        monkeypatch.setattr(MlpParams, "init", classmethod(poisoned_init))
         cfg = TrainConfig(kind="mlp", epochs=1, batch_size=8, seed=1)
         with pytest.raises(TrainingError, match="epoch 0 batch 0"):
             train_model(toy_images(8), cfg)
-
-    def test_cnn_regularizer_settings_reach_params(self):
-        cfg = TrainConfig(kind="cnn", epochs=1, batch_size=4, seed=3, dropout_keep=0.7, l2_beta=0.01)
-        params, _ = train_model(toy_images(8, hw=(32, 32)), cfg)
-        assert params.dropout_keep == 0.7
-        assert params.l2_beta == 0.01
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="model must be one of"):
@@ -172,7 +164,7 @@ MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 3, "dtype": "float64"
 class TestCheckpoints:
     def test_roundtrip_all_kinds(self, tmp_path):
         for kind, hw in (("capsnet", (32, 32)), ("cnn", (64, 32)), ("mlp", (32, 32))):
-            params = MODELS[kind].init(TrainConfig(kind=kind), hw, np.random.default_rng(4))
+            params = MODELS[kind].params.init(hw, np.random.default_rng(4))
             path = tmp_path / f"{kind}.ckpt"
             save_model(path, params)
             loaded_kind, loaded = load_model(path)
@@ -277,6 +269,14 @@ class TestCheckpoints:
         kind, loaded = load_model(tmp_path / "c.ckpt")
         assert kind == "cnn"
         np.testing.assert_array_equal(loaded.fc1_w.data, params.fc1_w.data)
+
+    @pytest.mark.parametrize("setting", [{"dropout_keep": 0.7}, {"l2_beta": 0.01}], ids=["dropout_keep", "l2_beta"])
+    def test_cnn_checkpoint_with_other_head_settings_refused(self, tmp_path, setting):
+        # the head settings are fixed: a checkpoint trained with others is not this model
+        params = CnnParams.init((64, 32), np.random.default_rng(2), filters=(2, 3, 4), fc_hidden=5)
+        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in params.named_parameters()}, {**params.fingerprint(), **setting})
+        with pytest.raises(CheckpointError, match="rebuilt fingerprint disagrees"):
+            load_model(tmp_path / "c.ckpt")
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
