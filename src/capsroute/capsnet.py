@@ -17,11 +17,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, einsum2, image_batch, parameter, relu, sigmoid, softmax_axis, tensor_fields
+from .tensor import Tensor, affine, conv2d, einsum2, image_batch, parameter, relu, sigmoid, softmax_axis
 
 __all__ = [
     "SQUASH_EPS",
+    "STRIDE",
     "ROUTING_ITERATIONS",
     "CapsNetParams",
     "RoutingState",
@@ -42,6 +42,7 @@ __all__ = [
 
 SQUASH_EPS = 1e-9
 _NORM_GUARD = 1e-30  # keeps sqrt differentiable at exactly-zero vectors
+STRIDE = 2  # of both stem convs
 ROUTING_ITERATIONS = 5
 MARGIN_POS = 0.9
 MARGIN_NEG = 0.1
@@ -86,11 +87,6 @@ class CapsNetParams:
     dec3_w: Tensor
     dec3_b: Tensor
     input_hw: tuple
-    conv1_stride: int = 2
-    conv2_stride: int = 2
-    capsule_dim: int = 16
-    secondary_dim: int = 10
-    routing_iterations: int = ROUTING_ITERATIONS
 
     ARCH = "capsnet-v1"
 
@@ -102,23 +98,20 @@ class CapsNetParams:
         dtype=np.float64,
         conv1_filters: int = 64,
         conv1_kernel: int = 5,
-        conv1_stride: int = 2,
         conv2_filters: int = 128,
         conv2_kernel: int = 9,
-        conv2_stride: int = 2,
         capsule_dim: int = 16,
         secondary_dim: int = 10,
         decoder_hidden: tuple = (512, 1024),
-        routing_iterations: int = ROUTING_ITERATIONS,
     ) -> "CapsNetParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         if conv2_filters % capsule_dim != 0:
             raise ValueError(f"conv2 filters {conv2_filters} not divisible by capsule dim {capsule_dim}")
         h, w = input_hw
-        h1 = (h - conv1_kernel) // conv1_stride + 1
-        w1 = (w - conv1_kernel) // conv1_stride + 1
-        h2 = (h1 - conv2_kernel) // conv2_stride + 1
-        w2 = (w1 - conv2_kernel) // conv2_stride + 1
+        h1 = (h - conv1_kernel) // STRIDE + 1
+        w1 = (w - conv1_kernel) // STRIDE + 1
+        h2 = (h1 - conv2_kernel) // STRIDE + 1
+        w2 = (w1 - conv2_kernel) // STRIDE + 1
         if h2 < 1 or w2 < 1:
             raise ValueError(f"input {input_hw} too small for the conv stem")
         num_primary = h2 * w2 * (conv2_filters // capsule_dim)
@@ -138,54 +131,26 @@ class CapsNetParams:
             dec3_w=parameter((pixels, d2), rng, dtype),
             dec3_b=parameter(pixels, None, dtype),
             input_hw=tuple(input_hw),
-            conv1_stride=conv1_stride,
-            conv2_stride=conv2_stride,
-            capsule_dim=capsule_dim,
-            secondary_dim=secondary_dim,
-            routing_iterations=routing_iterations,
         )
 
     @property
     def num_primary(self) -> int:
         return self.routing_w.shape[0]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return tensor_fields(self)
-
     def fingerprint(self) -> dict:
         return {
             "arch": self.ARCH,
             "input_hw": list(self.input_hw),
-            "conv1": [int(s) for s in self.conv1_w.shape] + [self.conv1_stride],
-            "conv2": [int(s) for s in self.conv2_w.shape] + [self.conv2_stride],
-            "capsule_dim": self.capsule_dim,
-            "secondary_dim": self.secondary_dim,
+            "conv1": [int(s) for s in self.conv1_w.shape] + [STRIDE],
+            "conv2": [int(s) for s in self.conv2_w.shape] + [STRIDE],
+            "capsule_dim": int(self.routing_w.shape[3]),
+            "secondary_dim": int(self.routing_w.shape[2]),
             "num_primary": int(self.num_primary),
             "decoder_hidden": [int(self.dec1_w.shape[0]), int(self.dec2_w.shape[0])],
-            "routing_iterations": self.routing_iterations,
+            "routing_iterations": ROUTING_ITERATIONS,
             "dtype": str(self.conv1_w.dtype),
         }
 
-    @classmethod
-    def from_fingerprint(cls, fp: dict) -> "CapsNetParams":
-        """The architecture ``fp`` describes, with zero-filled weights."""
-        dtype = check_fingerprint(
-            fp, ("capsule_dim", "secondary_dim", "routing_iterations"), {"input_hw": 2, "conv1": 5, "conv2": 5, "decoder_hidden": 2}
-        )
-        return cls.init(
-            tuple(fp["input_hw"]),
-            dtype=dtype,
-            conv1_filters=fp["conv1"][0],
-            conv1_kernel=fp["conv1"][2],
-            conv1_stride=fp["conv1"][4],
-            conv2_filters=fp["conv2"][0],
-            conv2_kernel=fp["conv2"][2],
-            conv2_stride=fp["conv2"][4],
-            capsule_dim=fp["capsule_dim"],
-            secondary_dim=fp["secondary_dim"],
-            decoder_hidden=tuple(fp["decoder_hidden"]),
-            routing_iterations=fp["routing_iterations"],
-        )
 
 # ---------------------------------------------------------------------------
 # capsule primitives
@@ -331,11 +296,11 @@ def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Capsules:
     """
     px = image_batch(image, params.conv1_w.dtype, params.input_hw)
     x = Tensor(px[..., None])
-    h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=params.conv1_stride))
-    h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=params.conv2_stride))
-    u = primary_capsules(h2, params.capsule_dim)
+    h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=STRIDE))
+    h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=STRIDE))
+    u = primary_capsules(h2, params.routing_w.shape[3])
     u_hat = votes(u, params.routing_w)
-    v, state = dynamic_routing(u_hat, params.routing_iterations)
+    v, state = dynamic_routing(u_hat)
     probabilities, predictions = classify(v)
     return Capsules(v=v, probabilities=probabilities, predictions=predictions, routing=state)
 

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "check_fingerprint"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"CRCKPT01"
 _PREFIX = len(_MAGIC) + 8  # magic + uint64 header length
 _VERSION = 1
 _DTYPES = ("<f8", "<f4")  # a tuple: membership must not hash JSON lists
-_PARAM_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 class CheckpointError(RuntimeError):
@@ -101,19 +100,3 @@ def _read_tensor(path: Path, name: str, meta, fh, blob_start: int, blob_size: in
         raise CheckpointError(f"{path} is truncated at tensor {name!r}")
     return arr
 
-
-def check_fingerprint(fp: dict, ints: tuple, lists: dict) -> type:
-    """Refuse a fingerprint unless each of ``ints`` is a positive int, each of
-    ``lists`` a list of that many positive ints and ``dtype`` a parameter
-    dtype, which is returned."""
-    bad = [key for key in ints if not _positive(fp.get(key))]
-    bad += [key for key, n in lists.items() if not (isinstance(fp.get(key), list) and len(fp[key]) == n and all(map(_positive, fp[key])))]
-    if fp.get("dtype") not in tuple(_PARAM_DTYPES):
-        bad.append("dtype")
-    if bad:
-        raise CheckpointError(f"{fp.get('arch')} fingerprint has missing or malformed entries: {', '.join(bad)}")
-    return _PARAM_DTYPES[fp["dtype"]]
-
-
-def _positive(value) -> bool:
-    return type(value) is int and value > 0

@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu, tensor_fields
+from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
@@ -37,7 +36,6 @@ class CnnParams:
     out_w: Tensor
     out_b: Tensor
     input_hw: tuple
-    pool_window: tuple
 
     ARCH = "cnn-v1"
 
@@ -51,9 +49,7 @@ class CnnParams:
         fc_hidden: int = 512,
     ) -> "CnnParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
-        h, w = input_hw
-        pool_window = (4, 2) if h == 2 * w else (2, 2)
-        ph, pw = h, w
+        ph, pw = input_hw
         for _ in range(3):
             ph = -(-ph // 2)
             pw = -(-pw // 2)
@@ -72,11 +68,12 @@ class CnnParams:
             out_w=parameter((2, fc_hidden), rng, dtype),
             out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
-            pool_window=pool_window,
         )
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return tensor_fields(self)
+    @property
+    def pool_window(self) -> tuple:
+        h, w = self.input_hw
+        return (4, 2) if h == 2 * w else (2, 2)
 
     def weight_tensors(self) -> list[Tensor]:
         return [self.conv1_w, self.conv2_w, self.conv3_w, self.fc1_w, self.out_w]
@@ -92,17 +89,6 @@ class CnnParams:
             "l2_beta": L2_BETA,
             "dtype": str(self.conv1_w.dtype),
         }
-
-    @classmethod
-    def from_fingerprint(cls, fp: dict) -> "CnnParams":
-        """The architecture ``fp`` describes, with zero-filled weights."""
-        dtype = check_fingerprint(fp, ("fc_hidden",), {"input_hw": 2, "filters": 3})
-        return cls.init(
-            tuple(fp["input_hw"]),
-            dtype=dtype,
-            filters=tuple(fp["filters"]),
-            fc_hidden=fp["fc_hidden"],
-        )
 
 
 def _block(x: Tensor, kernels: Tensor, bias: Tensor, pool_window: tuple) -> Tensor:

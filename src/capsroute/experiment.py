@@ -27,6 +27,7 @@ from .config import ConfigError, RunSettings, read_config_file
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
 from .signal import Label, SpectrogramImage, load_dataset, read_rows, write_rows
 from .splits import SplitPlan, make_splits
+from .tensor import NumericError
 from .training import evaluate, images_to_arrays, load_model, save_model, train_model
 
 __all__ = [
@@ -213,7 +214,11 @@ def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
             raise ExperimentError(f"{ckpt} takes {params.input_hw} images but {settings.dataset} holds {images[0].pixels.shape}")
         train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
         test_images = [images[j].copy_with(split="test") for j in fold.test_indices]
-        cm = evaluate(params, test_images, train_paths=train_paths)
+        try:
+            with np.errstate(all="ignore"):  # an op that overflows raises NumericError; NumPy need not warn first
+                cm = evaluate(params, test_images, train_paths=train_paths)
+        except NumericError as exc:  # finite weights whose scores are not: bad input, like a NaN weight
+            raise ExperimentError(f"{ckpt} cannot be scored: {exc}") from exc
         rows = [("Alert", cm.tn, cm.fp), ("Drowsy", cm.fn, cm.tp)]
         write_rows(out_dir / f"confusion_fold{i}.csv", list(_CONFUSION_COLUMNS), rows)
         confusions.append(cm)

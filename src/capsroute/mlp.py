@@ -7,8 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import check_fingerprint
-from .tensor import Tensor, affine, image_batch, parameter, relu, tensor_fields
+from .tensor import Tensor, affine, image_batch, parameter, relu
 
 __all__ = ["MlpParams", "mlp_forward"]
 
@@ -35,9 +34,6 @@ class MlpParams:
             input_hw=tuple(input_hw),
         )
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return tensor_fields(self)
-
     def fingerprint(self) -> dict:
         return {
             "arch": self.ARCH,
@@ -45,12 +41,6 @@ class MlpParams:
             "hidden": int(self.fc1_w.shape[0]),
             "dtype": str(self.fc1_w.dtype),
         }
-
-    @classmethod
-    def from_fingerprint(cls, fp: dict) -> "MlpParams":
-        """The architecture ``fp`` describes, with zero-filled weights."""
-        dtype = check_fingerprint(fp, ("hidden",), {"input_hw": 2})
-        return cls.init(tuple(fp["input_hw"]), dtype=dtype, hidden=fp["hidden"])
 
 
 def mlp_forward(image: np.ndarray, params: MlpParams) -> Tensor:

@@ -419,7 +419,10 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
     else:
         if len(raw) % 4 != 0:
             raise PipelineError(f"{path} has {len(raw)} bytes, not a whole number of float32 samples")
-        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(raw, dtype="<f4")
+        if not np.isfinite(samples).all():  # before the cast, which warns on a signalling NaN
+            raise PipelineError(f"{path} holds a non-finite sample")
+        samples = samples.astype(np.float64)
     if samples.size == 0:
         raise PipelineError(f"{path} holds no samples")
     return EegRecording(subject_id=subject_id, pvt=pvt, channel=channel, sample_rate=SAMPLE_RATE, samples=samples, kss=kss)

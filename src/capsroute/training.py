@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -15,7 +16,7 @@ from .metrics import ConfusionMatrix
 from .mlp import MlpParams, mlp_forward
 from .optim import adam_init, adam_step
 from .signal import Label, SpectrogramImage
-from .tensor import NumericError, cross_entropy_logits, no_grad
+from .tensor import NumericError, cross_entropy_logits, no_grad, tensor_fields
 
 if TYPE_CHECKING:  # config imports MODEL_KINDS from here
     from .config import TrainConfig
@@ -52,8 +53,8 @@ class LeakageError(RuntimeError):
 
 @dataclass(frozen=True)
 class Model:
-    """One model kind. ``params`` is its Params class (``init``, ``from_fingerprint``,
-    ``fingerprint``, ``named_parameters``, the ``ARCH`` tag); pixels are uint8 [B, H, W]."""
+    """One model kind. ``params`` is its Params class: a dataclass of ``Tensor`` fields (read
+    through ``tensor_fields``) plus ``init``, ``fingerprint`` and the ``ARCH`` tag; pixels are uint8 [B, H, W]."""
 
     params: type
     loss: Callable[..., tuple]  # (params, pixels, labels, dropout rng) -> (loss tensor, predicted classes)
@@ -124,7 +125,7 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
     n = len(labels)
     model = MODELS[cfg.kind]
     params = model.params.init(pixels.shape[1:], np.random.default_rng((cfg.seed, 0x1)), dtype=cfg.dtype)
-    named = params.named_parameters()
+    named = tensor_fields(params)
     state = adam_init([p.data for _, p in named], lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng((cfg.seed, 0x2))
     dropout_rng = np.random.default_rng((cfg.seed, 0x3))
@@ -194,29 +195,49 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def save_model(path: Path, params: ModelParams) -> None:
-    save_checkpoint(path, {name: p.data for name, p in params.named_parameters()}, params.fingerprint())
-
-
-def load_model(path: Union[Path, str]) -> tuple[str, ModelParams]:
-    """Rebuild a model and its kind from a checkpoint, validating the stored fingerprint."""
-    arrays, fp = load_checkpoint(path)
-    arch = fp.get("arch")
+def _paper_model(fp: dict, path) -> tuple[str, ModelParams]:
+    """The kind and zero-filled params of the paper model that ``fp`` names at its input
+    size and dtype; refuses ``fp`` unless it equals that model's fingerprint as JSON."""
+    arch, hw, dtype = fp.get("arch"), fp.get("input_hw"), fp.get("dtype")
     kind = _KIND_BY_ARCH.get(arch) if isinstance(arch, str) else None
     if kind is None:
         raise CheckpointError(f"unknown architecture {arch!r} in {path}")
+    if not (isinstance(hw, list) and len(hw) == 2 and all(type(n) is int and n > 0 for n in hw)):
+        raise CheckpointError(f"{path}: input_hw {hw!r} is not two positive ints")
+    if dtype not in ("float32", "float64"):  # a tuple: membership must not hash a JSON list
+        raise CheckpointError(f"{path}: dtype {dtype!r} is not float32 or float64")
     try:
-        params = MODELS[kind].params.from_fingerprint(fp)
-    except (ValueError, MemoryError) as exc:  # a geometry the architecture cannot build or allocate
+        params = MODELS[kind].params.init(tuple(hw), None, getattr(np, dtype))
+    except (ValueError, MemoryError) as exc:  # an input size the architecture cannot build or allocate
         raise CheckpointError(f"{path}: {exc}") from exc
-    if params.fingerprint() != fp:
-        raise CheckpointError(f"rebuilt fingerprint disagrees with stored one for {path}")
-    for name, p in params.named_parameters():
+    paper = params.fingerprint()
+    # compared as JSON text, so 512.0 or true is not 512 or 1; a key on one side only differs
+    keys = fp.keys() | paper.keys()
+    differ = sorted(k for k in keys if k not in fp or k not in paper or json.dumps(fp[k]) != json.dumps(paper[k]))
+    if differ:
+        raise CheckpointError(f"{path}: not the paper's {kind} model at {hw} {dtype}; its fingerprint differs in: {', '.join(differ)}")
+    return kind, params
+
+
+def save_model(path: Path, params: ModelParams) -> None:
+    """Write ``params`` to a checkpoint; refuses, before writing, a model that ``load_model`` would refuse."""
+    fp = params.fingerprint()
+    _paper_model(fp, path)
+    save_checkpoint(path, {name: p.data for name, p in tensor_fields(params)}, fp)
+
+
+def load_model(path: Union[Path, str]) -> tuple[str, ModelParams]:
+    """Rebuild a model and its kind from a checkpoint, which must hold one of the paper's models."""
+    arrays, fp = load_checkpoint(path)
+    kind, params = _paper_model(fp, path)
+    for name, p in tensor_fields(params):
         if name not in arrays:
             raise CheckpointError(f"checkpoint {path} is missing tensor {name!r}")
-        if arrays[name].shape != p.data.shape:
-            raise CheckpointError(f"tensor {name!r} has shape {arrays[name].shape}, expected {p.data.shape}")
-        if not np.isfinite(arrays[name]).all():
+        stored = arrays[name]
+        # a float64 tensor cast to a float32 model could overflow to inf after the finiteness check
+        if (stored.shape, stored.itemsize) != (p.data.shape, p.data.itemsize):
+            raise CheckpointError(f"tensor {name!r} has shape {stored.shape} of {stored.dtype}, expected {p.data.shape} of {p.data.dtype}")
+        if not np.isfinite(stored).all():
             raise CheckpointError(f"tensor {name!r} in {path} holds a non-finite value")
-        p.data = arrays[name].astype(p.data.dtype, copy=False)
+        p.data = stored.astype(p.data.dtype, copy=False)
     return kind, params

@@ -33,7 +33,7 @@ from capsroute.signal import (
     stft_spectrogram,
     write_dataset,
 )
-from capsroute.tensor import Tensor, conv2d
+from capsroute.tensor import Tensor, conv2d, tensor_fields
 from capsroute.training import train_model
 
 from test_capsnet import routing_oracle
@@ -146,7 +146,7 @@ class TestCriterion4GradientChecks:
             out = capsnet_forward(caps_image, caps, mode="train", labels=[1])
             return total_loss(caps_image.reshape(1, -1), out.v, out.reconstruction, [1])
 
-        caps_worst = check_gradients(caps_loss, caps.named_parameters(), rng, samples_per_param=12, tol=1e-4)
+        caps_worst = check_gradients(caps_loss, tensor_fields(caps), rng, samples_per_param=12, tol=1e-4)
 
         cnn = CnnParams.init((8, 8), rng, filters=(2, 3, 4), fc_hidden=5)
         cnn_image = rng.uniform(size=(8, 8))[None]
@@ -154,7 +154,7 @@ class TestCriterion4GradientChecks:
         def cnn_loss_fn():
             return cnn_loss(cnn_forward(cnn_image, cnn, training=False), [0], cnn)
 
-        cnn_worst = check_gradients(cnn_loss_fn, cnn.named_parameters(), rng, samples_per_param=12, tol=1e-4)
+        cnn_worst = check_gradients(cnn_loss_fn, tensor_fields(cnn), rng, samples_per_param=12, tol=1e-4)
         elapsed = time.perf_counter() - start
         worst = max(max(caps_worst.values()), max(cnn_worst.values()))
         ok = worst < 1e-4 and elapsed < 300.0

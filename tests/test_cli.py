@@ -4,17 +4,22 @@ import csv
 import random
 import re
 import shutil
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capsroute import signal
-from capsroute.checkpoint import load_checkpoint, save_checkpoint
+from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _settings_from_args, build_parser, main, read_config_file
 from capsroute.config import KEYS, resolve_run_settings
+from capsroute.mlp import MlpParams
 from capsroute.signal import load_dataset, save_recording
+from capsroute.tensor import tensor_fields
+from capsroute.training import save_model
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,18 @@ class TestPrepare:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path / "r.csv") in err
+
+    def test_signalling_nan_recording_is_data_error_without_a_warning(self, tmp_path, capsys):
+        # a signalling NaN warns when cast to float64, so it must be refused before the cast
+        raw = np.full(16, 1.5, dtype="<f4").tobytes()
+        (tmp_path / "r.f32").write_bytes(raw[:8] + b"\x01\x00\x80\x7f" + raw[12:])
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.f32\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "r.f32") in err and "non-finite" in err
 
     def test_multi_column_csv_recording_is_data_error(self, tmp_path, capsys):
         (tmp_path / "r.csv").write_text("1.5,9\n-2.5,x\n")
@@ -434,12 +451,43 @@ class TestTrainEvalReport:
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
         ckpt = out / "model_fold0.ckpt"
         arrays, fingerprint = load_checkpoint(ckpt)
-        # 2**40 x 1024 float64 zeros is 8 PiB, beyond any address space, so the allocation fails at once
-        save_checkpoint(ckpt, arrays, {**fingerprint, "hidden": 2**40})
+        # fc1_w of 512 x 2**48 float64 zeros is 1 EiB, beyond any address space, so the allocation fails at once
+        save_checkpoint(ckpt, arrays, {**fingerprint, "input_hw": [2**24, 2**24]})
         assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(ckpt) in err
         assert not (out / "report.csv").exists()
+
+    def test_checkpoint_whose_scores_overflow_is_data_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "overflow"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        ckpt = out / "model_fold0.ckpt"
+        arrays, fingerprint = load_checkpoint(ckpt)
+        arrays["fc1_w"][0, :3] = 1.5e308  # finite, but the hidden unit's sum is not
+        save_checkpoint(ckpt, arrays, fingerprint)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err and "Warning" not in err
+        assert not (out / "report.csv").exists()
+
+    def test_reduced_width_model_is_neither_saved_nor_scored(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "narrow"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
+        ckpt = out / "model_fold0.ckpt"
+        narrow = MlpParams.init((32, 32), np.random.default_rng(0), hidden=3)
+        with pytest.raises(CheckpointError, match="differs in: hidden$"):
+            save_model(tmp_path / "narrow.ckpt", narrow)
+        assert not (tmp_path / "narrow.ckpt").exists()
+        # the checkpoint such a model got before save_model refused it
+        fingerprint = {"arch": "mlp-v1", "input_hw": [32, 32], "hidden": 3, "dtype": "float64"}
+        save_checkpoint(ckpt, {name: p.data for name, p in tensor_fields(narrow)}, fingerprint)
+        capsys.readouterr()
+        assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ckpt) in err and err.rstrip().endswith("differs in: hidden")
 
     @pytest.mark.parametrize(
         "command, name",
@@ -614,9 +662,16 @@ def _damage(data, raw: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
-    """Copies of the corpus and dataset, an mlp run on the copy (2 folds, 1 epoch) through report, and its config file."""
+    """Copies of the corpus and dataset, an mlp run on the copy (2 folds, 1 epoch) through report, and its config file.
+
+    The corpus copy also holds its first recording as CSV text and a manifest, ``recordings_csv.csv``, that names it.
+    """
     root = tmp_path_factory.mktemp("trained")
     shutil.copytree(corpus_dir, root / "corpus")
+    f32 = min((root / "corpus").glob("*.f32"))
+    f32.with_suffix(".csv").write_text("".join(f"{x!r}\n" for x in np.fromfile(f32, "<f4").tolist()), encoding="utf-8")
+    manifest = (root / "corpus" / "recordings.csv").read_text(encoding="utf-8")
+    (root / "corpus" / "recordings_csv.csv").write_text(manifest.replace(f32.name, f32.with_suffix(".csv").name), encoding="utf-8")
     shutil.copytree(dataset_dir, root / "ds")
     # at seed 0 one epoch predicts Drowsy in some fold, so report has an F1 to aggregate and exits 0
     run = _run_args(root / "ds", root / "run", ["--epochs", "1", "--seed", "0"])
@@ -629,7 +684,9 @@ def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
 class TestDamagedRunFiles:
     """A damaged run file exits 0, 2 or 3 and raises nothing, whatever the damage."""
 
-    @pytest.mark.parametrize("kind", ["recordings", "recording", "dataset", "pgm", "confusion", "snapshot", "config"])
+    @pytest.mark.parametrize(
+        "kind", ["recordings", "recording", "csv-recording", "dataset", "pgm", "checkpoint", "confusion", "snapshot", "config"]
+    )
     @settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_damaged_run_file_exits_0_2_or_3(self, trained_run, tmp_path, kind, data):
@@ -639,17 +696,22 @@ class TestDamagedRunFiles:
         run = [*run, "--out", str(out)]
         manifest = root / "corpus" / "recordings.csv"
         prepare = ["prepare", "--manifest", str(manifest), "--channels", "fzpz", "--out", str(tmp_path / "ds")]
+        prepare_csv = ["prepare", "--manifest", str(root / "corpus" / "recordings_csv.csv"), "--channels", "fzpz", "--out", str(tmp_path / "ds")]
         target, argv = {
             "recordings": (manifest, prepare),
             "recording": (min((root / "corpus").glob("*.f32")), prepare),
+            "csv-recording": (min((root / "corpus").glob("*.f32")).with_suffix(".csv"), prepare_csv),
             "dataset": (root / "ds" / "dataset.csv", ["eval", *run]),
             "pgm": (min((root / "ds").glob("*.pgm")), ["eval", *run]),
+            "checkpoint": (out / "model_fold0.ckpt", ["eval", *run]),
             "confusion": (out / "confusion_fold0.csv", ["report", *run]),
             "snapshot": (out / "config.snapshot", ["report", *run]),
             "config": (root / "run.cfg", ["report", "--config", str(root / "run.cfg")]),
         }[kind]
         original = target.read_bytes()
-        target.write_bytes(_damage(data, original))
+        # a checkpoint is damaged in its first 4 KiB only: its JSON header, then the first weights
+        head = 4096 if kind == "checkpoint" else len(original)
+        target.write_bytes(_damage(data, original[:head]) + original[head:])
         try:
             assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
         finally:

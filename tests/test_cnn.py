@@ -8,7 +8,7 @@ from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import TrainConfig
 from gradcheck import check_gradients
 from capsroute.mlp import MlpParams, mlp_forward
-from capsroute.tensor import Tensor, maxpool2d
+from capsroute.tensor import Tensor, maxpool2d, tensor_fields
 
 
 def logsumexp_ce_oracle(logits, label):
@@ -104,7 +104,7 @@ class TestCnnLoss:
 
     def test_perfect_confidence_zero_weight_limit(self):
         params = CnnParams.init((32, 32), np.random.default_rng(12), filters=(2, 2, 2), fc_hidden=3)
-        for _, p in params.named_parameters():
+        for _, p in tensor_fields(params):
             p.data = np.zeros_like(p.data)
         loss = cnn_loss(Tensor(np.array([[30.0, -30.0]])), [0], params).item()
         assert loss < 1e-12
@@ -130,7 +130,7 @@ class TestGradients:
             logits = cnn_forward(image, params, training=False)
             return cnn_loss(logits, [1], params)
 
-        worst = check_gradients(loss_fn, params.named_parameters(), rng, samples_per_param=10, tol=1e-4)
+        worst = check_gradients(loss_fn, tensor_fields(params), rng, samples_per_param=10, tol=1e-4)
         assert max(worst.values()) < 1e-4
 
 
@@ -155,5 +155,5 @@ class TestMlp:
 
             return cross_entropy_logits(mlp_forward(image, params), [0])
 
-        worst = check_gradients(loss_fn, params.named_parameters(), rng, samples_per_param=8, tol=1e-4)
+        worst = check_gradients(loss_fn, tensor_fields(params), rng, samples_per_param=8, tol=1e-4)
         assert max(worst.values()) < 1e-4

@@ -7,6 +7,7 @@ import pytest
 
 from capsroute.capsnet import CapsNetParams
 from capsroute.optim import CHUNK_BYTES, adam_init, adam_step
+from capsroute.tensor import tensor_fields
 
 
 class TestAdamStep:
@@ -87,7 +88,7 @@ def _chunk_edge_shapes(dtype):
 
 def _capsnet_shapes(dtype):
     params = CapsNetParams.init((32, 32), np.random.default_rng(0), dtype=dtype)
-    return [p.data.shape for _, p in params.named_parameters()]
+    return [p.data.shape for _, p in tensor_fields(params)]
 
 
 class TestBlockedAdamMatchesOracle:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from capsroute.config import TrainConfig
 from capsroute.metrics import ConfusionMatrix
 from capsroute.mlp import MlpParams
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
+from capsroute.tensor import tensor_fields
 from capsroute.training import (
     MODELS,
     LeakageError,
@@ -87,7 +89,7 @@ class TestTrainModel:
         p1, c1 = train_model(imgs, cfg)
         p2, c2 = train_model(imgs, cfg)
         assert c1 == c2
-        for (_, a), (_, b) in zip(p1.named_parameters(), p2.named_parameters()):
+        for (_, a), (_, b) in zip(tensor_fields(p1), tensor_fields(p2)):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_early_stop(self):
@@ -158,7 +160,8 @@ class TestTrainModel:
         assert (tmp_path / "in_place.ckpt").read_bytes() == (tmp_path / "pure.ckpt").read_bytes()
 
 
-MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 3, "dtype": "float64"}
+MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 512, "dtype": "float64"}
+CAPSNET_32X32 = CapsNetParams.init((32, 32)).fingerprint()
 
 
 class TestCheckpoints:
@@ -169,7 +172,7 @@ class TestCheckpoints:
             save_model(path, params)
             loaded_kind, loaded = load_model(path)
             assert loaded_kind == kind
-            for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+            for (name, a), (_, b) in zip(tensor_fields(params), tensor_fields(loaded)):
                 np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
     def test_predictions_survive_roundtrip(self, tmp_path):
@@ -215,7 +218,7 @@ class TestCheckpoints:
     )
     def test_truncated_file_refused(self, tmp_path, cut):
         path = tmp_path / "m.ckpt"
-        save_model(path, MlpParams.init((4, 4), np.random.default_rng(1), hidden=3))
+        save_model(path, MlpParams.init((4, 4), np.random.default_rng(1)))
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(CheckpointError, match="truncated"):
             load_model(path)
@@ -225,7 +228,7 @@ class TestCheckpoints:
         [
             ({"version": 1, "tensors": {}}, "lacks a fingerprint"),
             ({"version": 1, "fingerprint": [1], "tensors": {}}, "lacks a fingerprint"),
-            ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64"}, "tensors": {}}, "hidden, input_hw"),
+            ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64"}, "tensors": {}}, "input_hw"),
             ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64", "input_hw": [4, 4], "hidden": "x"}, "tensors": {}}, "hidden"),
             ({"version": 1, "fingerprint": {"arch": "capsnet-v1", "dtype": "float32", "input_hw": [32, 32]}, "tensors": {}}, "conv1"),
             ({"version": 1, "fingerprint": {"arch": ["mlp-v1"]}, "tensors": {}}, "unknown architecture"),
@@ -239,7 +242,7 @@ class TestCheckpoints:
                     },
                     "tensors": {},
                 },
-                "not divisible",
+                "capsule_dim",
             ),
             (
                 {"version": 1, "fingerprint": {}, "tensors": {"w": {"dtype": "<f8", "shape": [3, 4], "offset": 0, "nbytes": 8}}},
@@ -250,7 +253,11 @@ class TestCheckpoints:
                 {"version": 1, "fingerprint": MLP_4X4, "tensors": {"fc1_w": {"dtype": "<f8", "shape": [1], "offset": 0, "nbytes": 8}}},
                 "'fc1_w' has shape .* expected",
             ),
-            ({"version": 1, "fingerprint": {**MLP_4X4, "hidden_layers": 2}, "tensors": {}}, "rebuilt fingerprint disagrees"),
+            ({"version": 1, "fingerprint": {**MLP_4X4, "hidden_layers": 2}, "tensors": {}}, "hidden_layers"),
+            # fingerprints are compared as JSON values: 512.0 is not 512, nor true 1
+            ({"version": 1, "fingerprint": {**MLP_4X4, "hidden": 512.0}, "tensors": {}}, "differs in: hidden$"),
+            ({"version": 1, "fingerprint": {**CAPSNET_32X32, "conv1": [64, True, 5, 5, 2]}, "tensors": {}}, "differs in: conv1$"),
+            ({"version": 1, "fingerprint": {**MLP_4X4, "input_hw": [4, True]}, "tensors": {}}, "input_hw"),
         ],
     )
     def test_malformed_header_refused(self, tmp_path, header, match):
@@ -262,32 +269,79 @@ class TestCheckpoints:
 
     def test_stored_fingerprint_format_loads(self, tmp_path):
         # the cnn-v1 fingerprint exactly as existing checkpoints store it
-        fp = {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [2, 3, 4], "fc_hidden": 5, "pool_window": [4, 2], "dropout_keep": 0.5, "l2_beta": 0.001, "dtype": "float32"}
-        params = CnnParams.init((64, 32), np.random.default_rng(2), dtype=np.float32, filters=(2, 3, 4), fc_hidden=5)
+        fp = {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2], "dropout_keep": 0.5, "l2_beta": 0.001, "dtype": "float32"}
+        params = CnnParams.init((64, 32), np.random.default_rng(2), dtype=np.float32)
         assert params.fingerprint() == fp
-        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in params.named_parameters()}, fp)
+        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in tensor_fields(params)}, fp)
         kind, loaded = load_model(tmp_path / "c.ckpt")
         assert kind == "cnn"
         np.testing.assert_array_equal(loaded.fc1_w.data, params.fc1_w.data)
 
+    def test_tensor_wider_than_the_model_dtype_refused(self, tmp_path):
+        # cast to float32, 1e300 would become inf after the finiteness check, with a NumPy warning
+        params = MlpParams.init((4, 4), np.random.default_rng(6), dtype=np.float32)
+        arrays = {name: p.data.astype(np.float64) for name, p in tensor_fields(params)}
+        arrays["fc1_w"][0, 0] = 1e300
+        save_checkpoint(tmp_path / "m.ckpt", arrays, params.fingerprint())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match="'fc1_w' has shape .* of float64, expected .* of float32"):
+                load_model(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize(
+        "kind, hw, fp",
+        [
+            (
+                "capsnet", (32, 32),
+                {"arch": "capsnet-v1", "input_hw": [32, 32], "conv1": [64, 1, 5, 5, 2], "conv2": [128, 64, 9, 9, 2], "capsule_dim": 16,
+                 "secondary_dim": 10, "num_primary": 72, "decoder_hidden": [512, 1024], "routing_iterations": 5},
+            ),
+            (
+                "capsnet", (64, 32),
+                {"arch": "capsnet-v1", "input_hw": [64, 32], "conv1": [64, 1, 5, 5, 2], "conv2": [128, 64, 9, 9, 2], "capsule_dim": 16,
+                 "secondary_dim": 10, "num_primary": 264, "decoder_hidden": [512, 1024], "routing_iterations": 5},
+            ),
+            (
+                "cnn", (64, 32),
+                {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2],
+                 "dropout_keep": 0.5, "l2_beta": 0.001},
+            ),
+            ("mlp", (64, 32), {"arch": "mlp-v1", "input_hw": [64, 32], "hidden": 512}),
+        ],
+        ids=["capsnet-32x32", "capsnet-64x32", "cnn-64x32", "mlp-64x32"],
+    )
+    def test_paper_fingerprint_is_pinned(self, tmp_path, kind, hw, fp, dtype):
+        # the fingerprints checkpoints already on disk store; a change here orphans them
+        fp = {**fp, "dtype": dtype}
+        params = MODELS[kind].params.init(hw, np.random.default_rng(5), dtype=getattr(np, dtype))
+        assert params.fingerprint() == fp
+        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in tensor_fields(params)}, fp)
+        loaded_kind, loaded = load_model(tmp_path / "c.ckpt")
+        assert loaded_kind == kind and loaded.fingerprint() == fp
+        for (name, a), (_, b) in zip(tensor_fields(params), tensor_fields(loaded)):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
     @pytest.mark.parametrize("setting", [{"dropout_keep": 0.7}, {"l2_beta": 0.01}], ids=["dropout_keep", "l2_beta"])
     def test_cnn_checkpoint_with_other_head_settings_refused(self, tmp_path, setting):
         # the head settings are fixed: a checkpoint trained with others is not this model
-        params = CnnParams.init((64, 32), np.random.default_rng(2), filters=(2, 3, 4), fc_hidden=5)
-        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in params.named_parameters()}, {**params.fingerprint(), **setting})
-        with pytest.raises(CheckpointError, match="rebuilt fingerprint disagrees"):
+        params = CnnParams.init((8, 8), np.random.default_rng(2))
+        save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in tensor_fields(params)}, {**params.fingerprint(), **setting})
+        with pytest.raises(CheckpointError, match=f"differs in: {next(iter(setting))}$"):
             load_model(tmp_path / "c.ckpt")
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_damaged_checkpoint_loads_or_raises_checkpoint_error(self, tmp_path, data):
         path = tmp_path / "m.ckpt"
-        save_model(path, MlpParams.init((4, 4), np.random.default_rng(3), hidden=3))
+        save_model(path, MlpParams.init((4, 4), np.random.default_rng(3)))
         raw = path.read_bytes()
+        # the magic, the header length, the JSON header and the first tensor's first bytes
+        region = 16 + struct.unpack("<Q", raw[8:16])[0] + 64
         if data.draw(st.booleans(), label="truncate"):
-            damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+            damaged = raw[: data.draw(st.integers(0, region - 1), label="length")]
         else:
-            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            at = data.draw(st.integers(0, region - 1), label="offset")
             damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
         path.write_bytes(damaged)
         try:
@@ -340,7 +394,7 @@ class TestEvaluate:
     def test_constant_classifier_sensitivity_specificity(self):
         # zero weights and a positive Drowsy bias predict Drowsy for everything
         params = MlpParams.init((12, 12), np.random.default_rng(14))
-        for _, p in params.named_parameters():
+        for _, p in tensor_fields(params):
             p.data = np.zeros_like(p.data)
         params.out_b.data = np.array([0.0, 1.0])
         cm = evaluate(params, toy_images(10))
