@@ -3,11 +3,11 @@
 The conv stem (valid padding, stride 2) feeds a primary capsule layer of
 16-dim vectors, which vote for two 10-dim secondary capsules through five
 unrolled routing iterations. Secondary capsule lengths are class scores; a
-three-layer decoder reconstructs the input from the masked winning capsule
+three-layer decoder reconstructs the input from the masked true capsule
 as a 0.0005-weighted regularizer.
 
-Gradients flow through every routing iteration; the agreement update and the
-coupling softmax are ordinary recorded operations.
+Gradients flow through every routing iteration, all ordinary recorded
+operations; the last iteration adds no agreement, since nothing reads it.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ __all__ = [
     "STRIDE",
     "ROUTING_ITERATIONS",
     "CapsNetParams",
-    "RoutingState",
-    "Capsules",
-    "CapsNetOutput",
     "squash",
     "primary_capsules",
     "votes",
@@ -49,28 +46,6 @@ MARGIN_NEG = 0.1
 MARGIN_LAMBDA = 0.5
 RECON_SCALE = 5e-4
 N_CLASSES = 2
-
-
-@dataclass
-class RoutingState:
-    """Snapshot of the agreement logits and couplings after routing."""
-
-    logits: np.ndarray  # b, [B, P, 2]
-    couplings: np.ndarray  # c, [B, P, 2], rows sum to 1 over the secondary index
-    iteration: int
-
-
-@dataclass
-class Capsules:
-    v: Tensor  # secondary capsules, [B, 2, 10]
-    probabilities: np.ndarray  # capsule lengths, [B, 2]
-    predictions: np.ndarray  # argmax class indices (ties -> 0, Alert), [B]
-    routing: RoutingState
-
-
-@dataclass
-class CapsNetOutput(Capsules):
-    reconstruction: Tensor  # decoder output in (0, 1), [B, pixels]
 
 
 @dataclass
@@ -191,28 +166,23 @@ def votes(u: Tensor, w: Tensor) -> Tensor:
     return einsum2("pjdk,bpk->bpjd", w, u)
 
 
-def dynamic_routing(u_hat: Tensor, iterations: int = ROUTING_ITERATIONS) -> tuple[Tensor, RoutingState]:
+def dynamic_routing(u_hat: Tensor, iterations: int = ROUTING_ITERATIONS) -> Tensor:
     """Iterative agreement routing over votes [B, P, J, D]; returns capsules [B, J, D].
 
-    Logits start at zero; each iteration takes the coupling softmax over the
-    secondary index, forms the weighted vote sum, squashes it, and adds the
+    Logits start at zero; each iteration squashes the vote sum weighted by the
+    coupling softmax over the secondary index, and each but the last adds the
     vote/output agreement back onto the logits. Samples never mix.
     """
     if iterations < 1:
         raise ValueError(f"routing needs at least 1 iteration, got {iterations}")
     if u_hat.ndim != 4:
         raise ValueError(f"routing needs [B, P, J, D] votes, got {u_hat.shape}")
-    bsz, p, j, d = u_hat.shape
-    b = Tensor(np.zeros((bsz, p, j), dtype=u_hat.dtype))
-    v = None
-    c = None
-    for _ in range(iterations):
-        c = softmax_axis(b, axis=2)
-        s = einsum2("bpj,bpjd->bjd", c, u_hat)
-        v = squash(s)
-        agreement = einsum2("bpjd,bjd->bpj", u_hat, v)
-        b = b + agreement
-    return v, RoutingState(logits=b.data, couplings=c.data, iteration=iterations)
+    b = Tensor(np.zeros(u_hat.shape[:3], dtype=u_hat.dtype))
+    for i in range(iterations):
+        if i:
+            b = b + einsum2("bpjd,bjd->bpj", u_hat, v)
+        v = squash(einsum2("bpj,bpjd->bjd", softmax_axis(b, axis=2), u_hat))
+    return v
 
 
 def capsule_lengths(v: Union[Tensor, np.ndarray]) -> np.ndarray:
@@ -289,36 +259,25 @@ def _one_hot(indices: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Capsules:
-    """Conv stem, primary capsules, votes and routing; images are [B, H, W], uint8 or [0, 1] floats.
-
-    This is all that class scores need: the decoder is a training regularizer.
+def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Tensor:
+    """Conv stem, primary capsules, votes and routing: [B, H, W] images, uint8 or [0, 1] floats,
+    to [B, 2, D] capsules. This is all that class scores need: the decoder is a training regularizer.
     """
     px = image_batch(image, params.conv1_w.dtype, params.input_hw)
     x = Tensor(px[..., None])
     h1 = relu(conv2d(x, params.conv1_w, params.conv1_b, stride=STRIDE))
     h2 = relu(conv2d(h1, params.conv2_w, params.conv2_b, stride=STRIDE))
     u = primary_capsules(h2, params.routing_w.shape[3])
-    u_hat = votes(u, params.routing_w)
-    v, state = dynamic_routing(u_hat)
-    probabilities, predictions = classify(v)
-    return Capsules(v=v, probabilities=probabilities, predictions=predictions, routing=state)
+    return dynamic_routing(votes(u, params.routing_w))
 
 
-def capsnet_forward(image: np.ndarray, params: CapsNetParams, mode: str = "eval", labels=None) -> CapsNetOutput:
-    """The capsule path, then the decoder; images are [B, H, W], uint8 or [0, 1] floats.
+def capsnet_forward(image: np.ndarray, params: CapsNetParams, labels) -> tuple[Tensor, Tensor]:
+    """The capsule path, then the decoder on the true capsule of each of the B labels.
 
-    In ``train`` mode the decoder sees the true capsule (B labels required); in
-    ``eval`` mode it sees the predicted one.
+    Returns the capsules [B, 2, D] and the reconstruction [B, pixels] in (0, 1).
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    caps = capsule_forward(image, params)
-    if mode == "train":
-        if labels is None or np.shape(labels) != caps.predictions.shape:
-            raise ValueError("train mode needs one label per image for decoder masking")
-        mask_idx = np.asarray(labels, dtype=np.int64)
-    else:
-        mask_idx = caps.predictions
-    recon = decode(caps.v, _one_hot(mask_idx, caps.v.dtype), params)
-    return CapsNetOutput(**vars(caps), reconstruction=recon)
+    v = capsule_forward(image, params)
+    mask_idx = np.asarray(labels, dtype=np.int64)
+    if mask_idx.shape != v.shape[:1]:
+        raise ValueError(f"the decoder mask needs one label per image: {v.shape[0]} images, labels {mask_idx.shape}")
+    return v, decode(v, _one_hot(mask_idx, v.dtype), params)

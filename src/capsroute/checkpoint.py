@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .signal import atomic_write
+
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"CRCKPT01"
@@ -44,7 +46,7 @@ def save_checkpoint(path: Path, named_arrays: dict[str, np.ndarray], fingerprint
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)

@@ -97,11 +97,11 @@ def _block(x: Tensor, kernels: Tensor, bias: Tensor, pool_window: tuple) -> Tens
     return maxpool2d(activated, pool_window, stride=2)
 
 
-def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
+def cnn_forward(image: np.ndarray, params: CnnParams, rng: Optional[np.random.Generator] = None) -> Tensor:
     """[B, H, W] images to [B, 2] logits: three conv/pool blocks, flatten, FC head.
 
-    Dropout acts only when training. It uses inverted scaling, so inference
-    applies no rescale and is deterministic.
+    Dropout acts exactly when an ``rng`` is given, as in training. It uses
+    inverted scaling, so inference applies no rescale and is deterministic.
     """
     px = image_batch(image, params.conv1_w.dtype, params.input_hw)
     x = Tensor(px[..., None])
@@ -112,12 +112,9 @@ def cnn_forward(image: np.ndarray, params: CnnParams, training: bool = False, rn
     # fc1_w's columns are in (c, h, w) order
     flat = x.transpose((0, 3, 1, 2)).reshape(x.shape[0], x.shape[1] * x.shape[2] * x.shape[3])
     hidden = relu(affine(flat, params.fc1_w, params.fc1_b))
-    if training:
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
+    if rng is not None:
         hidden = dropout(hidden, DROPOUT_KEEP, rng)
-    logits = affine(hidden, params.out_w, params.out_b)
-    return logits
+    return affine(hidden, params.out_w, params.out_b)
 
 
 def cnn_loss(logits: Tensor, labels, params: CnnParams) -> Tensor:

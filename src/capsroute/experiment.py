@@ -25,7 +25,7 @@ import numpy as np
 from .augment import audit_lineage, expand_dataset
 from .config import ConfigError, RunSettings, read_config_file
 from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, metrics, normalize_confusion
-from .signal import Label, SpectrogramImage, load_dataset, read_rows, write_rows
+from .signal import Label, SpectrogramImage, atomic_write, load_dataset, read_rows, write_rows
 from .splits import SplitPlan, make_splits
 from .tensor import NumericError
 from .training import evaluate, images_to_arrays, load_model, save_model, train_model
@@ -180,7 +180,8 @@ def stage_train(settings: RunSettings) -> list[list[dict]]:
     for pattern in _RUN_OUTPUTS:
         for path in out_dir.glob(pattern):
             path.unlink()
-    (out_dir / "config.snapshot").write_text(settings.snapshot(), encoding="utf-8")
+    with atomic_write(out_dir / "config.snapshot", "w", encoding="utf-8") as fh:
+        fh.write(settings.snapshot())
 
     def work(i):
         return _train_one_fold(i, images, plan, settings, out_dir)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -34,6 +35,7 @@ __all__ = [
     "SpectrogramImage",
     "PipelineError",
     "read_rows",
+    "atomic_write",
     "write_rows",
     "segment",
     "stft_frame_count",
@@ -107,8 +109,21 @@ def _check_cell(cell: str) -> None:
         raise ValueError("a cell cannot hold a NUL character or a line break")
 
 
+@contextmanager
+def atomic_write(path: Path, mode: str, **open_args):
+    """Open a temp file beside ``path``, renamed to ``path`` when the block completes and removed if it raises.
+    PGM images need none: ``write_dataset`` unlinks the manifest first and writes it last."""
+    partial = Path(f"{path}.tmp")
+    try:
+        with open(partial, mode, **open_args) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only if the write or the rename failed
+
+
 def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write UTF-8 CSV with "\\n" line endings to a temp file in ``path``'s directory, then move it to ``path``.
+    """Write UTF-8 CSV with "\\n" line endings to ``path`` through ``atomic_write``.
 
     A cell that ``read_rows`` would refuse raises PipelineError before any file is written.
     """
@@ -118,10 +133,8 @@ def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             _check_cell(cell)
         except ValueError as exc:
             raise PipelineError(f"cannot write {cell!r} to {path}: {exc}") from None
-    partial = Path(f"{path}.tmp")
-    with open(partial, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(table)
-    os.replace(partial, path)
 
 
 class Pvt(Enum):

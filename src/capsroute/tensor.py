@@ -352,7 +352,8 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # split by sign to avoid exp overflow
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = out_data.astype(d.dtype, copy=False)
 
     def backward(g: np.ndarray, out=out_data) -> None:

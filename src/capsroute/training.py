@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .capsnet import CapsNetParams, capsnet_forward, capsule_forward, total_loss
+from .capsnet import CapsNetParams, capsnet_forward, capsule_forward, classify, total_loss
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .cnn import CnnParams, cnn_forward, cnn_loss
 from .metrics import ConfusionMatrix
@@ -66,13 +66,13 @@ class Model:
 
 
 def _capsnet_loss(params: CapsNetParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
-    out = capsnet_forward(px, params, mode="train", labels=labels)
+    v, reconstruction = capsnet_forward(px, params, labels)
     target = (px.astype(params.conv1_w.dtype) / 255.0).reshape(px.shape[0], -1)
-    return total_loss(target, out.v, out.reconstruction, labels), out.predictions
+    return total_loss(target, v, reconstruction, labels), classify(v)[1]
 
 
 def _cnn_loss(params: CnnParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
-    logits = cnn_forward(px, params, training=True, rng=dropout_rng)
+    logits = cnn_forward(px, params, dropout_rng)
     return cnn_loss(logits, labels, params), logits.data.argmax(axis=-1)
 
 
@@ -85,12 +85,12 @@ MODELS: dict[str, Model] = {
     "capsnet": Model(
         CapsNetParams,
         loss=_capsnet_loss,
-        predict=lambda params, px: capsule_forward(px, params).predictions,
+        predict=lambda params, px: classify(capsule_forward(px, params))[1],
     ),
     "cnn": Model(
         CnnParams,
         loss=_cnn_loss,
-        predict=lambda params, px: cnn_forward(px, params, training=False).data.argmax(axis=-1),
+        predict=lambda params, px: cnn_forward(px, params).data.argmax(axis=-1),
     ),
     "mlp": Model(
         MlpParams,

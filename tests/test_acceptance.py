@@ -96,13 +96,13 @@ class TestCriterion2ShapeConformance:
             x = Tensor(rng.random((1, *hw), dtype=np.float32)[..., None])
             c1 = conv2d(x, params.conv1_w, params.conv1_b, stride=2)
             c2 = conv2d(c1, params.conv2_w, params.conv2_b, stride=2)
-            out = capsnet_forward(rng.random((1, *hw), dtype=np.float32), params)
-            traces[hw] = (c1.shape[1:], c2.shape[1:], params.num_primary, out.reconstruction.shape[1])
+            v, reconstruction = capsnet_forward(rng.random((1, *hw), dtype=np.float32), params, [0])
+            traces[hw] = (c1.shape[1:], c2.shape[1:], params.num_primary, reconstruction.shape[1])
             assert c1.shape[1:] == conv1_hw
             assert c2.shape[1:] == conv2_hw
             assert params.num_primary == n_primary
-            assert out.v.shape == (1, 2, 10)
-            assert out.reconstruction.shape == (1, recon)
+            assert v.shape == (1, 2, 10)
+            assert reconstruction.shape == (1, recon)
         elapsed = time.perf_counter() - start
         ok = elapsed < 1.0
         report(2, ok, f"traces {traces[(32, 32)]} and {traces[(64, 32)]} exact in {elapsed:.3f}s (< 1s)")
@@ -117,7 +117,7 @@ class TestCriterion3RoutingOracle:
             p = int(rng.integers(1, 9))
             d = int(rng.integers(1, 5))
             u_hat = rng.normal(size=(p, 2, d))
-            v, _ = dynamic_routing(Tensor(u_hat[None]), iterations=5)
+            v = dynamic_routing(Tensor(u_hat[None]), iterations=5)
             diff = np.abs(v.data[0] - routing_oracle(u_hat, 5)).max()
             worst = max(worst, float(diff))
         elapsed = time.perf_counter() - start
@@ -143,8 +143,8 @@ class TestCriterion4GradientChecks:
         caps_image = rng.uniform(size=(12, 12))[None]
 
         def caps_loss():
-            out = capsnet_forward(caps_image, caps, mode="train", labels=[1])
-            return total_loss(caps_image.reshape(1, -1), out.v, out.reconstruction, [1])
+            v, reconstruction = capsnet_forward(caps_image, caps, [1])
+            return total_loss(caps_image.reshape(1, -1), v, reconstruction, [1])
 
         caps_worst = check_gradients(caps_loss, tensor_fields(caps), rng, samples_per_param=12, tol=1e-4)
 
@@ -152,7 +152,7 @@ class TestCriterion4GradientChecks:
         cnn_image = rng.uniform(size=(8, 8))[None]
 
         def cnn_loss_fn():
-            return cnn_loss(cnn_forward(cnn_image, cnn, training=False), [0], cnn)
+            return cnn_loss(cnn_forward(cnn_image, cnn), [0], cnn)
 
         cnn_worst = check_gradients(cnn_loss_fn, tensor_fields(cnn), rng, samples_per_param=12, tol=1e-4)
         elapsed = time.perf_counter() - start

@@ -28,7 +28,7 @@ CALLS = {
     "cross_entropy_logits": lambda lead: cross_entropy_logits(zeros(*lead, 2), np.zeros(lead, dtype=np.int64)),
     "votes": lambda lead: votes(zeros(*lead, 5, 4), zeros(5, 2, 3, 4)),
     "dynamic_routing": lambda lead: dynamic_routing(zeros(*lead, 5, 2, 3)),
-    "capsnet_forward": lambda lead: capsnet_forward(np.zeros((*lead, 12, 12)), CAPSNET),
+    "capsnet_forward": lambda lead: capsnet_forward(np.zeros((*lead, 12, 12)), CAPSNET, np.zeros(lead, dtype=np.int64)),
     "cnn_forward": lambda lead: cnn_forward(np.zeros((*lead, 8, 8)), CNN),
     "mlp_forward": lambda lead: mlp_forward(np.zeros((*lead, 6, 6)), MLP),
 }

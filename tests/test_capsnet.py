@@ -179,8 +179,7 @@ class TestDynamicRouting:
     def test_single_iteration_is_uniform_coupling(self):
         rng = np.random.default_rng(10)
         u_hat = rng.normal(size=(6, 2, 5))
-        v, state = dynamic_routing(Tensor(u_hat[None]), iterations=1)
-        np.testing.assert_allclose(state.couplings, 0.5, atol=1e-15)
+        v = dynamic_routing(Tensor(u_hat[None]), iterations=1)
         for j in range(2):
             expected = squash_oracle(0.5 * u_hat[:, j, :].sum(axis=0))
             np.testing.assert_allclose(v.data[0, j], expected, rtol=1e-12)
@@ -189,7 +188,7 @@ class TestDynamicRouting:
         q = np.array([0.3, -0.2, 0.5])
         p_count = 8
         u_hat = np.tile(q, (p_count, 2, 1))
-        v, _ = dynamic_routing(Tensor(u_hat[None]), iterations=1)
+        v = dynamic_routing(Tensor(u_hat[None]), iterations=1)
         expected = squash_oracle((p_count / 2.0) * q)
         np.testing.assert_allclose(v.data[0, 0], expected, rtol=1e-12)
         np.testing.assert_allclose(v.data[0, 1], expected, rtol=1e-12)
@@ -200,23 +199,15 @@ class TestDynamicRouting:
             p_count = int(rng.integers(1, 9))
             d = int(rng.integers(1, 5))
             u_hat = rng.normal(size=(p_count, 2, d))
-            v, _ = dynamic_routing(Tensor(u_hat[None]), iterations=5)
+            v = dynamic_routing(Tensor(u_hat[None]), iterations=5)
             np.testing.assert_allclose(v.data[0], routing_oracle(u_hat, 5), atol=1e-12, rtol=1e-12)
-
-    def test_coupling_rows_sum_to_one_every_iteration(self):
-        rng = np.random.default_rng(12)
-        u_hat = Tensor(rng.normal(size=(7, 2, 4))[None])
-        for k in range(1, 6):
-            _, state = dynamic_routing(u_hat, iterations=k)
-            np.testing.assert_allclose(state.couplings.sum(axis=-1), 1.0, atol=1e-12)
-            assert state.iteration == k
 
     def test_batched_matches_unbatched(self):
         rng = np.random.default_rng(13)
         u_hat = rng.normal(size=(3, 5, 2, 4))
-        v_batch, _ = dynamic_routing(Tensor(u_hat), iterations=5)
+        v_batch = dynamic_routing(Tensor(u_hat), iterations=5)
         for i in range(3):
-            v_one, _ = dynamic_routing(Tensor(u_hat[i : i + 1]), iterations=5)
+            v_one = dynamic_routing(Tensor(u_hat[i : i + 1]), iterations=5)
             np.testing.assert_allclose(v_batch.data[i], v_one.data[0], rtol=1e-12, atol=1e-14)
 
     def test_zero_iterations_rejected(self):
@@ -354,45 +345,44 @@ class TestForward:
         assert params.conv2_w.shape == (128, 64, 9, 9)
         assert params.num_primary == 72
         image = np.random.default_rng(24).integers(0, 256, size=(32, 32)).astype(np.uint8)
-        out = capsnet_forward(image[None], params, mode="eval")
-        assert out.v.shape == (1, 2, 10)
-        assert out.reconstruction.shape == (1, 1024)
-        assert out.routing.couplings.shape == (1, 72, 2)
+        v, reconstruction = capsnet_forward(image[None], params, [0])
+        assert v.shape == (1, 2, 10)
+        assert reconstruction.shape == (1, 1024)
 
     def test_shape_trace_64x32(self):
         params = CapsNetParams.init((64, 32), np.random.default_rng(25))
         assert params.num_primary == 264
         image = np.random.default_rng(26).integers(0, 256, size=(64, 32)).astype(np.uint8)
-        out = capsnet_forward(image[None], params, mode="eval")
-        assert out.v.shape == (1, 2, 10)
-        assert out.reconstruction.shape == (1, 2048)
+        v, reconstruction = capsnet_forward(image[None], params, [0])
+        assert v.shape == (1, 2, 10)
+        assert reconstruction.shape == (1, 2048)
 
     def test_deterministic(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(27))
         image = np.random.default_rng(28).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
-        a = capsnet_forward(image, params, mode="eval")
-        b = capsnet_forward(image, params, mode="eval")
-        np.testing.assert_array_equal(a.v.data, b.v.data)
-        np.testing.assert_array_equal(a.reconstruction.data, b.reconstruction.data)
+        a_v, a_recon = capsnet_forward(image, params, [0])
+        b_v, b_recon = capsnet_forward(image, params, [0])
+        np.testing.assert_array_equal(a_v.data, b_v.data)
+        np.testing.assert_array_equal(a_recon.data, b_recon.data)
 
     def test_batched_forward(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(29))
         images = np.random.default_rng(30).integers(0, 256, size=(4, 32, 32)).astype(np.uint8)
-        out = capsnet_forward(images, params, mode="train", labels=np.array([0, 1, 0, 1]))
-        assert out.v.shape == (4, 2, 10)
-        assert out.reconstruction.shape == (4, 1024)
-        assert out.predictions.shape == (4,)
+        v, reconstruction = capsnet_forward(images, params, np.array([0, 1, 0, 1]))
+        assert v.shape == (4, 2, 10)
+        assert reconstruction.shape == (4, 1024)
+        assert classify(v)[1].shape == (4,)
 
     def test_train_mode_requires_labels(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(31))
         image = np.zeros((1, 32, 32), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            capsnet_forward(image, params, mode="train")
+        with pytest.raises(ValueError, match="one label per image"):
+            capsnet_forward(image, params, [0, 1])
 
     def test_wrong_input_size(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(32))
         with pytest.raises(ValueError):
-            capsnet_forward(np.zeros((1, 64, 32), dtype=np.uint8), params)
+            capsnet_forward(np.zeros((1, 64, 32), dtype=np.uint8), params, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +408,8 @@ class TestGradientsThroughRouting:
         labels = np.array([1])
 
         def loss_fn():
-            out = capsnet_forward(image, params, mode="train", labels=labels)
-            return total_loss(image.reshape(1, -1), out.v, out.reconstruction, labels)
+            v, reconstruction = capsnet_forward(image, params, labels)
+            return total_loss(image.reshape(1, -1), v, reconstruction, labels)
 
         worst = check_gradients(loss_fn, tensor_fields(params), rng, samples_per_param=10, tol=1e-4)
         assert max(worst.values()) < 1e-4

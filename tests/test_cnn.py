@@ -56,20 +56,15 @@ class TestDropoutBehavior:
     def test_inference_is_deterministic(self):
         params = CnnParams.init((32, 32), np.random.default_rng(5))
         image = np.random.default_rng(6).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
-        a = cnn_forward(image, params, training=False)
-        b = cnn_forward(image, params, training=False)
+        a = cnn_forward(image, params)
+        b = cnn_forward(image, params)
         np.testing.assert_array_equal(a.data, b.data)
-
-    def test_training_requires_rng(self):
-        params = CnnParams.init((32, 32), np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            cnn_forward(np.zeros((1, 32, 32), dtype=np.uint8), params, training=True)
 
     def test_training_dropout_changes_output(self):
         params = CnnParams.init((32, 32), np.random.default_rng(8))
         image = np.random.default_rng(9).integers(0, 256, size=(32, 32)).astype(np.uint8)[None]
-        a = cnn_forward(image, params, training=True, rng=np.random.default_rng(1))
-        b = cnn_forward(image, params, training=True, rng=np.random.default_rng(2))
+        a = cnn_forward(image, params, np.random.default_rng(1))
+        b = cnn_forward(image, params, np.random.default_rng(2))
         assert not np.array_equal(a.data, b.data)
 
 
@@ -127,7 +122,7 @@ class TestGradients:
         image = rng.uniform(size=(8, 8))[None]
 
         def loss_fn():
-            logits = cnn_forward(image, params, training=False)
+            logits = cnn_forward(image, params)
             return cnn_loss(logits, [1], params)
 
         worst = check_gradients(loss_fn, tensor_fields(params), rng, samples_per_param=10, tol=1e-4)

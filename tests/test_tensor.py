@@ -226,7 +226,7 @@ class TestConv2d:
         with mock.patch.object(capsnet, "conv2d", spy), mock.patch.object(cnn, "conv2d", spy):
             for hw in ((32, 32), (64, 32)):
                 image = np.zeros((1, *hw), dtype=np.uint8)
-                capsnet.capsnet_forward(image, capsnet.CapsNetParams.init(hw, np.random.default_rng(0), np.float32))
+                capsnet.capsnet_forward(image, capsnet.CapsNetParams.init(hw, np.random.default_rng(0), np.float32), [0])
                 cnn.cnn_forward(image, cnn.CnnParams.init(hw, np.random.default_rng(0), np.float32))
         return shapes
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from gradcheck import check_directional
 from test_optim import _oracle_step
 
-from capsroute import capsnet
-from capsroute.capsnet import CapsNetParams, capsnet_forward
+from capsroute import capsnet, signal
+from capsroute.capsnet import CapsNetParams, capsnet_forward, classify
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cnn import CnnParams
 from capsroute.config import TrainConfig
@@ -208,6 +209,38 @@ class TestCheckpoints:
         np.testing.assert_array_equal(arrays["a"], tensors["a"])
         np.testing.assert_array_equal(arrays["b"], tensors["b"])
 
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-checkpoint", "fresh"])
+    def test_save_failing_part_way_leaves_no_partial_file(self, tmp_path, monkeypatch, earlier):
+        path = tmp_path / "c.ckpt"
+        if earlier:
+            save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones((2, 2))}, {"run": 1})
+            before = path.read_bytes()
+
+        class DiskFullAtSecondTensor:
+            """A file whose fifth write fails: the magic, header length, header and first tensor go through."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(signal, "open", lambda *args, **kwargs: DiskFullAtSecondTensor(open(*args, **kwargs)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"a": np.zeros(3), "b": np.zeros((2, 2))}, {"run": 2})
+        assert [p.name for p in tmp_path.iterdir()] == (["c.ckpt"] if earlier else [])  # no .tmp left
+        if earlier:
+            assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "cut",
         [
@@ -376,7 +409,7 @@ class TestEvaluate:
         """Class scores come from capsule lengths alone; 130 images cross predict's 128-image batch."""
         params = CapsNetParams.init((32, 32), np.random.default_rng(14), np.float32)
         pixels = np.random.default_rng(15).integers(0, 256, size=(130, 32, 32), dtype=np.uint8)
-        want = {n: capsnet_forward(pixels[:n], params, mode="eval").predictions for n in (1, 36, 130)}
+        want = {n: classify(capsnet_forward(pixels[:n], params, np.zeros(n, dtype=np.int64))[0])[1] for n in (1, 36, 130)}
 
         def no_decoder(*args, **kwargs):
             raise AssertionError("predict ran the decoder")
@@ -405,3 +438,21 @@ class TestEvaluate:
     def test_perfect_labels_give_zero_errors(self):
         cm = ConfusionMatrix(tp=5, fn=0, fp=0, tn=5)
         assert cm.fn == 0 and cm.fp == 0
+
+
+class TestGradientsAtTrainedWidths:
+    """Each model as it trains, at full width and batch 2 in float64, through its MODELS loss adapter."""
+
+    @pytest.mark.parametrize(
+        "kind, hw", [("capsnet", (32, 32)), ("capsnet", (64, 32)), ("cnn", (64, 32)), ("mlp", (64, 32))], ids=["capsnet-32x32", "capsnet-64x32", "cnn-64x32", "mlp-64x32"]
+    )
+    def test_directional_central_differences(self, kind, hw):
+        params = MODELS[kind].params.init(hw, np.random.default_rng(0), np.float64)
+        rng = np.random.default_rng(0)
+        pixels = rng.integers(0, 256, size=(2, *hw), dtype=np.uint8)
+        labels = np.array([0, 1])
+
+        def loss_fn():  # a fresh fixed-seed rng per call: the cnn drops the same units every time
+            return MODELS[kind].loss(params, pixels, labels, np.random.default_rng(7))[0]
+
+        check_directional(loss_fn, tensor_fields(params), rng)
