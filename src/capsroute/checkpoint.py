@@ -32,15 +32,15 @@ class CheckpointError(RuntimeError):
 
 def save_checkpoint(path: Path, named_arrays: dict[str, np.ndarray], fingerprint: dict) -> None:
     index = {}
-    blobs = []
+    arrays = []
     offset = 0
     for name, arr in named_arrays.items():
         arr = np.asarray(arr)
-        dtype = "<f4" if arr.dtype == np.float32 else "<f8"
-        data = arr.astype(dtype).tobytes()
-        index[name] = {"dtype": dtype, "shape": list(arr.shape), "offset": offset, "nbytes": len(data)}
-        blobs.append(data)
-        offset += len(data)
+        # the tensor's own buffer, written as it is, unless it needs a cast or a C-order copy
+        arr = np.asarray(arr, "<f4" if arr.dtype == np.float32 else "<f8", order="C")
+        index[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
+        arrays.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"version": _VERSION, "fingerprint": fingerprint, "tensors": index},
         sort_keys=True,
@@ -50,8 +50,8 @@ def save_checkpoint(path: Path, named_arrays: dict[str, np.ndarray], fingerprint
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:

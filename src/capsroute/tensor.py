@@ -5,6 +5,12 @@ are enabled, records a backward closure. A computation record is confined to
 the thread that built it; parameter tensors may be shared read-only across
 threads for inference.
 
+``backward`` consumes the record it walks: once a node's closure has run, the
+node drops its gradient, closure and parent links, so each activation and
+interior gradient is freed as soon as the last closure that reads it has run.
+Only the leaves' gradients (and the root's) outlive the call, and the same
+root cannot be walked twice.
+
 All kernels fail fast on NaN/Inf, naming the offending operation.
 """
 
@@ -304,13 +310,18 @@ class Tensor:
     # -- reverse-mode driver ----------------------------------------------
 
     def backward(self) -> None:
-        """Fill ``grad`` slots of every reachable requires_grad tensor.
+        """Fill ``grad`` slots of every reachable requires_grad tensor, consuming the record.
 
-        The receiver must be the scalar root of a recorded computation.
+        The receiver must be the scalar root of a recorded computation. Each
+        interior node gives up its ``grad``, closure and parents once its
+        closure has run; leaves keep their gradients and the root its ones.
+        A second call on the same root raises ``GraphError``.
         """
         if self.size != 1:
             raise GraphError(f"backward requires a scalar root, got shape {self.shape}")
         if not self._parents:
+            if self.requires_grad and self._op != "leaf":
+                raise GraphError("backward on a graph that an earlier backward consumed")
             raise GraphError("backward on a tensor not produced by a recorded computation")
 
         topo: list[Tensor] = []
@@ -330,9 +341,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # topo lists every parent before its children, so a popped node holds its
+        # whole gradient; once its closure has run, nothing refers to the node
+        # but its caller, and what only that closure read is freed with it
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                node._parents, node._backward_fn = (), None
+                if node is not self:
+                    node.grad = None
 
 
 # ---------------------------------------------------------------------------

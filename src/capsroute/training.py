@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -115,12 +118,39 @@ def images_to_arrays(images: Sequence[SpectrogramImage]) -> tuple[np.ndarray, np
     return pixels, labels
 
 
+# glibc's mallopt parameters (malloc.h) and the values a train step wants: the
+# mmap threshold at the 32 MiB cap that glibc's dynamic threshold stops at, and
+# a trim threshold no step reaches. Setting either one switches the dynamic
+# threshold off, so both are set or neither: with only the trim threshold set,
+# the mmap threshold stays at 128 KiB and every larger array is mapped and
+# faulted in afresh on each call.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the memory a step frees for the next step instead of handing it back to the kernel.
+
+    Backward frees a step's graph as it walks it, so glibc would trim the top
+    of the heap after each step and the next step would fault the same pages
+    in again. Runs once per process, on glibc only; outputs do not depend on it."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):  # returns 0, having set nothing, if refused
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     """Adam-driven epochs over shuffled mini-batches; deterministic in cfg.seed.
 
     Returns trained parameters and the per-epoch curve (mean loss, train
     accuracy). A non-finite loss aborts with the offending epoch and batch.
     """
+    _keep_freed_heap()
     pixels, labels = images_to_arrays(train_images)
     n = len(labels)
     model = MODELS[cfg.kind]

@@ -522,6 +522,7 @@ class TestBackward:
         y = x * 3.0
         (y + y).sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
+        assert y.grad is None and y._parents == ()  # consumed only after both contributions reached it
 
     @pytest.mark.parametrize("shared_first", [True, False])
     def test_shared_gradient_array_is_not_written_into(self, shared_first):
@@ -534,6 +535,27 @@ class TestBackward:
         (shared + own if shared_first else own + shared).backward()
         np.testing.assert_array_equal(a.grad, c + 3.0)
         np.testing.assert_array_equal(b.grad, c)
+        assert shared.grad is None and own.grad is None
+
+    def test_backward_consumes_interior_nodes(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        c = Tensor([3.0, 4.0])
+        y = (x * c).square()
+        root = y.sum()
+        root.backward()
+        assert y.grad is None and y._backward_fn is None and y._parents == ()
+        assert root._backward_fn is None and root._parents == ()
+        np.testing.assert_array_equal(root.grad, 1.0)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data * c.data**2)
+        assert c.grad is None
+
+    def test_second_backward_on_a_consumed_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        root = (x * 3.0).sum()
+        root.backward()
+        with pytest.raises(GraphError, match="earlier backward consumed"):
+            root.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])  # the refused call added nothing
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor([1.0], requires_grad=True)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from capsroute.cnn import CnnParams
 from capsroute.config import TrainConfig
 from capsroute.metrics import ConfusionMatrix
 from capsroute.mlp import MlpParams
+from capsroute.optim import adam_init, adam_step
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
 from capsroute.tensor import tensor_fields
 from capsroute.training import (
@@ -159,6 +161,42 @@ class TestTrainModel:
         save_model(tmp_path / "pure.ckpt", pure)
         assert shipped_curve == pure_curve
         assert (tmp_path / "in_place.ckpt").read_bytes() == (tmp_path / "pure.ckpt").read_bytes()
+
+
+class TestStepMemory:
+    """A train step holds one graph at a time, and backward frees it as it goes."""
+
+    @pytest.mark.parametrize("kind, hw", [("cnn", (64, 32)), ("capsnet", (32, 32))], ids=["cnn-64x32", "capsnet-32x32"])
+    def test_memory_held_after_a_step_is_the_gradients(self, kind, hw):
+        model = MODELS[kind]
+        params = model.params.init(hw, np.random.default_rng(0), np.float32)
+        named = tensor_fields(params)
+        state = adam_init([p.data for _, p in named], lr=1e-3)
+        rng = np.random.default_rng(1)
+        pixels = rng.integers(0, 256, size=(4, *hw), dtype=np.uint8)
+        labels = np.array([0, 1, 0, 1])
+
+        def step():
+            loss, _ = model.loss(params, pixels, labels, rng)
+            for _, p in named:
+                p.zero_grad()
+            loss.backward()
+            adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
+            return loss
+
+        step()  # first calls fill caches the count should not see
+        for _, p in named:
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = step()  # kept, as the train loop keeps it until the next forward
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.grad.nbytes for _, p in named)
+        assert loss.grad is not None
+        assert held <= 1.01 * grad_bytes, f"{held / 2**20:.2f} MB held after the step for {grad_bytes / 2**20:.2f} MB of gradients"
 
 
 MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 512, "dtype": "float64"}
