@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu
+from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image_batch, maxpool2d, pad2d, parameter, relu, sum_of_squares
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
@@ -93,8 +93,9 @@ class CnnParams:
 
 def _block(x: Tensor, kernels: Tensor, bias: Tensor, pool_window: tuple) -> Tensor:
     padded = pad2d(x, (1, 1, 1, 1))
-    activated = relu(conv2d(padded, kernels, bias, stride=1))
-    return maxpool2d(activated, pool_window, stride=2)
+    # max commutes with ReLU, zero-extension cells included, so pooling first gives the
+    # same values and gradients while the ReLU runs on a quarter of the cells
+    return relu(maxpool2d(conv2d(padded, kernels, bias, stride=1), pool_window, stride=2))
 
 
 def cnn_forward(image: np.ndarray, params: CnnParams, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -119,9 +120,4 @@ def cnn_forward(image: np.ndarray, params: CnnParams, rng: Optional[np.random.Ge
 
 def cnn_loss(logits: Tensor, labels, params: CnnParams) -> Tensor:
     """Softmax cross-entropy plus L2_BETA * sum of squared weights (biases excluded)."""
-    ce = cross_entropy_logits(logits, labels)
-    l2 = None
-    for w in params.weight_tensors():
-        term = w.square().sum()
-        l2 = term if l2 is None else l2 + term
-    return ce + L2_BETA * l2
+    return cross_entropy_logits(logits, labels) + L2_BETA * sum_of_squares(params.weight_tensors())

@@ -11,7 +11,11 @@ interior gradient is freed as soon as the last closure that reads it has run.
 Only the leaves' gradients (and the root's) outlive the call, and the same
 root cannot be walked twice.
 
-All kernels fail fast on NaN/Inf, naming the offending operation.
+All kernels fail fast on NaN/Inf, naming the offending operation. Under
+``finite_checks_off`` they skip that scan, and NumPy's floating-point
+warnings are silenced, so the caller must check what it keeps: training
+checks each step's loss and parameter gradients once, and reruns a failed
+batch with the checks on to name the op.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "GraphError",
     "no_grad",
     "grad_enabled",
+    "finite_checks_off",
     "relu",
     "sigmoid",
     "softmax_axis",
@@ -39,6 +44,7 @@ __all__ = [
     "einsum2",
     "dropout",
     "cross_entropy_logits",
+    "sum_of_squares",
     "truncated_normal",
     "parameter",
     "tensor_fields",
@@ -72,8 +78,20 @@ def no_grad():
         _local.grad_enabled = prev
 
 
+@contextmanager
+def finite_checks_off():
+    """Skip every kernel's NaN/Inf scan, with NumPy's floating-point warnings off too."""
+    prev = getattr(_local, "check_finite", True)
+    _local.check_finite = False
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _local.check_finite = prev
+
+
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if getattr(_local, "check_finite", True) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -496,7 +514,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     # each other once per block of K; when both start on one core, each wait took a scheduler
     # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
     padded = rows if n * p > cout else np.concatenate([rows, np.zeros((cout + 1 - n * p, k), rows.dtype)])
-    out = np.add((padded @ kmat.T)[: n * p], bias.data).reshape(n, ho, wo, cout)
+    out = (padded @ kmat.T)[: n * p]
+    out += bias.data
+    out = out.reshape(n, ho, wo, cout)
 
     def backward(g: np.ndarray) -> None:
         grows = g.reshape(n * p, cout)  # row n*P + position
@@ -634,6 +654,27 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
         logits._accumulate(p, "cross_entropy_logits")
 
     return Tensor._result(out, (logits,), backward, "cross_entropy_logits")
+
+
+def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Scalar sum of every cell's square over ``tensors``, recorded as one node.
+
+    Its value and gradients are bit for bit those of ``t.square().sum()``
+    added up in order, without that chain's full-size interior nodes.
+    """
+    total = None
+    for t in tensors:
+        term = np.asarray((t.data * t.data).sum())
+        total = term if total is None else total + term
+
+    def backward(g: np.ndarray) -> None:
+        for t in tensors:
+            if t.requires_grad:
+                grad = np.multiply(t.data, 2.0)  # (2.0 * w) * g, as square's backward computes it
+                grad *= g
+                t._accumulate(grad, "sum_of_squares")
+
+    return Tensor._result(np.asarray(total), tuple(tensors), backward, "sum_of_squares")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .metrics import ConfusionMatrix
 from .mlp import MlpParams, mlp_forward
 from .optim import adam_init, adam_step
 from .signal import Label, SpectrogramImage
-from .tensor import NumericError, cross_entropy_logits, no_grad, tensor_fields
+from .tensor import NumericError, cross_entropy_logits, finite_checks_off, no_grad, tensor_fields
 
 if TYPE_CHECKING:  # config imports MODEL_KINDS from here
     from .config import TrainConfig
@@ -144,11 +144,33 @@ def _keep_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every cell of ``a`` is finite, without a mask of its size.
+
+    A NaN or Inf cell makes the sum of squares NaN or Inf, so a finite sum
+    proves every cell finite in one read of ``a``; a sum that overflows is
+    settled cell by cell.
+    """
+    flat = a.reshape(-1)
+    return bool(np.isfinite(np.dot(flat, flat))) or bool(np.isfinite(a).all())
+
+
+def _non_finite(loss, named) -> Optional[str]:
+    """What of a step's loss and parameter gradients holds a NaN or Inf, or None."""
+    if not _all_finite(loss.data):
+        return "the loss"
+    return next((f"the gradient of {name}" for name, p in named if not _all_finite(p.grad)), None)
+
+
 def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     """Adam-driven epochs over shuffled mini-batches; deterministic in cfg.seed.
 
     Returns trained parameters and the per-epoch curve (mean loss, train
-    accuracy). A non-finite loss aborts with the offending epoch and batch.
+    accuracy). Each batch's forward and backward run without the per-op
+    finiteness checks; its loss and parameter gradients are checked once,
+    before Adam writes into the parameters. A batch that fails reruns from
+    the same dropout draws with the checks on, and aborts with the epoch,
+    batch and offending op.
     """
     _keep_freed_heap()
     pixels, labels = images_to_arrays(train_images)
@@ -160,6 +182,13 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
     shuffle_rng = np.random.default_rng((cfg.seed, 0x2))
     dropout_rng = np.random.default_rng((cfg.seed, 0x3))
 
+    def step(idx):
+        loss, preds = model.loss(params, pixels[idx], labels[idx], dropout_rng)
+        for _, p in named:
+            p.zero_grad()
+        loss.backward()
+        return loss, preds
+
     curve = []
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
@@ -167,13 +196,19 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
         correct = 0
         for batch_start in range(0, n, cfg.batch_size):
             idx = perm[batch_start : batch_start + cfg.batch_size]
-            try:
-                loss, preds = model.loss(params, pixels[idx], labels[idx], dropout_rng)
-                for _, p in named:
-                    p.zero_grad()
-                loss.backward()
-            except NumericError as exc:
-                raise TrainingError(f"non-finite value at epoch {epoch} batch {batch_start // cfg.batch_size}: {exc}") from exc
+            draws = dropout_rng.bit_generator.state
+            with finite_checks_off():
+                loss, preds = step(idx)
+                bad = _non_finite(loss, named)
+            if bad is not None:
+                where = f"epoch {epoch} batch {batch_start // cfg.batch_size}"
+                dropout_rng.bit_generator.state = draws
+                try:
+                    with np.errstate(all="ignore"):  # the error to raise is the op's, not NumPy's warning
+                        step(idx)
+                except NumericError as exc:
+                    raise TrainingError(f"non-finite value at {where}: {exc}") from exc
+                raise TrainingError(f"non-finite value at {where}: {bad}")
             new_data, state = adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
             for (_, p), d in zip(named, new_data):
                 p.data = d

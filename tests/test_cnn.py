@@ -8,7 +8,7 @@ from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import TrainConfig
 from gradcheck import check_gradients
 from capsroute.mlp import MlpParams, mlp_forward
-from capsroute.tensor import Tensor, maxpool2d, tensor_fields
+from capsroute.tensor import Tensor, conv2d, cross_entropy_logits, maxpool2d, pad2d, relu, tensor_fields
 
 
 def logsumexp_ce_oracle(logits, label):
@@ -103,6 +103,73 @@ class TestCnnLoss:
             p.data = np.zeros_like(p.data)
         loss = cnn_loss(Tensor(np.array([[30.0, -30.0]])), [0], params).item()
         assert loss < 1e-12
+
+
+class TestL2AsOneOp:
+    """``cnn_loss``'s one-node L2 term against the ``w.square().sum()`` chain it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("hw", [(32, 32), (64, 32)], ids=["32x32", "64x32"])
+    def test_loss_and_gradients_equal_the_square_sum_chain(self, hw, dtype):
+        params = CnnParams.init(hw, np.random.default_rng(17), dtype=dtype)
+        pixels = np.random.default_rng(18).integers(0, 256, size=(3, *hw), dtype=np.uint8)
+        labels = [0, 1, 1]
+
+        def chain_loss(logits):
+            l2 = None
+            for w in params.weight_tensors():
+                term = w.square().sum()
+                l2 = term if l2 is None else l2 + term
+            return cross_entropy_logits(logits, labels) + cnn.L2_BETA * l2
+
+        results = []
+        for loss_fn in (chain_loss, lambda logits: cnn_loss(logits, labels, params)):
+            for _, p in tensor_fields(params):
+                p.zero_grad()
+            loss = loss_fn(cnn_forward(pixels, params, np.random.default_rng(19)))
+            loss.backward()
+            results.append((loss.data, [p.grad for p in params.weight_tensors()]))
+        (chain_value, chain_grads), (op_value, op_grads) = results
+        np.testing.assert_array_equal(op_value, chain_value)
+        assert np.asarray(op_value).dtype == dtype
+        for chain_grad, op_grad in zip(chain_grads, op_grads):
+            np.testing.assert_array_equal(op_grad, chain_grad)
+
+
+class TestBlockOrder:
+    """Pooling before the ReLU, as ``cnn._block`` does, against the ReLU-then-pool order."""
+
+    @staticmethod
+    def _both_orders(x, k, b, window):
+        results = []
+        for block in (lambda t: maxpool2d(relu(t), window, stride=2), lambda t: relu(maxpool2d(t, window, stride=2))):
+            xt, kt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, k, b))
+            out = block(conv2d(pad2d(xt, (1, 1, 1, 1)), kt, bt))
+            weights = np.random.default_rng(20).normal(size=out.shape).astype(x.dtype)
+            (out * Tensor(weights)).sum().backward()
+            results.append((out.data, xt.grad, kt.grad, bt.grad))
+        return results
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("window", [(2, 2), (4, 2)], ids=["2x2", "4x2"])
+    @pytest.mark.parametrize("maps", ["mixed", "ties", "all-negative"])
+    def test_output_and_gradients_equal(self, maps, window, dtype):
+        rng = np.random.default_rng(21)
+        # odd extents, so the last row and column of windows hold zero-extension cells
+        x = rng.normal(size=(2, 9, 7, 3))
+        k = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        if maps == "ties":  # small integers: many equal maxima, at zero and above it
+            x, k, b = np.round(x), np.round(k), np.zeros(4)
+        elif maps == "all-negative":  # every window's maximum is a zero-extension cell or negative
+            b = np.full(4, -1e3)
+        relu_first, pool_first = self._both_orders(x.astype(dtype), k.astype(dtype), b.astype(dtype), window)
+        if maps == "all-negative":
+            assert not pool_first[0].any()
+        else:
+            assert pool_first[0].any() and not pool_first[0].all()
+        for got, want in zip(pool_first, relu_first):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDefaults:

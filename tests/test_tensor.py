@@ -19,12 +19,14 @@ from capsroute.tensor import (
     cross_entropy_logits,
     dropout,
     einsum2,
+    finite_checks_off,
     maxpool2d,
     no_grad,
     pad2d,
     relu,
     sigmoid,
     softmax_axis,
+    sum_of_squares,
     truncated_normal,
 )
 from gradcheck import check_gradients
@@ -575,6 +577,20 @@ class TestNumericGuards:
                 Tensor([1.0]) / Tensor([0.0])
 
 
+class TestFiniteChecksOff:
+    def test_ops_pass_non_finite_values_without_a_warning(self):
+        with finite_checks_off():
+            out = Tensor([1.0, 0.0]) / Tensor([0.0, 0.0])
+        assert np.isinf(out.data[0]) and np.isnan(out.data[1])
+
+    def test_checks_are_back_after_an_exception(self):
+        with pytest.raises(ValueError):
+            with finite_checks_off():
+                raise ValueError("a forward that fails for another reason")
+        with pytest.raises(NumericError):
+            Tensor([np.nan])
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks, 100 random points per differentiable op
 # ---------------------------------------------------------------------------
@@ -760,6 +776,17 @@ class TestFiniteDifferences:
                 return cross_entropy_logits(x, labels)
 
             return loss, [("x", x)]
+
+        _check_op(build)
+
+    def test_sum_of_squares(self):
+        def build(rng):
+            tensors = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (5,), (2, 2, 3))]
+
+            def loss():
+                return sum_of_squares(tensors) * 0.7
+
+            return loss, [(f"t{i}", t) for i, t in enumerate(tensors)]
 
         _check_op(build)
 

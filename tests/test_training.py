@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gradcheck import check_directional
 from test_optim import _oracle_step
 
-from capsroute import capsnet, signal
+from capsroute import capsnet, cnn, signal
 from capsroute.capsnet import CapsNetParams, capsnet_forward, classify
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cnn import CnnParams
@@ -22,7 +22,7 @@ from capsroute.metrics import ConfusionMatrix
 from capsroute.mlp import MlpParams
 from capsroute.optim import adam_init, adam_step
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
-from capsroute.tensor import tensor_fields
+from capsroute.tensor import NumericError, Tensor, tensor_fields
 from capsroute.training import (
     MODELS,
     LeakageError,
@@ -130,6 +130,38 @@ class TestTrainModel:
         monkeypatch.setattr(MlpParams, "init", classmethod(poisoned_init))
         cfg = TrainConfig(kind="mlp", epochs=1, batch_size=8, seed=1)
         with pytest.raises(TrainingError, match="epoch 0 batch 0"):
+            train_model(toy_images(8), cfg)
+
+    def test_op_poisoned_mid_graph_is_named_after_the_step(self, monkeypatch):
+        # a step runs with the per-op checks off; the failed batch reruns with them on to name the op
+        real_maxpool2d = cnn.maxpool2d
+        calls = []
+
+        def poisoned_maxpool2d(x, window, stride):
+            calls.append(len(calls))
+            if len(calls) > 3:  # every forward from batch 1 on; a forward pools three times
+                x.data[0, 0, 0, 0] = np.inf
+            return real_maxpool2d(x, window, stride)
+
+        monkeypatch.setattr(cnn, "maxpool2d", poisoned_maxpool2d)
+        cfg = TrainConfig(kind="cnn", epochs=1, batch_size=4, seed=3)
+        with pytest.raises(TrainingError, match=r"epoch 0 batch 1: non-finite value produced by op 'maxpool2d'"):
+            train_model(toy_images(8, hw=(32, 32)), cfg)
+        assert len(calls) == 7  # batch 0's three, batch 1's three unchecked, then the rerun's first
+        with pytest.raises(NumericError):  # the eager checks are back on
+            Tensor([np.nan])
+
+    def test_gradient_overflowing_in_its_sum_is_named(self, monkeypatch):
+        # every op's output and gradient is finite, but out_b's two gradient terms add up to inf
+        mlp_loss = MODELS["mlp"].loss
+
+        def overflowing_loss(params, px, labels, dropout_rng):
+            loss, preds = mlp_loss(params, px, labels, dropout_rng)
+            return loss + (params.out_b * 1e308).sum() + (params.out_b * 1e308).sum(), preds
+
+        monkeypatch.setitem(MODELS, "mlp", replace(MODELS["mlp"], loss=overflowing_loss))
+        cfg = TrainConfig(kind="mlp", epochs=1, batch_size=8, seed=1)
+        with pytest.raises(TrainingError, match="epoch 0 batch 0: the gradient of out_b"):
             train_model(toy_images(8), cfg)
 
     def test_unknown_kind(self):
