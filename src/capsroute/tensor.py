@@ -11,6 +11,13 @@ interior gradient is freed as soon as the last closure that reads it has run.
 Only the leaves' gradients (and the root's) outlive the call, and the same
 root cannot be walked twice.
 
+A kernel's full-size temporaries that die before it returns (conv2d's
+unfolded rows and window gradients, maxpool2d's zero-extended input and
+gradient, the L2 term's squares) live in one scratch buffer per thread,
+grown to the largest request and freed when the thread exits. No view of it
+is ever returned, stored as a tensor's data or gradient, or kept by a
+backward closure, so the next kernel may overwrite it.
+
 All kernels fail fast on NaN/Inf, naming the offending operation. Under
 ``finite_checks_off`` they skip that scan, and NumPy's floating-point
 warnings are silenced, so the caller must check what it keeps: training
@@ -21,6 +28,7 @@ batch with the checks on to name the op.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -95,6 +103,21 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
+def _scratch(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised ``shape`` array of ``dtype`` in this thread's scratch buffer.
+
+    Valid only until the next ``_scratch`` call on this thread, which reuses
+    the same memory: it may hold what a kernel needs during its own call, and
+    nothing it returns or records.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if getattr(_local, "scratch", None) is None or _local.scratch.size < nbytes:
+        _local.scratch = None  # freed before its replacement is allocated
+        _local.scratch = np.empty(nbytes, dtype=np.uint8)
+    return _local.scratch[:nbytes].view(dtype).reshape(shape)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if grad.shape == shape:
@@ -156,16 +179,23 @@ class Tensor:
             out._backward_fn = None
         return out
 
-    def _accumulate(self, grad: np.ndarray, op: str) -> None:
+    def _accumulate(self, grad: np.ndarray, op: str, fresh: bool = False) -> None:
         # ``grad`` may be shared (one array handed to both operands of an add,
-        # a view of another gradient, a read-only broadcast), so it is never
-        # written into. It is copied only when not C-contiguous: einsum2's
+        # a view of another gradient, a read-only broadcast), so it is written
+        # into only when ``fresh``: the closure has just allocated it and keeps
+        # no other reference, so a second term is summed in place rather than
+        # into a third array. It is copied only when not C-contiguous: einsum2's
         # backward can hand back a transposed result, and Adam's elementwise
         # updates over a transposed gradient ran about 30% slower on capsnet;
         # conv2d's kernel gradient arrives permuted from (m, q, c) column order.
         _require_finite(grad, op + ".backward")
         grad = np.asarray(grad, dtype=self.data.dtype, order="C")
-        self.grad = grad if self.grad is None else self.grad + grad
+        if self.grad is None:
+            self.grad = grad
+        elif fresh:
+            self.grad = np.add(self.grad, grad, out=grad)
+        else:
+            self.grad = self.grad + grad
 
     # -- basic introspection --------------------------------------------
 
@@ -427,11 +457,11 @@ def affine(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g @ weights.data, "affine")
+            x._accumulate(g @ weights.data, "affine", fresh=True)
         if weights.requires_grad:
-            weights._accumulate(g.T @ x.data, "affine")
+            weights._accumulate(g.T @ x.data, "affine", fresh=True)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0), "affine")
+            bias._accumulate(g.sum(axis=0), "affine", fresh=True)
 
     return Tensor._result(out_data, (x, weights, bias), backward, "affine")
 
@@ -441,19 +471,20 @@ def _taps(extent: int, stride: int, offset: int) -> slice:
     return slice(offset, offset + (extent - 1) * stride + 1, stride)
 
 
-def _im2row(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Rows of ``x`` [N, H, W, C] for a valid kh x kw window: [N*Ho*Wo, kh*kw*C].
+def _im2row(x: np.ndarray, kh: int, kw: int, stride: int, nrows: int) -> np.ndarray:
+    """Rows of ``x`` [N, H, W, C] for a valid kh x kw window, in the scratch: [nrows, kh*kw*C].
 
     Row n*Ho*Wo + i*Wo + j is window (i, j) of image n, its columns ordered
     (m, q, c) by kernel offset (m, q), then channel, so each of a window's kh
-    rows is copied as one run of kw*C cells.
+    rows is copied as one run of kw*C cells. The rows past N*Ho*Wo are zero.
     """
     n, h, w, c = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    rows = np.empty((n * ho * wo, kh * kw * c), dtype=x.dtype)
+    rows = _scratch((nrows, kh * kw * c), x.dtype)
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    rows.reshape(n, ho, wo, kh, kw, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    rows[: n * ho * wo].reshape(n, ho, wo, kh, kw, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    rows[n * ho * wo :] = 0
     return rows
 
 
@@ -486,10 +517,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     an image's output and input gradient are bit-identical to those of a
     batch of one (the tests check this at every conv shape the models build).
 
-    The kernel gradient is ``grows.T @ rows``, summing the N*Ho*Wo (image,
-    position) terms image-major. The input gradient is ``grows @ kmat``, one
-    window gradient per row, summed back onto the input by kernel offset
-    (``_add_windows``).
+    The rows live in the scratch and die with the forward GEMM. The backward
+    unfolds the kept input again for the kernel gradient, ``grows.T @ rows``,
+    summing the N*Ho*Wo (image, position) terms image-major. The input
+    gradient is ``grows @ kmat``, one window gradient per row, written into
+    the scratch over those rows and summed back onto the input by kernel
+    offset (``_add_windows``).
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
@@ -509,27 +542,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     p = ho * wo
     k = kh * kw * cin
     kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
-    rows = _im2row(x.data, kh, kw, stride)
     # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
     # each other once per block of K; when both start on one core, each wait took a scheduler
     # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
-    padded = rows if n * p > cout else np.concatenate([rows, np.zeros((cout + 1 - n * p, k), rows.dtype)])
-    out = (padded @ kmat.T)[: n * p]
+    rows = _im2row(x.data, kh, kw, stride, max(n * p, cout + 1))
+    out = (rows @ kmat.T)[: n * p]
     out += bias.data
     out = out.reshape(n, ho, wo, cout)
 
     def backward(g: np.ndarray) -> None:
         grows = g.reshape(n * p, cout)  # row n*P + position
         if kernels.requires_grad:
-            kernels._accumulate((grows.T @ rows).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), "conv2d")
+            rows = _im2row(x.data, kh, kw, stride, n * p)
+            kernels._accumulate((grows.T @ rows).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), "conv2d", fresh=True)
         if bias.requires_grad:
-            bias._accumulate(grows.sum(axis=0), "conv2d")
+            bias._accumulate(grows.sum(axis=0), "conv2d", fresh=True)
         if x.requires_grad:
             # kmat as the transpose of a C-ordered [K, C_out] copy: given kmat itself, OpenBLAS 0.3.31
             # summed float64 products under about 1e6 multiply-adds (a stem's image) in another order
             # than larger ones, so an image's input gradient changed with its batch.
-            gwin = (grows @ np.ascontiguousarray(kmat.T).T).reshape(n, ho, wo, kh, kw, cin)
-            x._accumulate(_add_windows(gwin, x.shape, stride), "conv2d")
+            kmat_t = np.ascontiguousarray(kmat.T)
+            gwin = np.matmul(grows, kmat_t.T, out=_scratch((n * p, k), np.result_type(grows, kmat_t)))
+            x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, cin), x.shape, stride), "conv2d", fresh=True)
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
@@ -565,8 +599,12 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     wo = -(-w // stride)
     hp = max((ho - 1) * stride + ph, h)
     wp = max((wo - 1) * stride + pw, w)
-    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    xp[:, :h, :w] = x.data
+    xp = x.data
+    if (hp, wp) != (h, w):
+        xp = _scratch((n, hp, wp, c), x.dtype)
+        xp[:, :h, :w] = x.data
+        xp[:, h:] = 0
+        xp[:, :h, w:] = 0
     # running maximum over the ph*pw taps, tap t = m * pw + q at window offset (m, q)
     out = xp[:, _taps(ho, stride, 0), _taps(wo, stride, 0)].copy()
     winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
@@ -578,14 +616,19 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
         np.maximum(winner, better * winner.dtype.type(t), out=winner)  # every earlier tap is < t
 
     def backward(g: np.ndarray) -> None:
-        # flat index in the padded buffer of each window's winning cell
-        tap_offset = (np.arange(ph)[:, None] * wp + np.arange(pw)).ravel()
-        origin = np.arange(ho)[:, None, None] * (stride * wp) + np.arange(wo)[:, None] * stride
-        cell = np.arange(n).reshape(n, 1, 1, 1) * (hp * wp) + origin + tap_offset[winner]
-        flat = (cell * c + np.arange(c)).ravel()
-        gxp = np.zeros(n * hp * wp * c, dtype=g.dtype)
-        np.add.at(gxp, flat, g.ravel())
-        x._accumulate(gxp.reshape(n, hp, wp, c)[:, :h, :w], "maxpool2d")
+        # flat index in the extended buffer of each window's winning cell: the winning tap's
+        # offset, then the window's origin and the channel added in place from broadcasts
+        index = np.int32 if n * hp * wp * c <= np.iinfo(np.int32).max else np.intp
+        tap_offset = ((np.arange(ph, dtype=index)[:, None] * wp + np.arange(pw, dtype=index)) * c).ravel()
+        cell = tap_offset[winner]
+        origin = np.arange(n, dtype=index)[:, None, None] * (hp * wp) + np.arange(ho, dtype=index)[:, None] * (stride * wp)
+        cell += ((origin + np.arange(wo, dtype=index) * stride) * c)[..., None]
+        cell += np.arange(c, dtype=index)
+        gxp = _scratch((n, hp, wp, c), g.dtype)
+        gxp[...] = 0
+        np.add.at(gxp.reshape(-1), cell.reshape(-1), g.reshape(-1))
+        # copied even where the slice is all of gxp, which the next kernel overwrites
+        x._accumulate(gxp[:, :h, :w].copy(), "maxpool2d", fresh=True)
 
     return Tensor._result(out, (x,), backward, "maxpool2d")
 
@@ -664,15 +707,15 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
     """
     total = None
     for t in tensors:
-        term = np.asarray((t.data * t.data).sum())
+        term = np.asarray(np.multiply(t.data, t.data, out=_scratch(t.shape, t.dtype)).sum())
         total = term if total is None else total + term
 
     def backward(g: np.ndarray) -> None:
         for t in tensors:
             if t.requires_grad:
-                grad = np.multiply(t.data, 2.0)  # (2.0 * w) * g, as square's backward computes it
-                grad *= g
-                t._accumulate(grad, "sum_of_squares")
+                # square's backward computes (2 * w) * g; doubling is exact unless it overflows,
+                # so w * (2 * g) rounds the same product once, in one pass
+                t._accumulate(t.data * (2.0 * g), "sum_of_squares", fresh=True)
 
     return Tensor._result(np.asarray(total), tuple(tensors), backward, "sum_of_squares")
 

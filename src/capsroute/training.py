@@ -183,9 +183,9 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
     dropout_rng = np.random.default_rng((cfg.seed, 0x3))
 
     def step(idx):
-        loss, preds = model.loss(params, pixels[idx], labels[idx], dropout_rng)
-        for _, p in named:
+        for _, p in named:  # the last step's gradients, freed before this forward allocates
             p.zero_grad()
+        loss, preds = model.loss(params, pixels[idx], labels[idx], dropout_rng)
         loss.backward()
         return loss, preds
 

@@ -1,6 +1,7 @@
 """Forward kernels and reverse-mode gradients of the tensor core."""
 
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsroute import capsnet, cnn
+from capsroute import capsnet, cnn, tensor
 from capsroute.tensor import (
     GraphError,
     NumericError,
@@ -312,6 +313,25 @@ class TestConv2d:
                 np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
                 np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
 
+    def test_recorded_forward_holds_no_unfold(self):
+        """The unfolded rows die with the forward GEMM; backward unfolds the kept input again."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(8, 20, 20, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 16, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        conv2d(x, k, b).sum().backward()  # sizes this thread's scratch for the unfold
+        unfold_bytes = (8 * 18 * 18) * (3 * 3 * 16) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, b)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        # the output is 1/36 of the unfold; the closure keeps the permuted kernels beside it
+        assert held - out.data.nbytes < unfold_bytes / 10, f"{held} B held for a {unfold_bytes} B unfold"
+
     def test_shape_and_stride_errors(self):
         x = Tensor(np.zeros((1, 4, 4, 1)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
@@ -409,6 +429,17 @@ class TestMaxpool2d:
         np.testing.assert_array_equal(x.grad, want_gx)
         if case == "negative":
             assert (out.data == 0.0).any()  # some window's max is a zero-extension cell
+
+    @pytest.mark.parametrize("shape, window", [((2, 8, 6, 3), (2, 2)), ((2, 9, 5, 3), (4, 2))], ids=["no-extension", "extended"])
+    def test_gradient_is_copied_out_of_the_scratch(self, shape, window):
+        """Without zero extension, the [:, :h, :w] slice of the gradient buffer is all of it and
+        contiguous; the gradient must still be a copy, which the next kernel cannot overwrite."""
+        x = Tensor(np.random.default_rng(14).normal(size=shape), requires_grad=True)
+        maxpool2d(x, window, stride=2).sum().backward()
+        want = x.grad.copy()
+        tensor._local.scratch[...] = 255  # all-ones bytes: NaN in every float
+        assert not np.shares_memory(x.grad, tensor._local.scratch)
+        np.testing.assert_array_equal(x.grad, want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

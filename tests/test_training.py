@@ -4,6 +4,7 @@ import json
 import struct
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from gradcheck import check_directional
 from test_optim import _oracle_step
 
-from capsroute import capsnet, cnn, signal
+from capsroute import capsnet, cnn, signal, tensor
 from capsroute.capsnet import CapsNetParams, capsnet_forward, classify
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cnn import CnnParams
@@ -229,6 +230,115 @@ class TestStepMemory:
         grad_bytes = sum(p.grad.nbytes for _, p in named)
         assert loss.grad is not None
         assert held <= 1.01 * grad_bytes, f"{held / 2**20:.2f} MB held after the step for {grad_bytes / 2**20:.2f} MB of gradients"
+
+    @pytest.mark.parametrize(
+        "kind, hw, dtype, bound_mb, scratch_mb",
+        [
+            # measured 37.5 MB; a step that holds each unfold from forward to backward peaks at 75.5 MB
+            ("cnn", (64, 32), np.float32, 40, 18.0),  # scratch: conv2's [16384, 288] rows
+            # measured 59.5 MB; 140.6 MB with the unfolds held
+            ("capsnet", (64, 32), np.float64, 64, 41.8),  # scratch: conv2's [1056, 5184] rows
+        ],
+        ids=["cnn-64x32-float32", "capsnet-64x32-float64"],
+    )
+    def test_peak_of_a_warm_batch_32_step(self, kind, hw, dtype, bound_mb, scratch_mb):
+        """tracemalloc's peak for a train step at batch 32, not counting the per-thread scratch,
+        which the warm-up step allocated at the size of the largest unfold. The steps run on a
+        thread of their own, so that scratch holds no larger request of an earlier test."""
+        with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+            peak, scratch_bytes = fresh_thread.submit(self._warm_step_peak, kind, hw, dtype).result()
+        assert round(scratch_bytes / 2**20, 1) == scratch_mb
+        assert peak <= bound_mb * 2**20, f"step peak {peak / 2**20:.1f} MB beside a {scratch_mb} MB scratch"
+
+    @staticmethod
+    def _warm_step_peak(kind, hw, dtype) -> tuple[int, int]:
+        """(tracemalloc's peak during a second train step, this thread's scratch bytes)."""
+        model = MODELS[kind]
+        params = model.params.init(hw, np.random.default_rng(0), dtype)
+        named = tensor_fields(params)
+        state = adam_init([p.data for _, p in named], lr=1e-3)
+        rng = np.random.default_rng(1)
+        pixels = rng.integers(0, 256, size=(32, *hw), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=32)
+
+        def step():  # as train_model runs it: the last step's gradients go before the forward
+            for _, p in named:
+                p.zero_grad()
+            loss, _ = model.loss(params, pixels, labels, rng)
+            loss.backward()
+            adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
+            return loss
+
+        loss = step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loss.grad is not None
+        return peak, tensor._local.scratch.nbytes
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every tensor a recorded computation reaches from ``root``."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _closure_arrays(fn) -> list[np.ndarray]:
+    """The arrays a backward closure keeps, in its cells and default arguments."""
+    kept = [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+    return [value for value in kept if isinstance(value, np.ndarray)]
+
+
+class TestScratchNeverEscapes:
+    """No tensor's data or gradient, no array a backward closure keeps and no array a model
+    returns is a view of the per-thread scratch, which the next kernel call overwrites."""
+
+    @pytest.mark.parametrize("hw", [(32, 32), (64, 32)], ids=["32x32", "64x32"])
+    @pytest.mark.parametrize("kind", ["capsnet", "cnn", "mlp"])
+    def test_forward_backward_and_predict(self, kind, hw, monkeypatch):
+        model = MODELS[kind]
+        params = model.params.init(hw, np.random.default_rng(0), np.float32)
+        rng = np.random.default_rng(1)
+        pixels = rng.integers(0, 256, size=(4, *hw), dtype=np.uint8)
+        labels = np.array([0, 1, 1, 0])
+        model.loss(params, pixels, labels, rng)[0].backward()  # grows the scratch to its largest
+        predict(params, pixels)
+        for _, p in tensor_fields(params):
+            p.zero_grad()
+        tensor._scratch((1,), np.uint8)  # the mlp's kernels use none; this thread's buffer exists either way
+        scratch = tensor._local.scratch
+
+        def escaped(arrays):
+            return [a.shape for a in arrays if a is not None and np.shares_memory(a, scratch)]
+
+        accumulate = Tensor._accumulate
+        stored = []
+
+        def checked_accumulate(self, grad, op, **kwargs):
+            accumulate(self, grad, op, **kwargs)
+            stored.extend(escaped([self.grad]))
+
+        monkeypatch.setattr(Tensor, "_accumulate", checked_accumulate)
+        loss, preds = model.loss(params, pixels, labels, rng)
+        nodes = _graph(loss)
+        assert escaped([node.data for node in nodes]) == []
+        assert escaped([a for node in nodes if node._backward_fn for a in _closure_arrays(node._backward_fn)]) == []
+        assert escaped([preds]) == []
+        loss.backward()
+        assert stored == [], "a gradient was stored in the scratch while backward ran"
+        assert escaped([node.grad for node in nodes]) == []
+        assert escaped([predict(params, pixels), model.predict(params, pixels)]) == []
+        assert tensor._local.scratch is scratch  # never regrown, so no view of an older buffer hides
 
 
 MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 512, "dtype": "float64"}
