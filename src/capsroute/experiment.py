@@ -115,7 +115,7 @@ def _fold_seed(seed: int, fold: int) -> int:
 
 def _train_one_fold(fold_idx: int, images, plan: SplitPlan, settings: RunSettings, out_dir: Path) -> list[dict]:
     fold = plan.folds[fold_idx]
-    train_images = [images[i].copy_with(split="train") for i in fold.train_indices]
+    train_images = [images[i] for i in fold.train_indices]
     fold_cfg = replace(settings, seed=_fold_seed(settings.seed, fold_idx))
     if settings.augment:
         train_images, lineage = expand_dataset(train_images, settings.augment_factor, fold_cfg.seed ^ 0x5EED)
@@ -214,7 +214,7 @@ def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
         if images[0].pixels.shape != params.input_hw:  # load_dataset gives every image one shape
             raise ExperimentError(f"{ckpt} takes {params.input_hw} images but {settings.dataset} holds {images[0].pixels.shape}")
         train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
-        test_images = [images[j].copy_with(split="test") for j in fold.test_indices]
+        test_images = [images[j] for j in fold.test_indices]
         try:
             with np.errstate(all="ignore"):  # an op that overflows raises NumericError; NumPy need not warn first
                 cm = evaluate(params, test_images, train_paths=train_paths)

@@ -190,7 +190,7 @@ class SpectrogramImage:
     subject_id: str
     channel_set: ChannelSet
     segment_index: int
-    split: Optional[str] = None  # "train"/"test" once assigned by a fold
+    split: Optional[str] = None  # a caller's "train"/"test" tag; expand_dataset refuses "test"
     source_path: Optional[str] = None  # manifest-relative path when loaded from disk
 
     def __post_init__(self):
@@ -218,19 +218,19 @@ def segment(recording: EegRecording) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def stft_frame_count(n_samples: int, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> int:
-    if n_samples < window:
-        raise PipelineError(f"need at least {window} samples, got {n_samples}")
-    return (n_samples - window) // hop + 1
+def stft_frame_count(n_samples: int) -> int:
+    if n_samples < STFT_WINDOW:
+        raise PipelineError(f"need at least {STFT_WINDOW} samples, got {n_samples}")
+    return (n_samples - STFT_WINDOW) // STFT_HOP + 1
 
 
-def stft_magnitudes(samples: np.ndarray, window: int = STFT_WINDOW, hop: int = STFT_HOP, max_bin: int = MAX_FREQ_HZ) -> np.ndarray:
+def stft_magnitudes(samples: np.ndarray, max_bin: int = MAX_FREQ_HZ) -> np.ndarray:
     """Hann-windowed STFT magnitudes of the last axis for bins 0..max_bin; shape [..., max_bin + 1, frames]."""
     samples = np.asarray(samples, dtype=np.float64)
-    n_frames = stft_frame_count(samples.shape[-1], window, hop)
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[..., idx] * np.hanning(window)
-    spec = np.abs(np.fft.rfft(frames, n=window, axis=-1))[..., : max_bin + 1]
+    n_frames = stft_frame_count(samples.shape[-1])
+    idx = np.arange(STFT_WINDOW)[None, :] + STFT_HOP * np.arange(n_frames)[:, None]
+    frames = samples[..., idx] * np.hanning(STFT_WINDOW)
+    spec = np.abs(np.fft.rfft(frames, n=STFT_WINDOW, axis=-1))[..., : max_bin + 1]
     return np.swapaxes(spec, -1, -2).copy()
 
 

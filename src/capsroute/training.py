@@ -19,7 +19,7 @@ from .metrics import ConfusionMatrix
 from .mlp import MlpParams, mlp_forward
 from .optim import adam_init, adam_step
 from .signal import Label, SpectrogramImage
-from .tensor import NumericError, cross_entropy_logits, finite_checks_off, no_grad, tensor_fields
+from .tensor import NumericError, cross_entropy_logits, finite_checks_off, image_batch, no_grad, tensor_fields
 
 if TYPE_CHECKING:  # config imports MODEL_KINDS from here
     from .config import TrainConfig
@@ -70,7 +70,7 @@ class Model:
 
 def _capsnet_loss(params: CapsNetParams, px: np.ndarray, labels: np.ndarray, dropout_rng):
     v, reconstruction = capsnet_forward(px, params, labels)
-    target = (px.astype(params.conv1_w.dtype) / 255.0).reshape(px.shape[0], -1)
+    target = image_batch(px, params.conv1_w.dtype, params.input_hw).reshape(px.shape[0], -1)
     return total_loss(target, v, reconstruction, labels), classify(v)[1]
 
 
@@ -209,9 +209,7 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
                 except NumericError as exc:
                     raise TrainingError(f"non-finite value at {where}: {exc}") from exc
                 raise TrainingError(f"non-finite value at {where}: {bad}")
-            new_data, state = adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
-            for (_, p), d in zip(named, new_data):
-                p.data = d
+            _, state = adam_step([p.data for _, p in named], [p.grad for _, p in named], state)  # in place
             loss_sum += loss.item() * len(idx)
             correct += int((preds == labels[idx]).sum())
         mean_loss = loss_sum / n
@@ -224,11 +222,14 @@ def train_model(train_images: Sequence[SpectrogramImage], cfg: TrainConfig) -> t
     return params, curve
 
 
-def predict(params: ModelParams, pixels: np.ndarray, batch_size: int = 128) -> np.ndarray:
-    """Class indices for [N, H, W] pixels; inference mode, no recorded graph."""
+EVAL_BATCH = 128
+
+
+def predict(params: ModelParams, pixels: np.ndarray) -> np.ndarray:
+    """Class indices for [N, H, W] pixels, ``EVAL_BATCH`` at a time; inference mode, no recorded graph."""
     model = MODELS[_KIND_BY_ARCH[params.ARCH]]
     with no_grad():
-        preds = [model.predict(params, pixels[start : start + batch_size]) for start in range(0, len(pixels), batch_size)]
+        preds = [model.predict(params, pixels[start : start + EVAL_BATCH]) for start in range(0, len(pixels), EVAL_BATCH)]
     return np.concatenate(preds)
 
 

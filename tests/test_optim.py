@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from capsroute import optim
 from capsroute.capsnet import CapsNetParams
 from capsroute.optim import CHUNK_BYTES, adam_init, adam_step
 from capsroute.tensor import tensor_fields
@@ -65,7 +66,7 @@ class TestAdamStep:
 def _oracle_step(params, grads, state):
     """The unblocked update, one full-size expression per op."""
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     out, ms, vs = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m, v = m.copy(), v.copy()
@@ -75,7 +76,7 @@ def _oracle_step(params, grads, state):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + optim.EPS))
         ms.append(m)
         vs.append(v)
     return out, ms, vs

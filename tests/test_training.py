@@ -1,7 +1,10 @@
 """Training loops, checkpoint persistence, and evaluation."""
 
 import json
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from gradcheck import check_directional
 from test_optim import _oracle_step
 
-from capsroute import capsnet, cnn, signal, tensor
+from capsroute import capsnet, cnn, optim, signal, tensor, training
 from capsroute.capsnet import CapsNetParams, capsnet_forward, classify
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cnn import CnnParams
@@ -179,17 +182,24 @@ class TestTrainModel:
     )
     def test_in_place_adam_trains_as_a_pure_update_would(self, cfg, hw, tmp_path, monkeypatch):
         # nothing in the loop or the recorded graph may read a parameter after Adam overwrote it
-        import capsroute.training as training_mod
-
         imgs = toy_images(8, hw=hw)
         shipped, shipped_curve = train_model(imgs, cfg)
         save_model(tmp_path / "in_place.ckpt", shipped)
 
+        named = []  # the trained model's tensors, which the pure step rebinds to its new arrays
+
+        def capture_fields(params):
+            named[:] = tensor_fields(params)
+            return list(named)
+
         def pure_adam_step(params, grads, state):
             new_p, new_m, new_v = _oracle_step(params, grads, state)
+            for (_, p), d in zip(named, new_p):
+                p.data = d
             return new_p, replace(state, first_moment=new_m, second_moment=new_v, step_count=state.step_count + 1)
 
-        monkeypatch.setattr(training_mod, "adam_step", pure_adam_step)
+        monkeypatch.setattr(training, "tensor_fields", capture_fields)
+        monkeypatch.setattr(training, "adam_step", pure_adam_step)
         pure, pure_curve = train_model(imgs, cfg)
         save_model(tmp_path / "pure.ckpt", pure)
         assert shipped_curve == pure_curve
@@ -253,22 +263,7 @@ class TestStepMemory:
     @staticmethod
     def _warm_step_peak(kind, hw, dtype) -> tuple[int, int]:
         """(tracemalloc's peak during a second train step, this thread's scratch bytes)."""
-        model = MODELS[kind]
-        params = model.params.init(hw, np.random.default_rng(0), dtype)
-        named = tensor_fields(params)
-        state = adam_init([p.data for _, p in named], lr=1e-3)
-        rng = np.random.default_rng(1)
-        pixels = rng.integers(0, 256, size=(32, *hw), dtype=np.uint8)
-        labels = rng.integers(0, 2, size=32)
-
-        def step():  # as train_model runs it: the last step's gradients go before the forward
-            for _, p in named:
-                p.zero_grad()
-            loss, _ = model.loss(params, pixels, labels, rng)
-            loss.backward()
-            adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
-            return loss
-
+        step = _batch_32_step(kind, hw, dtype)
         loss = step()
         tracemalloc.start()
         try:
@@ -279,6 +274,60 @@ class TestStepMemory:
             tracemalloc.stop()
         assert loss.grad is not None
         return peak, tensor._local.scratch.nbytes
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed heap is kept through glibc's mallopt")
+    @pytest.mark.parametrize("kind, hw, dtype", [("cnn", (64, 32), np.float32), ("capsnet", (64, 32), np.float64)], ids=["cnn-64x32-float32", "capsnet-64x32-float64"])
+    def test_warm_steps_fault_in_no_new_pages(self, kind, hw, dtype):
+        """With the freed heap kept, a warm batch-32 step reuses the pages the last step freed.
+        Without it glibc trims them after each step, and a cnn step faults some 6,600 pages in again.
+
+        The steps run in a fresh process, whose main thread allocates from glibc's main arena. A
+        thread that has had an allocation refused (as in the CLI's too-long synth test) moves to
+        another arena, where the freed heap is not kept: after that test an in-process capsnet step
+        faulted some 2,600 pages."""
+        child = "import json, sys; sys.path[:0] = json.loads(sys.argv[1]); from test_training import _warm_step_faults; print(json.dumps(_warm_step_faults(*json.loads(sys.argv[2]))))"
+        args = json.dumps([kind, hw, np.dtype(dtype).name])
+        run = subprocess.run([sys.executable, "-c", child, json.dumps(sys.path), args], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        faults = json.loads(run.stdout)
+        assert np.median(faults) <= 256, f"minor page faults per warm step: {faults}"
+
+
+def _warm_step_faults(kind, hw, dtype) -> list[int]:
+    """Minor page faults in each of five batch-32 train steps that follow two warm-up steps, with the freed heap kept."""
+    import resource
+
+    training._keep_freed_heap()
+    step = _batch_32_step(kind, tuple(hw), dtype)
+    step(), step()
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+
+def _batch_32_step(kind, hw, dtype):
+    """One train step of a fresh model at batch 32, as train_model runs it: the last step's
+    gradients go before the forward, and Adam updates the parameters in place."""
+    model = MODELS[kind]
+    params = model.params.init(hw, np.random.default_rng(0), dtype)
+    named = tensor_fields(params)
+    state = adam_init([p.data for _, p in named], lr=1e-3)
+    rng = np.random.default_rng(1)
+    pixels = rng.integers(0, 256, size=(32, *hw), dtype=np.uint8)
+    labels = rng.integers(0, 2, size=32)
+
+    def step():
+        for _, p in named:
+            p.zero_grad()
+        loss, _ = model.loss(params, pixels, labels, rng)
+        loss.backward()
+        adam_step([p.data for _, p in named], [p.grad for _, p in named], state)
+        return loss
+
+    return step
 
 
 def _graph(root: Tensor) -> list[Tensor]:
@@ -343,6 +392,13 @@ class TestScratchNeverEscapes:
 
 MLP_4X4 = {"arch": "mlp-v1", "input_hw": [4, 4], "hidden": 512, "dtype": "float64"}
 CAPSNET_32X32 = CapsNetParams.init((32, 32)).fingerprint()
+
+
+class TestFixedSettings:
+    def test_paper_values(self):
+        # Adam's defaults (Kingma & Ba), the paper's 512-sample STFT window at 50% overlap, and predict's batch
+        fixed = (optim.BETA1, optim.BETA2, optim.EPS, signal.STFT_WINDOW, signal.STFT_HOP, training.EVAL_BATCH)
+        assert fixed == (0.9, 0.999, 1e-8, 512, 256, 128)
 
 
 class TestCheckpoints:
