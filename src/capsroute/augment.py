@@ -8,6 +8,7 @@ to the nearest border pixel.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +84,8 @@ def coarse_dropout(image: SpectrogramImage, rng: np.random.Generator) -> Spectro
     """Apply block dropout with a probability drawn from ``COARSE_APPLY_PROB``."""
     p_apply = rng.uniform(*COARSE_APPLY_PROB)
     if rng.random() >= p_apply:
-        return image.copy_with(pixels=image.pixels.copy())
-    return image.copy_with(pixels=drop_blocks(image.pixels, rng))
+        return replace(image, pixels=image.pixels.copy())
+    return replace(image, pixels=drop_blocks(image.pixels, rng))
 
 
 def augment_one(image: SpectrogramImage, rng: np.random.Generator) -> SpectrogramImage:
@@ -97,21 +98,18 @@ def augment_one(image: SpectrogramImage, rng: np.random.Generator) -> Spectrogra
     brightness = rng.uniform(*BRIGHTNESS_RANGE)
     pixels = apply_geometric(image.pixels, zoom, shift_cols, shift_rows, angle)
     pixels = apply_brightness(pixels, brightness)
-    out = image.copy_with(pixels=pixels)
+    out = replace(image, pixels=pixels)
     return coarse_dropout(out, rng)
 
 
 def expand_dataset(train_images: Sequence[SpectrogramImage], factor: int, seed: int) -> tuple[list[SpectrogramImage], list[dict]]:
     """Originals plus ``factor - 1`` augmented copies each, with lineage rows.
 
-    Refuses a factor below 1 and images flagged as test-split; augmentation
-    never sees held-out data.
+    Refuses a factor below 1. The caller passes only a fold's train side;
+    ``audit_lineage`` checks that no copy descends from a test image.
     """
     if factor < 1:
         raise AugmentError(f"expansion factor must be >= 1, got {factor}")
-    for i, img in enumerate(train_images):
-        if img.split == "test":
-            raise AugmentError(f"image {i} is flagged test-split; augmentation applies to training data only")
     images = list(train_images)
     lineage = []
     for copy_index in range(1, factor):

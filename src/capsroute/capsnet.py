@@ -39,6 +39,14 @@ __all__ = [
 
 SQUASH_EPS = 1e-9
 _NORM_GUARD = 1e-30  # keeps sqrt differentiable at exactly-zero vectors
+# the paper's widths; fingerprint() records them, and load_model refuses a checkpoint of any other
+CONV1_FILTERS = 64
+CONV1_KERNEL = 5
+CONV2_FILTERS = 128
+CONV2_KERNEL = 9
+CAPSULE_DIM = 16
+SECONDARY_DIM = 10
+DECODER_HIDDEN = (512, 1024)
 STRIDE = 2  # of both stem convs
 ROUTING_ITERATIONS = 5
 MARGIN_POS = 0.9
@@ -66,40 +74,26 @@ class CapsNetParams:
     ARCH = "capsnet-v1"
 
     @classmethod
-    def init(
-        cls,
-        input_hw: tuple = (32, 32),
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float64,
-        conv1_filters: int = 64,
-        conv1_kernel: int = 5,
-        conv2_filters: int = 128,
-        conv2_kernel: int = 9,
-        capsule_dim: int = 16,
-        secondary_dim: int = 10,
-        decoder_hidden: tuple = (512, 1024),
-    ) -> "CapsNetParams":
+    def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64) -> "CapsNetParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
-        if conv2_filters % capsule_dim != 0:
-            raise ValueError(f"conv2 filters {conv2_filters} not divisible by capsule dim {capsule_dim}")
         h, w = input_hw
-        h1 = (h - conv1_kernel) // STRIDE + 1
-        w1 = (w - conv1_kernel) // STRIDE + 1
-        h2 = (h1 - conv2_kernel) // STRIDE + 1
-        w2 = (w1 - conv2_kernel) // STRIDE + 1
+        h1 = (h - CONV1_KERNEL) // STRIDE + 1
+        w1 = (w - CONV1_KERNEL) // STRIDE + 1
+        h2 = (h1 - CONV2_KERNEL) // STRIDE + 1
+        w2 = (w1 - CONV2_KERNEL) // STRIDE + 1
         if h2 < 1 or w2 < 1:
             raise ValueError(f"input {input_hw} too small for the conv stem")
-        num_primary = h2 * w2 * (conv2_filters // capsule_dim)
+        num_primary = h2 * w2 * (CONV2_FILTERS // CAPSULE_DIM)
         pixels = h * w
 
-        d1, d2 = decoder_hidden
+        d1, d2 = DECODER_HIDDEN
         return cls(
-            conv1_w=parameter((conv1_filters, 1, conv1_kernel, conv1_kernel), rng, dtype),
-            conv1_b=parameter(conv1_filters, None, dtype),
-            conv2_w=parameter((conv2_filters, conv1_filters, conv2_kernel, conv2_kernel), rng, dtype),
-            conv2_b=parameter(conv2_filters, None, dtype),
-            routing_w=parameter((num_primary, N_CLASSES, secondary_dim, capsule_dim), rng, dtype),
-            dec1_w=parameter((d1, N_CLASSES * secondary_dim), rng, dtype),
+            conv1_w=parameter((CONV1_FILTERS, 1, CONV1_KERNEL, CONV1_KERNEL), rng, dtype),
+            conv1_b=parameter(CONV1_FILTERS, None, dtype),
+            conv2_w=parameter((CONV2_FILTERS, CONV1_FILTERS, CONV2_KERNEL, CONV2_KERNEL), rng, dtype),
+            conv2_b=parameter(CONV2_FILTERS, None, dtype),
+            routing_w=parameter((num_primary, N_CLASSES, SECONDARY_DIM, CAPSULE_DIM), rng, dtype),
+            dec1_w=parameter((d1, N_CLASSES * SECONDARY_DIM), rng, dtype),
             dec1_b=parameter(d1, None, dtype),
             dec2_w=parameter((d2, d1), rng, dtype),
             dec2_b=parameter(d2, None, dtype),
@@ -143,7 +137,7 @@ def squash(s: Tensor) -> Tensor:
     return s * scale
 
 
-def primary_capsules(conv2_out: Tensor, capsule_dim: int = 16) -> Tensor:
+def primary_capsules(conv2_out: Tensor, capsule_dim: int = CAPSULE_DIM) -> Tensor:
     """Regroup [B, h, w, C] conv features into [B, h*w*(C/capsule_dim), capsule_dim]
     squashed capsules.
 
@@ -198,6 +192,12 @@ def classify(v: Union[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return lengths, lengths.argmax(axis=-1)
 
 
+def _one_hot(indices: np.ndarray, n_classes: int, dtype) -> np.ndarray:
+    out = np.zeros((indices.shape[0], n_classes), dtype=dtype)
+    out[np.arange(indices.shape[0]), indices] = 1.0
+    return out
+
+
 def margin_loss(v: Tensor, labels) -> Tensor:
     """Hinge-squared loss on [B, J, D] capsule lengths against B labels, averaged over the batch.
 
@@ -208,8 +208,7 @@ def margin_loss(v: Tensor, labels) -> Tensor:
         raise ValueError(f"margin_loss needs [B, J, D] capsules and B labels, got {v.shape} and labels {lab.shape}")
     n2 = v.square().sum(axis=-1)
     length = (n2 + _NORM_GUARD).sqrt()
-    onehot = np.zeros(length.shape, dtype=v.dtype)
-    onehot[np.arange(lab.shape[0]), lab] = 1.0
+    onehot = _one_hot(lab, v.shape[1], v.dtype)
     t = Tensor(onehot)
     anti = Tensor(1.0 - onehot)
     pos = relu(MARGIN_POS - length).square()
@@ -253,12 +252,6 @@ def total_loss(image, v: Tensor, reconstruction: Tensor, labels) -> Tensor:
     return margin + RECON_SCALE * per_sample.mean()
 
 
-def _one_hot(indices: np.ndarray, dtype) -> np.ndarray:
-    out = np.zeros((indices.shape[0], N_CLASSES), dtype=dtype)
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
-
-
 def capsule_forward(image: np.ndarray, params: CapsNetParams) -> Tensor:
     """Conv stem, primary capsules, votes and routing: [B, H, W] images, uint8 or [0, 1] floats,
     to [B, 2, D] capsules. This is all that class scores need: the decoder is a training regularizer.
@@ -280,4 +273,4 @@ def capsnet_forward(image: np.ndarray, params: CapsNetParams, labels) -> tuple[T
     mask_idx = np.asarray(labels, dtype=np.int64)
     if mask_idx.shape != v.shape[:1]:
         raise ValueError(f"the decoder mask needs one label per image: {v.shape[0]} images, labels {mask_idx.shape}")
-    return v, decode(v, _one_hot(mask_idx, v.dtype), params)
+    return v, decode(v, _one_hot(mask_idx, v.shape[1], v.dtype), params)

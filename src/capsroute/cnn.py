@@ -18,7 +18,9 @@ from .tensor import Tensor, affine, conv2d, cross_entropy_logits, dropout, image
 
 __all__ = ["CnnParams", "cnn_forward", "cnn_loss"]
 
-# the published head settings, fixed for every run; fingerprint() records them
+# the published widths and head settings, fixed for every run; fingerprint() records them
+FILTERS = (32, 64, 128)  # of the three conv blocks
+FC_HIDDEN = 512
 DROPOUT_KEEP = 0.5
 L2_BETA = 0.001
 
@@ -40,22 +42,15 @@ class CnnParams:
     ARCH = "cnn-v1"
 
     @classmethod
-    def init(
-        cls,
-        input_hw: tuple = (32, 32),
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float64,
-        filters: tuple = (32, 64, 128),
-        fc_hidden: int = 512,
-    ) -> "CnnParams":
+    def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64) -> "CnnParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         ph, pw = input_hw
         for _ in range(3):
             ph = -(-ph // 2)
             pw = -(-pw // 2)
-        flat = filters[2] * ph * pw
+        f1, f2, f3 = FILTERS
+        flat = f3 * ph * pw
 
-        f1, f2, f3 = filters
         return cls(
             conv1_w=parameter((f1, 1, 3, 3), rng, dtype),
             conv1_b=parameter(f1, None, dtype),
@@ -63,9 +58,9 @@ class CnnParams:
             conv2_b=parameter(f2, None, dtype),
             conv3_w=parameter((f3, f2, 3, 3), rng, dtype),
             conv3_b=parameter(f3, None, dtype),
-            fc1_w=parameter((fc_hidden, flat), rng, dtype),
-            fc1_b=parameter(fc_hidden, None, dtype),
-            out_w=parameter((2, fc_hidden), rng, dtype),
+            fc1_w=parameter((FC_HIDDEN, flat), rng, dtype),
+            fc1_b=parameter(FC_HIDDEN, None, dtype),
+            out_w=parameter((2, FC_HIDDEN), rng, dtype),
             out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
         )

@@ -10,6 +10,7 @@ are all derived from these fields.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -78,12 +79,20 @@ class TrainConfig:
 
 @dataclass
 class RunSettings(TrainConfig):
-    dataset: Path = _key(None, required=True, help="dataset.csv manifest path")
+    # a path holding a NUL byte names no file, and resolving one raises
+    dataset: Path = _key(
+        None, required=True, check=(lambda path: "\0" not in str(path), "a path without a NUL byte"), help="dataset.csv manifest path"
+    )
     out_dir: Path = _key(None, required=True, flag="--out", snapshot=False, help="output directory for all artifacts")
     folds: int = _key(5, check=_at_least(2))
     train_frac: float = _key(0.8, check=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
     split_mode: str = _key("holdout", choices=("holdout", "partition"))
     subject_grouped: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        # resolved once, so the snapshot names the file itself, whatever the working directory
+        self.dataset = Path(os.path.realpath(self.dataset))
 
     def snapshot_values(self) -> dict[str, str]:
         """The snapshot's values as text, by key name in sorted order."""

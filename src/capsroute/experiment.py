@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,29 +82,14 @@ def plan_for(images: Sequence[SpectrogramImage], seed: int, folds: int, train_fr
     return make_splits(labels, k=folds, train_frac=train_frac, seed=seed, mode=split_mode, groups=groups)
 
 
-def _same_file(a: Optional[str], b: Optional[str]) -> bool:
-    """Whether two path spellings name one existing file."""
-    try:
-        return a is not None and b is not None and os.path.samefile(a, b)
-    except (OSError, ValueError):  # ValueError: a path holding NUL
-        return False
-
-
 def _check_snapshot(path: Path, settings: RunSettings) -> None:
-    """Refuse to use a directory's outputs under settings other than the ones it was trained with.
-
-    ``dataset`` also matches when both spellings of the path name the same file.
-    """
+    """Refuse to use a directory's outputs under settings other than the ones it was trained with."""
     try:
         stored = read_config_file(path)
     except ConfigError as exc:  # the snapshot is a run file, so a missing or damaged one is a data error
         raise ExperimentError(str(exc)) from exc
     wanted = {key: value.strip() for key, value in settings.snapshot_values().items()}  # stripped, as read_config_file reads
-    differing = sorted(
-        key
-        for key in stored.keys() | wanted.keys()
-        if stored.get(key) != wanted.get(key) and not (key == "dataset" and _same_file(stored.get(key), wanted.get(key)))
-    )
+    differing = sorted(key for key in stored.keys() | wanted.keys() if stored.get(key) != wanted.get(key))
     if differing:
         raise ExperimentError(f"settings differ from {path} in: {', '.join(differing)}")
 

@@ -73,27 +73,33 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def normalize_confusion(cm: ConfusionMatrix) -> np.ndarray:
-    """Row-stochastic 2x2 matrix (each true class normalized to 1)."""
+    """Row-stochastic 2x2 matrix (each true class normalized to 1).
+
+    A true class with no images has an undefined row: both its cells are
+    None, so the matrix is then an object array.
+    """
     grid = cm.as_grid()
     sums = grid.sum(axis=1, keepdims=True)
-    if (sums == 0).any():
-        raise MetricsError("cannot normalize a confusion matrix with an empty true-class row")
-    return grid / sums
+    if sums.all():
+        return grid / sums
+    return np.array([row / total if total else (None, None) for row, total in zip(grid, sums[:, 0])], dtype=object)
 
 
-def aggregate(per_fold: Sequence[MetricsReport]) -> dict[str, tuple[float, Optional[float]]]:
+def aggregate(per_fold: Sequence[MetricsReport]) -> dict[str, tuple[Optional[float], Optional[float]]]:
     """Mean and sample standard deviation per metric over defined fold values.
 
-    Ordered as TABLE_COLUMNS. A metric undefined in every fold is an error;
-    with a single defined value the std is undefined (None).
+    Ordered as TABLE_COLUMNS. A metric undefined in every fold has an
+    undefined (None) mean and std; with a single defined value the std is
+    undefined.
     """
     if len(per_fold) < 2:
         raise MetricsError(f"aggregation needs at least 2 folds, got {len(per_fold)}")
-    out: dict[str, tuple[float, Optional[float]]] = {}
+    out: dict[str, tuple[Optional[float], Optional[float]]] = {}
     for column, values in zip(TABLE_COLUMNS, zip(*(r.as_row() for r in per_fold))):
         defined = [v for v in values if v is not None]
         if not defined:
-            raise MetricsError(f"metric {column} is undefined in every fold")
+            out[column] = (None, None)
+            continue
         mean = sum(defined) / len(defined)
         if len(defined) >= 2:
             var = sum((v - mean) ** 2 for v in defined) / (len(defined) - 1)

@@ -11,6 +11,8 @@ from .tensor import Tensor, affine, image_batch, parameter, relu
 
 __all__ = ["MlpParams", "mlp_forward"]
 
+HIDDEN = 512
+
 
 @dataclass
 class MlpParams:
@@ -23,13 +25,13 @@ class MlpParams:
     ARCH = "mlp-v1"
 
     @classmethod
-    def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64, hidden: int = 512) -> "MlpParams":
+    def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64) -> "MlpParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
         pixels = input_hw[0] * input_hw[1]
         return cls(
-            fc1_w=parameter((hidden, pixels), rng, dtype),
-            fc1_b=parameter(hidden, None, dtype),
-            out_w=parameter((2, hidden), rng, dtype),
+            fc1_w=parameter((HIDDEN, pixels), rng, dtype),
+            fc1_b=parameter(HIDDEN, None, dtype),
+            out_w=parameter((2, HIDDEN), rng, dtype),
             out_b=parameter(2, None, dtype),
             input_hw=tuple(input_hw),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -190,16 +190,12 @@ class SpectrogramImage:
     subject_id: str
     channel_set: ChannelSet
     segment_index: int
-    split: Optional[str] = None  # a caller's "train"/"test" tag; expand_dataset refuses "test"
     source_path: Optional[str] = None  # manifest-relative path when loaded from disk
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels)
         if self.pixels.dtype != np.uint8 or self.pixels.ndim != 2:
             raise PipelineError(f"pixels must be a 2-D uint8 array, got {self.pixels.dtype} {self.pixels.shape}")
-
-    def copy_with(self, **kw) -> "SpectrogramImage":
-        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

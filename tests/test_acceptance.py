@@ -16,10 +16,11 @@ import pytest
 
 from capsroute.augment import apply_brightness, apply_geometric, audit_lineage, drop_blocks, expand_dataset
 from capsroute.capsnet import CapsNetParams, capsnet_forward, dynamic_routing, total_loss
-from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
+from capsroute.cnn import cnn_forward, cnn_loss
 from capsroute.config import RunSettings, TrainConfig
 from capsroute.experiment import run_experiment
 from gradcheck import check_gradients
+from reduced import reduced_capsnet, reduced_cnn
 from capsroute.metrics import ConfusionMatrix, metrics
 from capsroute.signal import (
     SEGMENT_SAMPLES,
@@ -129,17 +130,7 @@ class TestCriterion4GradientChecks:
     def test_both_models_reduced_clones(self):
         start = time.perf_counter()
         rng = np.random.default_rng(2)
-        caps = CapsNetParams.init(
-            (12, 12),
-            rng,
-            conv1_filters=2,
-            conv1_kernel=3,
-            conv2_filters=4,
-            conv2_kernel=3,
-            capsule_dim=4,
-            secondary_dim=3,
-            decoder_hidden=(6, 7),
-        )
+        caps = reduced_capsnet((12, 12), rng)
         caps_image = rng.uniform(size=(12, 12))[None]
 
         def caps_loss():
@@ -148,7 +139,7 @@ class TestCriterion4GradientChecks:
 
         caps_worst = check_gradients(caps_loss, tensor_fields(caps), rng, samples_per_param=12, tol=1e-4)
 
-        cnn = CnnParams.init((8, 8), rng, filters=(2, 3, 4), fc_hidden=5)
+        cnn = reduced_cnn((8, 8), rng)
         cnn_image = rng.uniform(size=(8, 8))[None]
 
         def cnn_loss_fn():
@@ -256,7 +247,7 @@ class TestCriterion9AugmentationContract:
         from capsroute.signal import SpectrogramImage
 
         train = [
-            SpectrogramImage(rng.integers(0, 256, size=(32, 32)).astype(np.uint8), Label.ALERT, f"s{i}", ChannelSet.FZ, i, split="train")
+            SpectrogramImage(rng.integers(0, 256, size=(32, 32)).astype(np.uint8), Label.ALERT, f"s{i}", ChannelSet.FZ, i)
             for i in range(6)
         ]
         _, lineage = expand_dataset(train, 3, 1)

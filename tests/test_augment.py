@@ -17,10 +17,10 @@ from capsroute.augment import (
 from capsroute.signal import ChannelSet, Label, SpectrogramImage
 
 
-def _image(pixels=None, label=Label.ALERT, split=None, subject="s0", seg=0):
+def _image(pixels=None, label=Label.ALERT, subject="s0", seg=0):
     if pixels is None:
         pixels = np.random.default_rng(0).integers(0, 256, size=(32, 32)).astype(np.uint8)
-    return SpectrogramImage(np.asarray(pixels, dtype=np.uint8), label, subject, ChannelSet.FZ, seg, split=split)
+    return SpectrogramImage(np.asarray(pixels, dtype=np.uint8), label, subject, ChannelSet.FZ, seg)
 
 
 class TestGeometric:
@@ -146,7 +146,7 @@ class TestExpandDataset:
     def _train_set(self, n=8):
         rng = np.random.default_rng(7)
         return [
-            _image(rng.integers(0, 256, size=(32, 32)).astype(np.uint8), Label.ALERT if i % 2 == 0 else Label.DROWSY, split="train", seg=i)
+            _image(rng.integers(0, 256, size=(32, 32)).astype(np.uint8), Label.ALERT if i % 2 == 0 else Label.DROWSY, seg=i)
             for i in range(n)
         ]
 
@@ -171,12 +171,6 @@ class TestExpandDataset:
         images, _ = expand_dataset(train, 2, 0)
         for orig, kept in zip(train, images[:4]):
             assert np.array_equal(orig.pixels, kept.pixels)
-
-    def test_test_split_rejected(self):
-        bad = self._train_set(3)
-        bad[1] = bad[1].copy_with(split="test")
-        with pytest.raises(AugmentError):
-            expand_dataset(bad, 3, 0)
 
     def test_reproducible_from_seed_alone(self):
         train = self._train_set(6)

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from capsroute.capsnet import CapsNetParams, capsnet_forward, dynamic_routing, votes
-from capsroute.cnn import CnnParams, cnn_forward
-from capsroute.mlp import MlpParams, mlp_forward
+from capsroute.capsnet import capsnet_forward, dynamic_routing, votes
+from capsroute.cnn import cnn_forward
+from capsroute.mlp import mlp_forward
 from capsroute.tensor import Tensor, affine, conv2d, cross_entropy_logits, maxpool2d
+from reduced import reduced_capsnet, reduced_cnn, reduced_mlp
 
 RNG = np.random.default_rng(0)
-CAPSNET = CapsNetParams.init(
-    (12, 12), RNG, conv1_filters=2, conv1_kernel=3, conv2_filters=4, conv2_kernel=3, capsule_dim=4, secondary_dim=3, decoder_hidden=(6, 7)
-)
-CNN = CnnParams.init((8, 8), RNG, filters=(2, 3, 4), fc_hidden=5)
-MLP = MlpParams.init((6, 6), RNG, hidden=4)
+CAPSNET = reduced_capsnet((12, 12), RNG)
+CNN = reduced_cnn((8, 8), RNG)
+MLP = reduced_mlp((6, 6), RNG, hidden=4)
 
 
 def zeros(*shape):

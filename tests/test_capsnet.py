@@ -18,6 +18,7 @@ from capsroute.capsnet import (
     votes,
 )
 from gradcheck import check_gradients
+from reduced import reduced_capsnet
 from capsroute.tensor import Tensor, tensor_fields
 
 
@@ -393,17 +394,7 @@ class TestForward:
 class TestGradientsThroughRouting:
     def test_all_parameter_groups(self):
         rng = np.random.default_rng(33)
-        params = CapsNetParams.init(
-            (12, 12),
-            rng,
-            conv1_filters=2,
-            conv1_kernel=3,
-            conv2_filters=4,
-            conv2_kernel=3,
-            capsule_dim=4,
-            secondary_dim=3,
-            decoder_hidden=(6, 7),
-        )
+        params = reduced_capsnet((12, 12), rng)
         image = rng.uniform(size=(12, 12))[None]
         labels = np.array([1])
 

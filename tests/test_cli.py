@@ -16,10 +16,10 @@ from capsroute import signal
 from capsroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _settings_from_args, build_parser, main, read_config_file
 from capsroute.config import KEYS, resolve_run_settings
-from capsroute.mlp import MlpParams
 from capsroute.signal import load_dataset, save_recording
 from capsroute.tensor import tensor_fields
 from capsroute.training import save_model
+from reduced import reduced_mlp
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,19 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_corpus")
     assert main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "3", "--out", str(out)]) == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus_seed1(tmp_path_factory):
+    """Six subjects of one minute: 24 images per channel set, so a 2-fold run is quick."""
+    out = tmp_path_factory.mktemp("cli_corpus_seed1")
+    assert main(["synth", "--subjects", "3,3", "--minutes", "1", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _prepare(corpus, channels, out):
+    assert main(["prepare", "--manifest", str(corpus / "recordings.csv"), "--channels", channels, "--out", str(out)]) == EXIT_OK
+    return out / "dataset.csv"
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +206,12 @@ class TestTrainEvalReport:
     def test_negative_seed_is_config_error(self, dataset_dir, tmp_path, capsys, command):
         assert main([command, *_run_args(dataset_dir, tmp_path / "run", ["--seed", "-1"])]) == EXIT_CONFIG
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_nul_in_dataset_path_is_config_error(self, dataset_dir, tmp_path, capsys, command):
+        args = [*_run_args(dataset_dir, tmp_path / "run"), "--dataset", f"{dataset_dir}/x\0.csv"]
+        assert main([command, *args]) == EXIT_CONFIG
+        assert "config error: dataset must be a path without a NUL byte" in capsys.readouterr().err
 
     def test_full_staged_pipeline(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -395,6 +414,44 @@ class TestTrainEvalReport:
         for command in ("train", "eval", "report"):
             assert main([command, *args]) == EXIT_OK
 
+    def test_same_relative_spelling_from_another_directory_is_another_dataset(self, dataset_dir, corpus_seed1, tmp_path, monkeypatch, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "a" / "ds")
+        _prepare(corpus_seed1, "fz", tmp_path / "b" / "ds")  # another corpus under the same relative path
+        args = [*_run_args(dataset_dir, tmp_path / "run", ["--epochs", "1"]), "--dataset", str(Path("ds") / "dataset.csv")]
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["train", *args]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "b")
+        capsys.readouterr()
+        assert main(["eval", *args]) == EXIT_DATA
+        assert capsys.readouterr().err.rstrip().endswith("in: dataset")
+        assert not (tmp_path / "run" / "report.csv").exists()
+
+    def test_metric_undefined_in_every_fold_is_an_empty_cell(self, corpus_seed1, tmp_path):
+        # one epoch of this CNN predicts Alert for every test image: no fold has a precision or an F1
+        dataset = _prepare(corpus_seed1, "fzpz", tmp_path / "fzpz")
+        out = tmp_path / "run"
+        args = ["--dataset", str(dataset), "--out", str(out), "--model", "cnn", "--epochs", "1", "--folds", "2", "--batch-size", "8", "--precision", "float32"]
+        for command in ("train", "eval", "report"):
+            assert main([command, *args]) == EXIT_OK
+        rows = (out / "aggregate.csv").read_text(encoding="utf-8").splitlines()
+        assert "F1,," in rows and "Precision,," in rows
+        assert all(row.count(",") == 2 for row in rows)
+
+    def test_fold_without_images_of_a_class_has_empty_normalized_row(self, corpus_seed1, tmp_path):
+        # subject-grouped 2-fold holdout of 3+3 subjects: one fold tests only Drowsy subjects, the other only Alert ones
+        dataset = _prepare(corpus_seed1, "fz", tmp_path / "fz")
+        out = tmp_path / "run"
+        args = ["--dataset", str(dataset), "--out", str(out), "--model", "mlp", "--epochs", "1", "--folds", "2", "--subject-grouped"]
+        for command in ("train", "eval", "report"):
+            assert main([command, *args]) == EXIT_OK
+        empty_rows = [
+            row
+            for i in range(2)
+            for row in (out / f"confusion_fold{i}_normalized.csv").read_text(encoding="utf-8").splitlines()
+            if row.endswith(",,")
+        ]
+        assert sorted(empty_rows) == ["Alert,,", "Drowsy,,"]
+
     def test_malformed_dataset_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
@@ -477,7 +534,7 @@ class TestTrainEvalReport:
         out = tmp_path / "narrow"
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
         ckpt = out / "model_fold0.ckpt"
-        narrow = MlpParams.init((32, 32), np.random.default_rng(0), hidden=3)
+        narrow = reduced_mlp((32, 32), np.random.default_rng(0), hidden=3)
         with pytest.raises(CheckpointError, match="differs in: hidden$"):
             save_model(tmp_path / "narrow.ckpt", narrow)
         assert not (tmp_path / "narrow.ckpt").exists()
@@ -673,7 +730,6 @@ def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
     manifest = (root / "corpus" / "recordings.csv").read_text(encoding="utf-8")
     (root / "corpus" / "recordings_csv.csv").write_text(manifest.replace(f32.name, f32.with_suffix(".csv").name), encoding="utf-8")
     shutil.copytree(dataset_dir, root / "ds")
-    # at seed 0 one epoch predicts Drowsy in some fold, so report has an F1 to aggregate and exits 0
     run = _run_args(root / "ds", root / "run", ["--epochs", "1", "--seed", "0"])
     for command in ("train", "eval", "report"):
         assert main([command, *run]) == EXIT_OK

@@ -7,6 +7,7 @@ from capsroute import cnn
 from capsroute.cnn import CnnParams, cnn_forward, cnn_loss
 from capsroute.config import TrainConfig
 from gradcheck import check_gradients
+from reduced import reduced_cnn, reduced_mlp
 from capsroute.mlp import MlpParams, mlp_forward
 from capsroute.tensor import Tensor, conv2d, cross_entropy_logits, maxpool2d, pad2d, relu, tensor_fields
 
@@ -70,7 +71,7 @@ class TestDropoutBehavior:
 
 @pytest.fixture(scope="module")
 def small_params():
-    return CnnParams.init((32, 32), np.random.default_rng(10), filters=(2, 3, 4), fc_hidden=5)
+    return reduced_cnn((32, 32), np.random.default_rng(10))
 
 
 class TestCnnLoss:
@@ -93,12 +94,12 @@ class TestCnnLoss:
     def test_l2_strictly_increasing_in_weight_magnitude(self, small_params):
         logits = Tensor(np.array([[0.3, -0.2]]))
         base = cnn_loss(logits, [0], small_params).item()
-        bumped = CnnParams.init((32, 32), np.random.default_rng(10), filters=(2, 3, 4), fc_hidden=5)
+        bumped = reduced_cnn((32, 32), np.random.default_rng(10))
         bumped.fc1_w.data = bumped.fc1_w.data * 2.0
         assert cnn_loss(logits, [0], bumped).item() > base
 
     def test_perfect_confidence_zero_weight_limit(self):
-        params = CnnParams.init((32, 32), np.random.default_rng(12), filters=(2, 2, 2), fc_hidden=3)
+        params = reduced_cnn((32, 32), np.random.default_rng(12), filters=(2, 2, 2), fc_hidden=3)
         for _, p in tensor_fields(params):
             p.data = np.zeros_like(p.data)
         loss = cnn_loss(Tensor(np.array([[30.0, -30.0]])), [0], params).item()
@@ -185,7 +186,7 @@ class TestDefaults:
 class TestGradients:
     def test_reduced_clone_all_groups(self):
         rng = np.random.default_rng(13)
-        params = CnnParams.init((8, 8), rng, filters=(2, 3, 4), fc_hidden=5)
+        params = reduced_cnn((8, 8), rng)
         image = rng.uniform(size=(8, 8))[None]
 
         def loss_fn():
@@ -209,7 +210,7 @@ class TestMlp:
 
     def test_gradients(self):
         rng = np.random.default_rng(16)
-        params = MlpParams.init((6, 6), rng, hidden=4)
+        params = reduced_mlp((6, 6), rng, hidden=4)
         image = rng.uniform(size=(6, 6))[None]
 
         def loss_fn():

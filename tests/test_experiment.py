@@ -1,5 +1,7 @@
 """Experiment orchestration: artifacts, staging, determinism, augmentation."""
 
+from pathlib import Path
+
 import pytest
 
 from capsroute.config import RunSettings
@@ -173,4 +175,4 @@ class TestSnapshotText:
         text = quick_settings("ds.csv", "out").snapshot()
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
         assert keys == sorted(keys)
-        assert "dataset=ds.csv" in text
+        assert f"dataset={Path('ds.csv').resolve()}\n" in text  # the absolute path, so a rerun finds it from anywhere

@@ -88,9 +88,9 @@ class TestNormalize:
             grid = normalize_confusion(ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn))
             np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_empty_row_rejected(self):
-        with pytest.raises(MetricsError):
-            normalize_confusion(ConfusionMatrix(tp=0, fn=0, fp=3, tn=7))
+    def test_empty_row_is_undefined(self):
+        grid = normalize_confusion(ConfusionMatrix(tp=0, fn=0, fp=3, tn=7))
+        assert grid.tolist() == [[0.7, 0.3], [None, None]]
 
 
 class TestAggregate:
@@ -134,12 +134,13 @@ class TestAggregate:
         assert agg["F1"] == (0.6, None)  # single defined value: std undefined
         assert agg["Precision"] == (0.5, None)
 
-    def test_all_undefined_errors(self):
+    def test_all_undefined_is_none(self):
         from capsroute.metrics import MetricsReport
 
         folds = [MetricsReport(accuracy=0.5, f1=None, sensitivity=0.5, specificity=0.5, precision=None)] * 2
-        with pytest.raises(MetricsError):
-            aggregate(folds)
+        agg = aggregate(folds)
+        assert agg["F1"] == (None, None) and agg["Precision"] == (None, None)
+        assert agg["Accuracy"] == (0.5, 0.0)
 
     def test_single_fold_rejected(self):
         with pytest.raises(MetricsError):
