@@ -139,9 +139,9 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    # a missing input, a directory named as a file, a file in the way of an output directory, or a dataset too small to split
-    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, SplitError, FileNotFoundError,
-            IsADirectoryError, FileExistsError, NotADirectoryError) as exc:
+    # a missing input, a directory named as a file, a file in the way of an output directory, an output that cannot be
+    # written (a full disk, no permission), or a dataset too small to split
+    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, SplitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericError) as exc:

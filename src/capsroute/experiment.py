@@ -28,7 +28,7 @@ from .metrics import TABLE_COLUMNS, ConfusionMatrix, MetricsReport, aggregate, m
 from .signal import Label, SpectrogramImage, atomic_write, load_dataset, read_rows, write_rows
 from .splits import SplitPlan, make_splits
 from .tensor import NumericError
-from .training import evaluate, images_to_arrays, load_model, save_model, train_model
+from .training import _keep_freed_heap, evaluate, images_to_arrays, load_model, save_model, train_model
 
 __all__ = [
     "FoldOutcome",
@@ -173,6 +173,7 @@ def stage_train(settings: RunSettings) -> list[list[dict]]:
 
     workers = worker_count()
     if workers > 1:
+        _keep_freed_heap()  # before the pool starts, so its threads share the main arena's kept heap
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, range(settings.folds)))
     return [work(i) for i in range(settings.folds)]

@@ -123,8 +123,9 @@ def images_to_arrays(images: Sequence[SpectrogramImage]) -> tuple[np.ndarray, np
 # a trim threshold no step reaches. Setting either one switches the dynamic
 # threshold off, so both are set or neither: with only the trim threshold set,
 # the mmap threshold stays at 128 KiB and every larger array is mapped and
-# faulted in afresh on each call.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# faulted in afresh on each call. One arena: a thread started after the call
+# allocates from the main arena too, and so reuses the heap it keeps.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 1 << 30
 
@@ -135,13 +136,17 @@ def _keep_freed_heap() -> None:
 
     Backward frees a step's graph as it walks it, so glibc would trim the top
     of the heap after each step and the next step would fault the same pages
-    in again. Runs once per process, on glibc only; outputs do not depend on it."""
+    in again. Threads started after this call share the main arena, whose
+    heap is kept; a thread already attached to another arena stays there, so
+    ``stage_train`` calls this before it starts fold threads. Runs once per
+    process, on glibc only; outputs do not depend on it."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):  # returns 0, having set nothing, if refused
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -1,6 +1,8 @@
 """CLI commands, config precedence, and exit-code categories."""
 
 import csv
+import errno
+import os
 import random
 import re
 import shutil
@@ -83,7 +85,7 @@ class TestSynth:
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "corpus"
         assert main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "3", "--out", str(out)]) == EXIT_OK
         assert sorted(p.suffix for p in out.iterdir()) == [".csv"] + [".f32"] * 8  # no temp manifest left
@@ -96,8 +98,8 @@ class TestSynth:
             save_recording(path, samples)
 
         monkeypatch.setattr(signal, "save_recording", failing_save)
-        with pytest.raises(OSError, match="disk full"):
-            main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "4", "--out", str(out)])
+        assert main(["synth", "--subjects", "2,2", "--minutes", "0.5", "--seed", "4", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: disk full\n"  # an exit code, not a traceback
         assert not (out / "recordings.csv").exists()  # two new and six old recordings: nothing may name them
         assert not list(out.glob("*.tmp"))
         code = main(["prepare", "--manifest", str(out / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "d")])
@@ -235,6 +237,25 @@ class TestTrainEvalReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "metric,mean,std"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["Accuracy", "F1", "Sensitivity", "Specificity", "Precision"]
+
+    @pytest.mark.parametrize("target", ["config.snapshot", "model_fold1.ckpt"])
+    def test_output_that_cannot_be_written_is_data_error(self, dataset_dir, tmp_path, capsys, monkeypatch, target):
+        # the temp file is created, then the disk is full: exit 3 naming the file, and the temp file goes
+        real_open = open
+
+        def full_disk_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if Path(path).name == f"{target}.tmp":
+                fh.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return fh
+
+        monkeypatch.setattr(signal, "open", full_disk_open, raising=False)
+        out = tmp_path / "run"
+        assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "No space left on device" in err and str(out / target) in err
+        assert not list(out.glob("*.tmp"))
 
     def test_eval_before_train_is_data_error(self, dataset_dir, tmp_path):
         assert main(["eval", *_run_args(dataset_dir, tmp_path / "fresh")]) == EXIT_DATA

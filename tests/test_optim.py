@@ -1,6 +1,8 @@
 """Adam update arithmetic."""
 
 import copy
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,22 +66,34 @@ class TestAdamStep:
 
 
 def _oracle_step(params, grads, state):
-    """The unblocked update, one full-size expression per op."""
+    """The unblocked update, one full-size expression per op: moment sums, bias correction in two scalars."""
     t = state.step_count + 1
     b1, b2 = optim.BETA1, optim.BETA2
+    k = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    alpha = state.lr * (1.0 - b1) / ((1.0 - b1**t) * k)
+    eps = optim.EPS / k
     out, ms, vs = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m, v = m.copy(), v.copy()
         m *= b1
-        m += (1.0 - b1) * g
+        m += g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + optim.EPS))
+        v += g * g
+        out.append(p - alpha * (m / (np.sqrt(v) + eps)))
         ms.append(m)
         vs.append(v)
     return out, ms, vs
+
+
+def _textbook_step(params, grads, m, v, t, lr):
+    """Kingma & Ba's Algorithm 1 as printed, with m, v, m_hat and v_hat; returns new (params, m, v)."""
+    b1, b2 = optim.BETA1, optim.BETA2
+    m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
+    v = [b2 * vi + (1.0 - b2) * g**2 for vi, g in zip(v, grads)]
+    m_hat = [mi / (1.0 - b1**t) for mi in m]
+    v_hat = [vi / (1.0 - b2**t) for vi in v]
+    params = [p - lr * mh / (np.sqrt(vh) + optim.EPS) for p, mh, vh in zip(params, m_hat, v_hat)]
+    return params, m, v
 
 
 def _chunk_edge_shapes(dtype):
@@ -119,6 +133,48 @@ class TestBlockedAdamMatchesOracle:
         state = adam_init([np.zeros(2, np.float32)])
         with pytest.raises(ValueError):
             adam_step([np.zeros(2, np.float32)], [np.zeros(2, np.float64)], state)
+
+
+class TestItIsStillAdam:
+    def test_200_steps_agree_with_algorithm_1(self):
+        # float64, gradients from 1e-6 to 1e2: moment sums and folded scalars are Algorithm 1 up to rounding
+        rng = np.random.default_rng(11)
+        textbook = [rng.normal(size=s) for s in [(40, 25), (7,), (3, 5, 11)]]
+        params = [p.copy() for p in textbook]
+        state = adam_init(params, lr=0.01)
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        for t in range(1, 201):
+            grads = [rng.choice([-1.0, 1.0], size=p.shape) * 10.0 ** rng.uniform(-6, 2, size=p.shape) for p in params]
+            textbook, m, v = _textbook_step(textbook, grads, m, v, t, lr=0.01)
+            params, state = adam_step(params, grads, state)
+        # relative to each array's largest cell: a cell that crossed zero has no relative error of its own
+        pairs = [*zip(params, textbook), *((M * (1.0 - optim.BETA1), mi) for M, mi in zip(state.first_moment, m))]
+        pairs += [(V * (1.0 - optim.BETA2), vi) for V, vi in zip(state.second_moment, v)]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def _second_moment_after(grad, steps):
+        """V after ``steps`` updates with one constant float32 gradient, by then within 1e-5 of its limit."""
+        params = [np.zeros(4, np.float32)]
+        grads = [np.full(4, grad, np.float32)]
+        state = adam_init(params)
+        for _ in range(steps):
+            params, state = adam_step(params, grads, state)
+        return state.second_moment[0]
+
+    def test_float32_gradient_just_under_the_bound_keeps_v_finite(self):
+        # the docstring's bound, sqrt(max / (1 - BETA2)) = 5.83e17 in float32; V is 1000 g^2 at its limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = self._second_moment_after(5.8e17, 12_000)
+        assert np.isfinite(v).all() and v[0] > 0.999 * 1000.0 * np.float32(5.8e17) ** 2
+
+    def test_float32_gradient_over_the_bound_overflows_v(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            v = self._second_moment_after(5.9e17, 12_000)
+        assert np.isinf(v).all()
 
 
 class TestInPlaceContract:

@@ -281,16 +281,26 @@ class TestStepMemory:
         """With the freed heap kept, a warm batch-32 step reuses the pages the last step freed.
         Without it glibc trims them after each step, and a cnn step faults some 6,600 pages in again.
 
-        The steps run in a fresh process, whose main thread allocates from glibc's main arena. A
-        thread that has had an allocation refused (as in the CLI's too-long synth test) moves to
-        another arena, where the freed heap is not kept: after that test an in-process capsnet step
-        faulted some 2,600 pages."""
-        child = "import json, sys; sys.path[:0] = json.loads(sys.argv[1]); from test_training import _warm_step_faults; print(json.dumps(_warm_step_faults(*json.loads(sys.argv[2]))))"
+        The steps run in a fresh process, on its main thread. With one arena set, every thread
+        allocates from the main arena, whose freed heap is kept; a thread that had allocated
+        before that (as any thread of this test process may have) keeps an arena of its own."""
+        faults = self._faults_in_fresh_process("_warm_step_faults", kind, hw, dtype)
+        assert np.median(faults) <= 256, f"minor page faults per warm step: {faults}"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed heap is kept through glibc's mallopt")
+    def test_warm_steps_on_a_fold_thread_fault_in_no_new_pages(self):
+        """The same on a thread started after the heap is kept, as stage_train starts its fold
+        threads. On an arena of its own, a warm cnn step faulted some 4,400 pages in again."""
+        faults = self._faults_in_fresh_process("_warm_step_faults_on_a_fold_thread", "cnn", (64, 32), np.float32)
+        assert np.median(faults) <= 256, f"minor page faults per warm step: {faults}"
+
+    @staticmethod
+    def _faults_in_fresh_process(helper, kind, hw, dtype) -> list[int]:
+        child = f"import json, sys; sys.path[:0] = json.loads(sys.argv[1]); from test_training import {helper}; print(json.dumps({helper}(*json.loads(sys.argv[2]))))"
         args = json.dumps([kind, hw, np.dtype(dtype).name])
         run = subprocess.run([sys.executable, "-c", child, json.dumps(sys.path), args], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        faults = json.loads(run.stdout)
-        assert np.median(faults) <= 256, f"minor page faults per warm step: {faults}"
+        return json.loads(run.stdout)
 
 
 def _warm_step_faults(kind, hw, dtype) -> list[int]:
@@ -306,6 +316,13 @@ def _warm_step_faults(kind, hw, dtype) -> list[int]:
         step()
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return faults
+
+
+def _warm_step_faults_on_a_fold_thread(kind, hw, dtype) -> list[int]:
+    """``_warm_step_faults`` on a pool thread started after the freed heap is kept, as stage_train starts fold threads."""
+    training._keep_freed_heap()
+    with ThreadPoolExecutor(max_workers=1) as fold_thread:
+        return fold_thread.submit(_warm_step_faults, kind, hw, dtype).result()
 
 
 def _batch_32_step(kind, hw, dtype):
