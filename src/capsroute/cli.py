@@ -18,7 +18,7 @@ from .metrics import MetricsError
 from .signal import ChannelSet, PipelineError, build_dataset, build_synth_corpus, load_recordings_manifest, write_dataset
 from .splits import SplitError
 from .tensor import NumericError
-from .training import LeakageError, TrainingError
+from .training import TrainingError
 
 __all__ = ["main"]
 
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     # a missing input, a directory named as a file, a file in the way of an output directory, an output that cannot be
     # written (a full disk, no permission), or a dataset too small to split
-    except (PipelineError, CheckpointError, ExperimentError, LeakageError, MetricsError, SplitError, OSError) as exc:
+    except (PipelineError, CheckpointError, ExperimentError, MetricsError, SplitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericError) as exc:

@@ -10,6 +10,7 @@ are all derived from these fields.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -60,12 +61,12 @@ class TrainConfig:
     seed: int = _key(0, check=_at_least(0))
     epochs: int = _key(500, check=_at_least(1))
     batch_size: int = _key(32, check=_at_least(1))
-    learning_rate: float = 1e-3
+    learning_rate: float = _key(1e-3, check=(lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
     # float64 is the verifiable default; float32 trades precision for speed
     precision: str = _key("float64", choices=("float32", "float64"))
     augment: bool = False
     augment_factor: int = _key(3, check=_at_least(1))
-    early_stop_train_acc: Optional[float] = None
+    early_stop_train_acc: Optional[float] = _key(None, check=(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
 
     def __post_init__(self):
         problems = config_problems(vars(self))

@@ -62,12 +62,15 @@ class ExperimentReport:
 
 
 def worker_count() -> int:
-    """Fold-level parallelism cap from CAPSROUTE_THREADS (default 1)."""
+    """Fold-level parallelism cap from CAPSROUTE_THREADS (default 1); raises ConfigError unless it is a positive integer."""
     raw = os.environ.get("CAPSROUTE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"CAPSROUTE_THREADS must be a positive integer, got {raw!r}"])
+    return workers
 
 
 def _fmt(value) -> str:
@@ -157,11 +160,14 @@ def stage_train(settings: RunSettings) -> list[list[dict]]:
     """Train every fold; writes checkpoints, curves, and the config snapshot.
 
     First deletes every fold file, confusion and report an earlier run left in
-    ``out_dir``. Returns each fold's per-epoch curve.
+    ``out_dir``, once ``CAPSROUTE_THREADS`` and the dataset have been read, so a
+    bad value or a malformed dataset leaves that run as it was. Returns each
+    fold's per-epoch curve.
     """
+    workers = worker_count()
+    images, plan = _plan(settings)
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images, plan = _plan(settings)
     for pattern in _RUN_OUTPUTS:
         for path in out_dir.glob(pattern):
             path.unlink()
@@ -171,7 +177,6 @@ def stage_train(settings: RunSettings) -> list[list[dict]]:
     def work(i):
         return _train_one_fold(i, images, plan, settings, out_dir)
 
-    workers = worker_count()
     if workers > 1:
         _keep_freed_heap()  # before the pool starts, so its threads share the main arena's kept heap
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -199,11 +204,10 @@ def stage_eval(settings: RunSettings) -> list[ConfusionMatrix]:
             _check_snapshot(out_dir / "config.snapshot", settings)
         if images[0].pixels.shape != params.input_hw:  # load_dataset gives every image one shape
             raise ExperimentError(f"{ckpt} takes {params.input_hw} images but {settings.dataset} holds {images[0].pixels.shape}")
-        train_paths = {images[j].source_path for j in fold.train_indices if images[j].source_path}
         test_images = [images[j] for j in fold.test_indices]
         try:
             with np.errstate(all="ignore"):  # an op that overflows raises NumericError; NumPy need not warn first
-                cm = evaluate(params, test_images, train_paths=train_paths)
+                cm = evaluate(params, test_images)
         except NumericError as exc:  # finite weights whose scores are not: bad input, like a NaN weight
             raise ExperimentError(f"{ckpt} cannot be scored: {exc}") from exc
         rows = [("Alert", cm.tn, cm.fp), ("Drowsy", cm.fn, cm.tp)]

@@ -167,13 +167,10 @@ class EegRecording:
     subject_id: str
     pvt: Pvt
     channel: Channel
-    sample_rate: int
-    samples: np.ndarray
+    samples: np.ndarray  # at SAMPLE_RATE
     kss: int
 
     def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise PipelineError(f"sample_rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if not 1 <= self.kss <= 9:
             raise PipelineError(f"kss must be in [1, 9], got {self.kss}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -392,7 +389,6 @@ def synth_eeg(label: Label, subject_seed: int, duration_s: float, channel: Chann
         subject_id=f"s{subject_seed}",
         pvt=pvt,
         channel=channel,
-        sample_rate=SAMPLE_RATE,
         samples=samples,
         kss=kss,
     )
@@ -434,7 +430,7 @@ def load_recording(path: Path, subject_id: str, pvt: Pvt, channel: Channel, kss:
         samples = samples.astype(np.float64)
     if samples.size == 0:
         raise PipelineError(f"{path} holds no samples")
-    return EegRecording(subject_id=subject_id, pvt=pvt, channel=channel, sample_rate=SAMPLE_RATE, samples=samples, kss=kss)
+    return EegRecording(subject_id=subject_id, pvt=pvt, channel=channel, samples=samples, kss=kss)
 
 
 # recordings.csv columns in written order, each with the parser of its cells
@@ -577,10 +573,18 @@ def write_dataset(images: Sequence[SpectrogramImage], out_dir: Path) -> Path:
 
 
 def load_dataset(manifest_path: Path) -> list[SpectrogramImage]:
+    """The images a ``dataset.csv`` lists, in row order. Refuses a manifest with no rows, an image whose
+    shape differs from the first's, and one image listed twice (``a.pgm`` and ``./a.pgm`` are one image:
+    paths joined to the manifest's directory are compared after ``os.path.normpath``, with no filesystem call)."""
     manifest_path = Path(manifest_path)
     images = []
+    seen = set()
     for row in read_rows(manifest_path, _DATASET_COLUMNS):
         path = manifest_path.parent / row["image_path"]
+        key = os.path.normpath(path)  # an absolute row names the same key as its manifest-relative spelling
+        if key in seen:  # one image in two rows would be trained and tested, or tested twice, in one fold
+            raise PipelineError(f"{manifest_path} lists image {row['image_path']} twice")
+        seen.add(key)
         pixels = read_pgm(path)
         if images and pixels.shape != images[0].pixels.shape:
             raise PipelineError(f"{path} has shape {pixels.shape}, but {images[0].source_path} has {images[0].pixels.shape}")

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # config imports MODEL_KINDS from here
 
 __all__ = [
     "TrainingError",
-    "LeakageError",
     "Model",
     "MODELS",
     "MODEL_KINDS",
@@ -42,10 +41,6 @@ ModelParams = Union[CapsNetParams, CnnParams, MlpParams]
 
 
 class TrainingError(RuntimeError):
-    pass
-
-
-class LeakageError(RuntimeError):
     pass
 
 
@@ -238,20 +233,12 @@ def predict(params: ModelParams, pixels: np.ndarray) -> np.ndarray:
     return np.concatenate(preds)
 
 
-def evaluate(
-    params: ModelParams,
-    test_images: Sequence[SpectrogramImage],
-    train_paths: Optional[set] = None,
-) -> ConfusionMatrix:
+def evaluate(params: ModelParams, test_images: Sequence[SpectrogramImage]) -> ConfusionMatrix:
     """Confusion counts over the test images, drowsy positive.
 
-    When ``train_paths`` is given, any test image whose source path appears
-    there is a lineage violation.
+    Train/test disjointness is the caller's: folds from ``make_splits`` over a
+    ``load_dataset`` list (which lists each image once) share no image.
     """
-    if train_paths is not None:
-        for img in test_images:
-            if img.source_path and img.source_path in train_paths:
-                raise LeakageError(f"test image {img.source_path} appears in the training lineage")
     pixels, labels = images_to_arrays(test_images)
     preds = predict(params, pixels)
     tp = int(((preds == 1) & (labels == 1)).sum())

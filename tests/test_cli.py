@@ -389,6 +389,53 @@ class TestTrainEvalReport:
         assert main(["train", *_run_args(small, tmp_path / "run")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error:")
 
+    def test_image_listed_twice_is_data_error_that_leaves_the_run(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", *_run_args(dataset_dir, out, ["--epochs", "1"])]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        repeated = tmp_path / "repeated"
+        shutil.copytree(dataset_dir, repeated)
+        header, first, *rest = (repeated / "dataset.csv").read_text().splitlines(keepends=True)
+        (repeated / "dataset.csv").write_text(header + first + "".join(rest) + first)
+        capsys.readouterr()
+        for command in ("train", "eval"):
+            assert main([command, *_run_args(repeated, out, ["--epochs", "1"])]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and f"lists image {first.split(',')[0]} twice" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_threads_not_a_positive_integer_is_config_error_that_leaves_the_run(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", *_run_args(dataset_dir, out, ["--epochs", "1"])]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setenv("CAPSROUTE_THREADS", "lots")
+        assert main(["train", *_run_args(dataset_dir, out, ["--epochs", "1"])]) == EXIT_CONFIG
+        assert "config error: CAPSROUTE_THREADS must be a positive integer, got 'lots'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("given_as", ["flag", "config-file"])
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("learning_rate", "nan", "finite and > 0"),
+            ("learning_rate", "inf", "finite and > 0"),
+            ("learning_rate", "-0.001", "finite and > 0"),
+            ("early_stop_train_acc", "-1", "in (0, 1]"),
+        ],
+        ids=["rate-nan", "rate-inf", "rate-negative", "target-negative"],
+    )
+    def test_out_of_range_rate_or_target_is_config_error(self, dataset_dir, tmp_path, capsys, key, value, rule, given_as):
+        out = tmp_path / "run"
+        if given_as == "flag":
+            argv = ["train", *_run_args(dataset_dir, out), f"{KEYS[key].option}={value}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"dataset={dataset_dir / 'dataset.csv'}\nout_dir={out}\nmodel=mlp\nfolds=2\n{key}={value}\n")
+            argv = ["train", "--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {key} must be {rule}, got {float(value)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nul_in_dataset_image_path_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)

@@ -1,10 +1,11 @@
 """Experiment orchestration: artifacts, staging, determinism, augmentation."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-from capsroute.config import RunSettings
+from capsroute.config import ConfigError, RunSettings
 from capsroute.experiment import (
     ExperimentError,
     run_experiment,
@@ -155,9 +156,11 @@ class TestWorkerCount:
         monkeypatch.setenv("CAPSROUTE_THREADS", "3")
         assert worker_count() == 3
 
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("CAPSROUTE_THREADS", "lots")
-        assert worker_count() == 1
+    @pytest.mark.parametrize("raw", ["lots", "0", "-2", "1.5"])
+    def test_garbage_env_is_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("CAPSROUTE_THREADS", raw)
+        with pytest.raises(ConfigError, match=re.escape(f"CAPSROUTE_THREADS must be a positive integer, got {raw!r}")):
+            worker_count()
 
     def test_parallel_run_matches_sequential(self, toy_dataset, tmp_path, monkeypatch):
         monkeypatch.delenv("CAPSROUTE_THREADS", raising=False)

@@ -43,7 +43,7 @@ from capsroute.signal import (
 
 
 def _recording(samples, kss=3, pvt=Pvt.PVT1, channel=Channel.FZ, subject="s0"):
-    return EegRecording(subject_id=subject, pvt=pvt, channel=channel, sample_rate=SAMPLE_RATE, samples=samples, kss=kss)
+    return EegRecording(subject_id=subject, pvt=pvt, channel=channel, samples=samples, kss=kss)
 
 
 def _segment_of(samples):
@@ -118,7 +118,7 @@ class TestSegment:
         with pytest.raises(PipelineError):
             _recording(np.zeros(10), kss=0)
         with pytest.raises(PipelineError):
-            EegRecording("s", Pvt.PVT1, Channel.FZ, 256, np.zeros(10), 3)
+            EegRecording("s", Pvt.PVT1, Channel.FZ, np.zeros((2, 5)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ class TestCorpusAndDataset:
 
     def test_unlabeled_recordings_skipped(self):
         rec = synth_eeg(Label.ALERT, 1, 13.0)
-        unlabeled = EegRecording(rec.subject_id, Pvt.PVT2, rec.channel, rec.sample_rate, rec.samples, rec.kss)
+        unlabeled = EegRecording(rec.subject_id, Pvt.PVT2, rec.channel, rec.samples, rec.kss)
         assert build_dataset([unlabeled], ChannelSet.FZ) == []
 
     def test_class_images_are_distinguishable(self, small_corpus):
@@ -521,6 +521,18 @@ class TestDatasetIO:
             pgm.write_bytes(raw.replace(b"\n32 32\n", b"\n" + size_line + b"\n", 1))
             with pytest.raises(PipelineError, match=f"{image_path} has a malformed PGM size line"):
                 load_dataset(manifest)
+
+    def test_image_listed_twice_is_refused(self, small_corpus, tmp_path):
+        # one image in two rows would be trained and tested, or tested twice, in one fold
+        manifest = write_dataset(build_dataset(load_recordings_manifest(small_corpus), ChannelSet.FZ), tmp_path / "ds")
+        header, first, *rest = manifest.read_text().splitlines(keepends=True)
+        image_path = first.split(",")[0]
+        for again in (image_path, f"./{image_path}", f"sub/../{image_path}", str(manifest.parent / image_path)):
+            manifest.write_text(header + first + "".join(rest) + again + first[len(image_path) :])
+            with pytest.raises(PipelineError, match=re.escape(f"{manifest} lists image {again} twice")):
+                load_dataset(manifest)
+        manifest.write_text(header + first + "".join(rest))
+        assert len(load_dataset(manifest)) == 1 + len(rest)
 
     def test_write_is_idempotent(self, small_corpus, tmp_path):
         recs = load_recordings_manifest(small_corpus)

@@ -29,7 +29,6 @@ from capsroute.signal import ChannelSet, Label, SpectrogramImage
 from capsroute.tensor import NumericError, Tensor, tensor_fields
 from capsroute.training import (
     MODELS,
-    LeakageError,
     TrainingError,
     evaluate,
     images_to_arrays,
@@ -40,7 +39,7 @@ from capsroute.training import (
 )
 
 
-def toy_images(n=20, hw=(12, 12), seed=0, with_paths=False):
+def toy_images(n=20, hw=(12, 12), seed=0):
     """Trivially separable classes: bright top half (Alert) vs bottom half (Drowsy)."""
     rng = np.random.default_rng(seed)
     images = []
@@ -52,16 +51,7 @@ def toy_images(n=20, hw=(12, 12), seed=0, with_paths=False):
             px[: h // 2] = rng.integers(180, 255, size=(h // 2, w))
         else:
             px[h // 2 :] = rng.integers(180, 255, size=(h - h // 2, w))
-        images.append(
-            SpectrogramImage(
-                px,
-                label,
-                f"s{i % 5}",  # 5 subjects, each holding both classes
-                ChannelSet.FZ,
-                i,
-                source_path=f"img{i:03d}.pgm" if with_paths else None,
-            )
-        )
+        images.append(SpectrogramImage(px, label, f"s{i % 5}", ChannelSet.FZ, i))  # 5 subjects, each holding both classes
     return images
 
 
@@ -670,12 +660,6 @@ class TestEvaluate:
         monkeypatch.setattr(capsnet, "decode", no_decoder)
         for n, classes in want.items():
             np.testing.assert_array_equal(predict(params, pixels[:n]), classes, err_msg=f"{n} images")
-
-    def test_lineage_violation(self):
-        params = MlpParams.init((12, 12), np.random.default_rng(13))
-        test_imgs = toy_images(4, with_paths=True)
-        with pytest.raises(LeakageError):
-            evaluate(params, test_imgs, train_paths={"img001.pgm"})
 
     def test_constant_classifier_sensitivity_specificity(self):
         # zero weights and a positive Drowsy bias predict Drowsy for everything
