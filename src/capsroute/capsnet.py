@@ -71,26 +71,22 @@ class CapsNetParams:
     dec3_b: Tensor
     input_hw: tuple
 
-    ARCH = "capsnet-v1"
+    ARCH = "capsnet-v2"
 
     @classmethod
     def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64) -> "CapsNetParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
-        h, w = input_hw
-        h1 = (h - CONV1_KERNEL) // STRIDE + 1
-        w1 = (w - CONV1_KERNEL) // STRIDE + 1
-        h2 = (h1 - CONV2_KERNEL) // STRIDE + 1
-        w2 = (w1 - CONV2_KERNEL) // STRIDE + 1
+        h2, w2 = (((n - CONV1_KERNEL) // STRIDE + 1 - CONV2_KERNEL) // STRIDE + 1 for n in input_hw)
         if h2 < 1 or w2 < 1:
             raise ValueError(f"input {input_hw} too small for the conv stem")
         num_primary = h2 * w2 * (CONV2_FILTERS // CAPSULE_DIM)
-        pixels = h * w
+        pixels = input_hw[0] * input_hw[1]
 
         d1, d2 = DECODER_HIDDEN
         return cls(
-            conv1_w=parameter((CONV1_FILTERS, 1, CONV1_KERNEL, CONV1_KERNEL), rng, dtype),
+            conv1_w=parameter((CONV1_FILTERS, CONV1_KERNEL, CONV1_KERNEL, 1), rng, dtype),
             conv1_b=parameter(CONV1_FILTERS, None, dtype),
-            conv2_w=parameter((CONV2_FILTERS, CONV1_FILTERS, CONV2_KERNEL, CONV2_KERNEL), rng, dtype),
+            conv2_w=parameter((CONV2_FILTERS, CONV2_KERNEL, CONV2_KERNEL, CONV1_FILTERS), rng, dtype),
             conv2_b=parameter(CONV2_FILTERS, None, dtype),
             routing_w=parameter((num_primary, N_CLASSES, SECONDARY_DIM, CAPSULE_DIM), rng, dtype),
             dec1_w=parameter((d1, N_CLASSES * SECONDARY_DIM), rng, dtype),

@@ -39,26 +39,22 @@ class CnnParams:
     out_b: Tensor
     input_hw: tuple
 
-    ARCH = "cnn-v1"
+    ARCH = "cnn-v2"
 
     @classmethod
     def init(cls, input_hw: tuple = (32, 32), rng: Optional[np.random.Generator] = None, dtype=np.float64) -> "CnnParams":
         """Truncated-normal weights drawn from ``rng`` (zeros without one) and zero biases."""
-        ph, pw = input_hw
-        for _ in range(3):
-            ph = -(-ph // 2)
-            pw = -(-pw // 2)
+        ph, pw = (-(-n // 8) for n in input_hw)  # the last map's extents: three halvings, rounding up
         f1, f2, f3 = FILTERS
-        flat = f3 * ph * pw
 
         return cls(
-            conv1_w=parameter((f1, 1, 3, 3), rng, dtype),
+            conv1_w=parameter((f1, 3, 3, 1), rng, dtype),
             conv1_b=parameter(f1, None, dtype),
-            conv2_w=parameter((f2, f1, 3, 3), rng, dtype),
+            conv2_w=parameter((f2, 3, 3, f1), rng, dtype),
             conv2_b=parameter(f2, None, dtype),
-            conv3_w=parameter((f3, f2, 3, 3), rng, dtype),
+            conv3_w=parameter((f3, 3, 3, f2), rng, dtype),
             conv3_b=parameter(f3, None, dtype),
-            fc1_w=parameter((FC_HIDDEN, flat), rng, dtype),
+            fc1_w=parameter((FC_HIDDEN, ph * pw * f3), rng, dtype),
             fc1_b=parameter(FC_HIDDEN, None, dtype),
             out_w=parameter((2, FC_HIDDEN), rng, dtype),
             out_b=parameter(2, None, dtype),
@@ -105,9 +101,8 @@ def cnn_forward(image: np.ndarray, params: CnnParams, rng: Optional[np.random.Ge
     x = _block(x, params.conv1_w, params.conv1_b, params.pool_window)
     x = _block(x, params.conv2_w, params.conv2_b, params.pool_window)
     x = _block(x, params.conv3_w, params.conv3_b, params.pool_window)
-    # fc1_w's columns are in (c, h, w) order
-    flat = x.transpose((0, 3, 1, 2)).reshape(x.shape[0], x.shape[1] * x.shape[2] * x.shape[3])
-    hidden = relu(affine(flat, params.fc1_w, params.fc1_b))
+    # fc1_w's columns are in (h, w, c) order
+    hidden = relu(affine(x.reshape(x.shape[0], -1), params.fc1_w, params.fc1_b))
     if rng is not None:
         hidden = dropout(hidden, DROPOUT_KEEP, rng)
     return affine(hidden, params.out_w, params.out_b)

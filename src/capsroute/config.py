@@ -42,8 +42,14 @@ def optional_float(raw: str) -> Optional[float]:
     return None if raw.strip().lower() in ("", "none") else float(raw)
 
 
+def nonempty_path(raw: str) -> Path:
+    if not raw:  # Path("") is the working directory, which an empty setting does not mean
+        raise ValueError("expected a path, got an empty string")
+    return Path(raw)
+
+
 # field annotation -> parser of a config-file value
-_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_bool, "Path": Path, "Optional[float]": optional_float}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_bool, "Path": nonempty_path, "Optional[float]": optional_float}
 
 
 def _key(default, **spec):
@@ -78,13 +84,14 @@ class TrainConfig:
         return np.float32 if self.precision == "float32" else np.float64
 
 
+# a path holding a NUL byte names no file, and resolving or creating one raises
+_NO_NUL = (lambda path: "\0" not in str(path), "a path without a NUL byte")
+
+
 @dataclass
 class RunSettings(TrainConfig):
-    # a path holding a NUL byte names no file, and resolving one raises
-    dataset: Path = _key(
-        None, required=True, check=(lambda path: "\0" not in str(path), "a path without a NUL byte"), help="dataset.csv manifest path"
-    )
-    out_dir: Path = _key(None, required=True, flag="--out", snapshot=False, help="output directory for all artifacts")
+    dataset: Path = _key(None, required=True, check=_NO_NUL, help="dataset.csv manifest path")
+    out_dir: Path = _key(None, required=True, flag="--out", snapshot=False, check=_NO_NUL, help="output directory for all artifacts")
     folds: int = _key(5, check=_at_least(2))
     train_frac: float = _key(0.8, check=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
     split_mode: str = _key("holdout", choices=("holdout", "partition"))
@@ -150,25 +157,28 @@ def config_problems(values: dict) -> list[str]:
 
 
 def read_config_file(path: Path) -> dict:
-    """key=value lines of UTF-8 text; '#' comments and blank lines ignored."""
+    """key=value lines of UTF-8 text; '#' comments and blank lines ignored, and no key given twice."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
         raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
-    values = {}
+    found = {}  # key -> (the line that gave it, its value)
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, sep, raw = stripped.partition("=")
+        key = key.strip()
+        if not sep:
             errors.append(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            continue
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        elif key in found:
+            errors.append(f"{path}:{lineno}: key {key!r} given again, first on line {found[key][0]}")
+        else:
+            found[key] = (lineno, raw.strip())
     if errors:
         raise ConfigError(errors)
-    return values
+    return {key: raw for key, (_, raw) in found.items()}
 
 
 def resolve_run_settings(file_values: dict, flag_values: dict) -> RunSettings:

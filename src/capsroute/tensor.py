@@ -186,8 +186,7 @@ class Tensor:
         # no other reference, so a second term is summed in place rather than
         # into a third array. It is copied only when not C-contiguous: einsum2's
         # backward can hand back a transposed result, and Adam's elementwise
-        # updates over a transposed gradient ran about 30% slower on capsnet;
-        # conv2d's kernel gradient arrives permuted from (m, q, c) column order.
+        # updates over a transposed gradient ran about 30% slower on capsnet.
         _require_finite(grad, op + ".backward")
         grad = np.asarray(grad, dtype=self.data.dtype, order="C")
         if self.grad is None:
@@ -505,17 +504,17 @@ def _add_windows(gwin: np.ndarray, xshape: tuple, stride: int) -> np.ndarray:
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 2-D cross-correlation summed over input channels, plus bias.
 
-    ``x`` is [N, H, W, C_in]; kernels are [C_out, C_in, kh, kw]. The output is
+    ``x`` is [N, H, W, C_in]; kernels are [C_out, kh, kw, C_in]. The output is
     [N, Ho, Wo, C_out] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
 
     ``_im2row`` unfolds the input into one matrix, a row per (image, output
-    position) and a column per (m, q, c) kernel cell, and the kernels are
-    permuted once per call into ``kmat`` [C_out, kh*kw*C_in] of the same
-    column order. The forward is one GEMM for the batch, ``rows @ kmat.T``,
-    and lands channels-last. Each output is one row's dot product with one
-    kernel row, summed in the same order whatever the other images hold, so
-    an image's output and input gradient are bit-identical to those of a
-    batch of one (the tests check this at every conv shape the models build).
+    position) and a column per (m, q, c) kernel cell. The kernels are stored
+    in that order, so ``kmat`` [C_out, kh*kw*C_in] is a view of them. The
+    forward is one GEMM for the batch, ``rows @ kmat.T``, and lands
+    channels-last. Each output is one row's dot product with one kernel row,
+    summed in the same order whatever the other images hold, so an image's
+    output and input gradient are bit-identical to those of a batch of one
+    (the tests check this at every conv shape the models build).
 
     The rows live in the scratch and die with the forward GEMM. The backward
     unfolds the kept input again for the kernel gradient, ``grows.T @ rows``,
@@ -528,7 +527,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
     if x.ndim != 4:
         raise ValueError(f"conv2d input must be [N, H, W, C], got shape {x.shape}")
-    cout, cin, kh, kw = kernels.shape
+    cout, kh, kw, cin = kernels.shape
     n, h, w, c = x.shape
     if c != cin:
         raise ValueError(f"conv2d channels disagree: input {c}, kernels {cin}")
@@ -540,8 +539,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     p = ho * wo
-    k = kh * kw * cin
-    kmat = kernels.data.transpose(0, 2, 3, 1).reshape(cout, k)
+    kmat = kernels.data.reshape(cout, kh * kw * cin)
     # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
     # each other once per block of K; when both start on one core, each wait took a scheduler
     # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
@@ -554,7 +552,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         grows = g.reshape(n * p, cout)  # row n*P + position
         if kernels.requires_grad:
             rows = _im2row(x.data, kh, kw, stride, n * p)
-            kernels._accumulate((grows.T @ rows).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), "conv2d", fresh=True)
+            kernels._accumulate((grows.T @ rows).reshape(kernels.shape), "conv2d", fresh=True)
         if bias.requires_grad:
             bias._accumulate(grows.sum(axis=0), "conv2d", fresh=True)
         if x.requires_grad:
@@ -562,7 +560,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             # summed float64 products under about 1e6 multiply-adds (a stem's image) in another order
             # than larger ones, so an image's input gradient changed with its batch.
             kmat_t = np.ascontiguousarray(kmat.T)
-            gwin = np.matmul(grows, kmat_t.T, out=_scratch((n * p, k), np.result_type(grows, kmat_t)))
+            gwin = np.matmul(grows, kmat_t.T, out=_scratch((n * p, kmat.shape[1]), np.result_type(grows, kmat_t)))
             x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, cin), x.shape, stride), "conv2d", fresh=True)
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")

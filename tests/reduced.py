@@ -30,9 +30,9 @@ def reduced_capsnet(input_hw: tuple, rng: np.random.Generator, dtype=np.float64)
     h2, w2 = (((n - 3) // STRIDE + 1 - 3) // STRIDE + 1 for n in input_hw)
     pixels = input_hw[0] * input_hw[1]
     shapes = {
-        "conv1_w": (2, 1, 3, 3),
+        "conv1_w": (2, 3, 3, 1),
         "conv1_b": 2,
-        "conv2_w": (4, 2, 3, 3),
+        "conv2_w": (4, 3, 3, 2),
         "conv2_b": 4,
         "routing_w": (h2 * w2, N_CLASSES, 3, 4),
         "dec1_w": (6, N_CLASSES * 3),
@@ -50,11 +50,11 @@ def reduced_cnn(input_hw: tuple, rng: np.random.Generator, filters: tuple = (2, 
     ph, pw = (-(-n // 8) for n in input_hw)  # three halvings, rounding up
     f1, f2, f3 = filters
     shapes = {
-        "conv1_w": (f1, 1, 3, 3),
+        "conv1_w": (f1, 3, 3, 1),
         "conv1_b": f1,
-        "conv2_w": (f2, f1, 3, 3),
+        "conv2_w": (f2, 3, 3, f1),
         "conv2_b": f2,
-        "conv3_w": (f3, f2, 3, 3),
+        "conv3_w": (f3, 3, 3, f2),
         "conv3_b": f3,
         "fc1_w": (fc_hidden, f3 * ph * pw),
         "fc1_b": fc_hidden,

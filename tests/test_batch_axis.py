@@ -21,7 +21,7 @@ def zeros(*shape):
 
 # each call takes the leading axes of its input: (1,) for a batch of one, () for none
 CALLS = {
-    "conv2d": lambda lead: conv2d(zeros(*lead, 6, 6, 1), zeros(2, 1, 3, 3), zeros(2)),
+    "conv2d": lambda lead: conv2d(zeros(*lead, 6, 6, 1), zeros(2, 3, 3, 1), zeros(2)),
     "maxpool2d": lambda lead: maxpool2d(zeros(*lead, 4, 4, 1), (2, 2), stride=2),
     "affine": lambda lead: affine(zeros(*lead, 3), zeros(2, 3), zeros(2)),
     "cross_entropy_logits": lambda lead: cross_entropy_logits(zeros(*lead, 2), np.zeros(lead, dtype=np.int64)),

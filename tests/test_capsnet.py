@@ -342,8 +342,8 @@ class TestTotalLoss:
 class TestForward:
     def test_shape_trace_32x32(self):
         params = CapsNetParams.init((32, 32), np.random.default_rng(23))
-        assert params.conv1_w.shape == (64, 1, 5, 5)
-        assert params.conv2_w.shape == (128, 64, 9, 9)
+        assert params.conv1_w.shape == (64, 5, 5, 1)
+        assert params.conv2_w.shape == (128, 9, 9, 64)
         assert params.num_primary == 72
         image = np.random.default_rng(24).integers(0, 256, size=(32, 32)).astype(np.uint8)
         v, reconstruction = capsnet_forward(image[None], params, [0])

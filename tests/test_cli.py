@@ -20,7 +20,7 @@ from capsroute.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _settings_from_args, 
 from capsroute.config import KEYS, resolve_run_settings
 from capsroute.signal import load_dataset, save_recording
 from capsroute.tensor import tensor_fields
-from capsroute.training import save_model
+from capsroute.training import MODELS, save_model
 from reduced import reduced_mlp
 
 
@@ -209,11 +209,34 @@ class TestTrainEvalReport:
         assert main([command, *_run_args(dataset_dir, tmp_path / "run", ["--seed", "-1"])]) == EXIT_CONFIG
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given_as", ["flag", "config-file"])
+    @pytest.mark.parametrize("value", ["nul", "empty"])
+    @pytest.mark.parametrize("key", ["dataset", "out_dir"])
     @pytest.mark.parametrize("command", ["train", "eval", "report"])
-    def test_nul_in_dataset_path_is_config_error(self, dataset_dir, tmp_path, capsys, command):
-        args = [*_run_args(dataset_dir, tmp_path / "run"), "--dataset", f"{dataset_dir}/x\0.csv"]
-        assert main([command, *args]) == EXIT_CONFIG
-        assert "config error: dataset must be a path without a NUL byte" in capsys.readouterr().err
+    def test_unusable_path_is_config_error(self, dataset_dir, tmp_path, capsys, monkeypatch, command, key, value, given_as):
+        # an empty path is not the working directory, where train would delete and write run files
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run"
+        bad = {"nul": f"{tmp_path}/x\0", "empty": ""}[value]
+        if given_as == "flag":
+            argv = [command, *_run_args(dataset_dir, out), KEYS[key].option, bad]
+        else:
+            settings = {"dataset": dataset_dir / "dataset.csv", "out_dir": out, key: bad}
+            (tmp_path / "run.cfg").write_text("".join(f"{name}={setting}\n" for name, setting in settings.items()) + "model=mlp\nfolds=2\n", encoding="utf-8")
+            argv = [command, "--config", str(tmp_path / "run.cfg")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value that its type rejects
+            code = exc.code
+        assert code == EXIT_CONFIG
+        message = {
+            ("nul", "flag"): f"config error: {key} must be a path without a NUL byte",
+            ("nul", "config-file"): f"config error: {key} must be a path without a NUL byte",
+            ("empty", "flag"): f"argument {KEYS[key].option}: invalid nonempty_path value: ''",
+            ("empty", "config-file"): f"config error: config key {key!r}: expected a path, got an empty string",
+        }[value, given_as]
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if given_as == "flag" else ["run.cfg"])
 
     def test_full_staged_pipeline(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -615,6 +638,30 @@ class TestTrainEvalReport:
         assert err.startswith("data error:") and str(ckpt) in err and err.rstrip().endswith("differs in: hidden")
 
     @pytest.mark.parametrize(
+        "kind, stored",
+        [
+            ("capsnet", {"arch": "capsnet-v1", "conv1": [64, 1, 5, 5, 2], "conv2": [128, 64, 9, 9, 2]}),
+            ("cnn", {"arch": "cnn-v1"}),
+        ],
+        ids=["capsnet-v1", "cnn-v1"],
+    )
+    def test_checkpoint_of_the_old_kernel_layout_is_data_error(self, trained_run, tmp_path, capsys, kind, stored):
+        # v1 stored conv kernels as [C_out, C_in, kh, kw]: such a checkpoint is retrained, not converted
+        root, run = trained_run
+        out = tmp_path / "run"
+        shutil.copytree(root / "run", out)
+        params = MODELS[kind].params.init((32, 32), np.random.default_rng(0))
+        arrays = {name: p.data for name, p in tensor_fields(params)}
+        for name in [name for name in arrays if name.startswith("conv") and name.endswith("_w")]:
+            arrays[name] = arrays[name].transpose(0, 3, 1, 2)
+        ckpt = out / "model_fold0.ckpt"
+        save_checkpoint(ckpt, arrays, {**params.fingerprint(), **stored})
+        assert main(["eval", *run, "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"unknown architecture {stored['arch']!r} in {ckpt}" in err
+        assert (out / "report.csv").read_bytes() == (root / "run" / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize(
         "command, name",
         [("eval", "config.snapshot"), ("report", "config.snapshot"), ("report", "confusion_fold0.csv")],
         ids=["eval-snapshot", "report-snapshot", "report-confusion"],
@@ -754,6 +801,15 @@ class TestConfigSchema:
                 argv += [key.option] if value is True else [key.option, str(value)]
         settings = _settings_from_args(build_parser().parse_args(argv))
         assert settings == resolve_run_settings({}, {**self.NON_DEFAULT, "out_dir": tmp_path})
+
+    def test_key_given_twice_is_config_error(self, dataset_dir, tmp_path, capsys):
+        # the second value used to win silently
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset={dataset_dir / 'dataset.csv'}\nepochs=1\n# epochs again\nout_dir={out}\n epochs = 2\nmodel=mlp\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {cfg}:5: key 'epochs' given again, first on line 2\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_config_example_resolves(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -40,7 +40,7 @@ from gradcheck import check_gradients
 
 def conv2d_direct(x, k, b, stride):
     """Quadruple-loop direct summation of the convolution definition over one [H, W, C] image."""
-    cout, cin, kh, kw = k.shape
+    cout, kh, kw, cin = k.shape
     h, w, _ = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
@@ -52,14 +52,14 @@ def conv2d_direct(x, k, b, stride):
                 for c in range(cin):
                     for m in range(kh):
                         for n in range(kw):
-                            acc += x[i * stride + m, j * stride + n, c] * k[o, c, m, n]
+                            acc += x[i * stride + m, j * stride + n, c] * k[o, m, n, c]
                 out[i, j, o] = acc + b[o]
     return out
 
 
 def conv2d_grads_direct(x, k, g, stride):
     """Input and kernel gradients of conv2d over [N, H, W, C], summed output position by kernel offset."""
-    _, _, kh, kw = k.shape
+    _, kh, kw, _ = k.shape
     _, ho, wo, _ = g.shape
     gx = np.zeros_like(x)
     gk = np.zeros_like(k)
@@ -68,8 +68,8 @@ def conv2d_grads_direct(x, k, g, stride):
             for m in range(kh):
                 for n in range(kw):
                     r, c = i * stride + m, j * stride + n
-                    gx[:, r, c, :] += g[:, i, j, :] @ k[:, :, m, n]
-                    gk[:, :, m, n] += g[:, i, j, :].T @ x[:, r, c, :]
+                    gx[:, r, c, :] += g[:, i, j, :] @ k[:, m, n, :]
+                    gk[:, m, n, :] += g[:, i, j, :].T @ x[:, r, c, :]
     return gx, gk
 
 
@@ -122,7 +122,7 @@ class TestConv2d:
         """64 kernels 5x5 stride 2 on 32x32x1 give 64 feature maps of 14x14."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(32, 32, 1))[None])
-        k = Tensor(rng.normal(size=(64, 1, 5, 5)))
+        k = Tensor(rng.normal(size=(64, 5, 5, 1)))
         b = Tensor(np.zeros(64))
         assert conv2d(x, k, b, stride=2).shape == (1, 14, 14, 64)
 
@@ -130,7 +130,7 @@ class TestConv2d:
         """The 64x32 input variant yields 30x14 feature maps."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(64, 32, 1))[None])
-        k = Tensor(rng.normal(size=(64, 1, 5, 5)))
+        k = Tensor(rng.normal(size=(64, 5, 5, 1)))
         b = Tensor(np.zeros(64))
         assert conv2d(x, k, b, stride=2).shape == (1, 30, 14, 64)
 
@@ -145,7 +145,7 @@ class TestConv2d:
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 6, 1))
-        k = rng.normal(size=(1, 1, 3, 3))
+        k = rng.normal(size=(1, 3, 3, 1))
         b = rng.normal(size=1)
         got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=2)
         np.testing.assert_allclose(got.data[0], conv2d_direct(x, k, b, 2), rtol=1e-12)
@@ -153,7 +153,7 @@ class TestConv2d:
     def test_matches_direct_summation_multichannel(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(7, 5, 3))
-        k = rng.normal(size=(4, 3, 3, 2))
+        k = rng.normal(size=(4, 3, 2, 3))
         b = rng.normal(size=4)
         got = conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=1)
         np.testing.assert_allclose(got.data[0], conv2d_direct(x, k, b, 1), rtol=1e-12)
@@ -161,7 +161,7 @@ class TestConv2d:
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(4)
         xs = rng.normal(size=(3, 8, 8, 2))
-        k = rng.normal(size=(5, 2, 3, 3))
+        k = rng.normal(size=(5, 3, 3, 2))
         b = rng.normal(size=5)
         batched = conv2d(Tensor(xs), Tensor(k), Tensor(b), stride=2).data
         for i in range(3):
@@ -169,7 +169,7 @@ class TestConv2d:
             np.testing.assert_array_equal(batched[i], single[0])
 
     # (x shape, kernel shape, stride): Ho*Wo < kh*kw (the capsnet 9x9/s2 layer), then Ho*Wo > kh*kw
-    GRAD_SHAPES = [((2, 14, 14, 2), (3, 2, 9, 9), 2), ((2, 7, 6, 3), (4, 3, 3, 2), 1)]
+    GRAD_SHAPES = [((2, 14, 14, 2), (3, 9, 9, 2), 2), ((2, 7, 6, 3), (4, 3, 2, 3), 1)]
 
     @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
     def test_gradients_match_direct_summation(self, xshape, kshape, stride):
@@ -206,7 +206,7 @@ class TestConv2d:
     def test_col2im_sums_in_kernel_offset_order(self, xshape, kshape, stride):
         """The input gradient's summation, _add_windows, adds each input cell's terms in increasing kernel offset."""
         _, h, w, c = xshape
-        _, _, kh, kw = kshape
+        _, kh, kw, _ = kshape
         ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
         g = np.random.default_rng(14).normal(size=(2, ho, wo, kh, kw, c)).astype(np.float32)
         want = np.zeros((2, h, w, c), dtype=np.float32)
@@ -248,7 +248,7 @@ class TestConv2d:
         for xshape, kshape, stride in shapes:
             k = Tensor((rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype))
             b = Tensor(rng.normal(size=kshape[0]).astype(dtype))
-            (h, w, c), (cout, _, kh, kw) = xshape, kshape
+            (h, w, c), (cout, kh, kw, _) = xshape, kshape
             pool = rng.normal(size=(max(sizes) + max(offsets), h, w, c)).astype(dtype)
             gpool = rng.normal(size=(len(pool), (h - kh) // stride + 1, (w - kw) // stride + 1, cout)).astype(dtype)
 
@@ -286,11 +286,11 @@ class TestConv2d:
         assert len(shapes) == 10
         rng = np.random.default_rng(16)
         for xshape, kshape, stride in shapes:
-            (h, w, c), (cout, _, kh, kw) = xshape, kshape
+            (h, w, c), (cout, kh, kw, _) = xshape, kshape
             ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
             kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
             bd = rng.normal(size=cout).astype(dtype)
-            kmat = kd.transpose(0, 2, 3, 1).reshape(cout, -1)
+            kmat = kd.reshape(cout, -1)
             for n in (3, 8, 36):
                 xd = rng.normal(size=(n, *xshape)).astype(dtype)
                 g = rng.normal(size=(n, ho, wo, cout)).astype(dtype)
@@ -302,7 +302,7 @@ class TestConv2d:
                 rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
                 want_out = np.stack([r @ kmat.T + bd for r in rows]).reshape(out.shape)
                 grows = g.reshape(n, ho * wo, cout)
-                want_gk = np.einsum("npo,npk->ok", grows, rows, optimize=True).reshape(cout, kh, kw, c).transpose(0, 3, 1, 2)
+                want_gk = np.einsum("npo,npk->ok", grows, rows, optimize=True).reshape(kshape)
                 gwin = np.stack([gr @ np.ascontiguousarray(kmat.T).T for gr in grows]).reshape(n, ho, wo, kh, kw, c)
                 want_gx = np.zeros_like(xd)
                 for m in range(kh):
@@ -314,27 +314,37 @@ class TestConv2d:
                 np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
 
     def test_recorded_forward_holds_no_unfold(self):
-        """The unfolded rows die with the forward GEMM; backward unfolds the kept input again."""
+        """The unfolded rows die with the forward GEMM; backward unfolds the kept input again.
+
+        Nor does the record copy the kernels, which it reads as a view: at
+        capsnet conv2's shape the bytes it holds beyond the output stay under
+        a tenth of the kernels' 2.65 MB.
+        """
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(8, 20, 20, 16)), requires_grad=True)
-        k = Tensor(rng.normal(size=(4, 16, 3, 3)), requires_grad=True)
-        b = Tensor(np.zeros(4), requires_grad=True)
-        conv2d(x, k, b).sum().backward()  # sizes this thread's scratch for the unfold
-        unfold_bytes = (8 * 18 * 18) * (3 * 3 * 16) * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = conv2d(x, k, b)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert out._backward_fn is not None
-        # the output is 1/36 of the unfold; the closure keeps the permuted kernels beside it
-        assert held - out.data.nbytes < unfold_bytes / 10, f"{held} B held for a {unfold_bytes} B unfold"
+        # (x shape, kernel shape, stride, dtype, bytes of which a tenth bounds what is held beyond the output)
+        cases = [
+            ((8, 20, 20, 16), (4, 3, 3, 16), 1, np.float64, (8 * 18 * 18) * (3 * 3 * 16) * 8),  # the unfold
+            ((32, 14, 14, 64), (128, 9, 9, 64), 2, np.float32, 128 * 9 * 9 * 64 * 4),  # the kernels
+        ]
+        for xshape, kshape, stride, dtype, bound_bytes in cases:
+            x = Tensor(rng.normal(size=xshape).astype(dtype), requires_grad=True)
+            k = Tensor(rng.normal(size=kshape).astype(dtype), requires_grad=True)
+            b = Tensor(np.zeros(kshape[0], dtype), requires_grad=True)
+            conv2d(x, k, b, stride=stride).sum().backward()  # sizes this thread's scratch for the unfold
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, k, b, stride=stride)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert out._backward_fn is not None
+            # the first output is 1/36 of its unfold
+            assert held - out.data.nbytes < bound_bytes / 10, f"{held} B held beyond a {out.data.nbytes} B output of {xshape} {kshape}"
 
     def test_shape_and_stride_errors(self):
         x = Tensor(np.zeros((1, 4, 4, 1)))
-        k = Tensor(np.zeros((1, 1, 5, 5)))
+        k = Tensor(np.zeros((1, 5, 5, 1)))
         b = Tensor(np.zeros(1))
         with pytest.raises(ValueError):
             conv2d(x, k, b, stride=1)  # kernel larger than input
@@ -346,7 +356,7 @@ class TestConv2d:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 9, 2))[None]
-        k = rng.normal(size=(3, 2, 4, 4))
+        k = rng.normal(size=(3, 4, 4, 2))
         b = rng.normal(size=3)
         a = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
         c = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
@@ -364,7 +374,7 @@ class TestConv2d:
         cout = data.draw(st.integers(1, 3))
         out = conv2d(
             Tensor(np.zeros((1, h, w, cin))),
-            Tensor(np.zeros((cout, cin, kh, kw))),
+            Tensor(np.zeros((cout, kh, kw, cin))),
             Tensor(np.zeros(cout)),
             stride=stride,
         )
@@ -729,7 +739,7 @@ class TestFiniteDifferences:
     def test_conv2d(self):
         def build(rng):
             x = Tensor(rng.normal(size=(2, 7, 6, 2)), requires_grad=True)
-            k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+            k = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
             b = Tensor(rng.normal(size=3), requires_grad=True)
 
             def loss():

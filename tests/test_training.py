@@ -506,14 +506,14 @@ class TestCheckpoints:
             ({"version": 1, "fingerprint": [1], "tensors": {}}, "lacks a fingerprint"),
             ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64"}, "tensors": {}}, "input_hw"),
             ({"version": 1, "fingerprint": {"arch": "mlp-v1", "dtype": "float64", "input_hw": [4, 4], "hidden": "x"}, "tensors": {}}, "hidden"),
-            ({"version": 1, "fingerprint": {"arch": "capsnet-v1", "dtype": "float32", "input_hw": [32, 32]}, "tensors": {}}, "conv1"),
+            ({"version": 1, "fingerprint": {"arch": "capsnet-v2", "dtype": "float32", "input_hw": [32, 32]}, "tensors": {}}, "conv1"),
             ({"version": 1, "fingerprint": {"arch": ["mlp-v1"]}, "tensors": {}}, "unknown architecture"),
             (
                 {
                     "version": 1,
                     "fingerprint": {
-                        "arch": "capsnet-v1", "dtype": "float32", "input_hw": [32, 32], "conv1": [64, 1, 5, 5, 2],
-                        "conv2": [128, 64, 9, 9, 2], "capsule_dim": 7, "secondary_dim": 10, "decoder_hidden": [512, 1024],
+                        "arch": "capsnet-v2", "dtype": "float32", "input_hw": [32, 32], "conv1": [64, 5, 5, 1, 2],
+                        "conv2": [128, 9, 9, 64, 2], "capsule_dim": 7, "secondary_dim": 10, "decoder_hidden": [512, 1024],
                         "routing_iterations": 3,
                     },
                     "tensors": {},
@@ -532,7 +532,7 @@ class TestCheckpoints:
             ({"version": 1, "fingerprint": {**MLP_4X4, "hidden_layers": 2}, "tensors": {}}, "hidden_layers"),
             # fingerprints are compared as JSON values: 512.0 is not 512, nor true 1
             ({"version": 1, "fingerprint": {**MLP_4X4, "hidden": 512.0}, "tensors": {}}, "differs in: hidden$"),
-            ({"version": 1, "fingerprint": {**CAPSNET_32X32, "conv1": [64, True, 5, 5, 2]}, "tensors": {}}, "differs in: conv1$"),
+            ({"version": 1, "fingerprint": {**CAPSNET_32X32, "conv1": [64, 5, 5, True, 2]}, "tensors": {}}, "differs in: conv1$"),
             ({"version": 1, "fingerprint": {**MLP_4X4, "input_hw": [4, True]}, "tensors": {}}, "input_hw"),
         ],
     )
@@ -544,8 +544,8 @@ class TestCheckpoints:
             load_model(path)
 
     def test_stored_fingerprint_format_loads(self, tmp_path):
-        # the cnn-v1 fingerprint exactly as existing checkpoints store it
-        fp = {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2], "dropout_keep": 0.5, "l2_beta": 0.001, "dtype": "float32"}
+        # the cnn-v2 fingerprint exactly as existing checkpoints store it
+        fp = {"arch": "cnn-v2", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2], "dropout_keep": 0.5, "l2_beta": 0.001, "dtype": "float32"}
         params = CnnParams.init((64, 32), np.random.default_rng(2), dtype=np.float32)
         assert params.fingerprint() == fp
         save_checkpoint(tmp_path / "c.ckpt", {n: p.data for n, p in tensor_fields(params)}, fp)
@@ -570,17 +570,17 @@ class TestCheckpoints:
         [
             (
                 "capsnet", (32, 32),
-                {"arch": "capsnet-v1", "input_hw": [32, 32], "conv1": [64, 1, 5, 5, 2], "conv2": [128, 64, 9, 9, 2], "capsule_dim": 16,
+                {"arch": "capsnet-v2", "input_hw": [32, 32], "conv1": [64, 5, 5, 1, 2], "conv2": [128, 9, 9, 64, 2], "capsule_dim": 16,
                  "secondary_dim": 10, "num_primary": 72, "decoder_hidden": [512, 1024], "routing_iterations": 5},
             ),
             (
                 "capsnet", (64, 32),
-                {"arch": "capsnet-v1", "input_hw": [64, 32], "conv1": [64, 1, 5, 5, 2], "conv2": [128, 64, 9, 9, 2], "capsule_dim": 16,
+                {"arch": "capsnet-v2", "input_hw": [64, 32], "conv1": [64, 5, 5, 1, 2], "conv2": [128, 9, 9, 64, 2], "capsule_dim": 16,
                  "secondary_dim": 10, "num_primary": 264, "decoder_hidden": [512, 1024], "routing_iterations": 5},
             ),
             (
                 "cnn", (64, 32),
-                {"arch": "cnn-v1", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2],
+                {"arch": "cnn-v2", "input_hw": [64, 32], "filters": [32, 64, 128], "fc_hidden": 512, "pool_window": [4, 2],
                  "dropout_keep": 0.5, "l2_beta": 0.001},
             ),
             ("mlp", (64, 32), {"arch": "mlp-v1", "input_hw": [64, 32], "hidden": 512}),
