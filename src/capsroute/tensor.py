@@ -12,11 +12,15 @@ Only the leaves' gradients (and the root's) outlive the call, and the same
 root cannot be walked twice.
 
 A kernel's full-size temporaries that die before it returns (conv2d's
-unfolded rows and window gradients, maxpool2d's zero-extended input and
-gradient, the L2 term's squares) live in one scratch buffer per thread,
-grown to the largest request and freed when the thread exits. No view of it
-is ever returned, stored as a tensor's data or gradient, or kept by a
-backward closure, so the next kernel may overwrite it.
+unfolded rows and per-offset input-gradient block, maxpool2d's zero-extended
+input and gradient, the L2 term's squares) live in one scratch buffer per
+thread, grown to the largest request and freed when the thread exits.
+conv2d and maxpool2d size their blocks to ``UNFOLD_BYTES`` and
+``POOL_BYTES`` (a block holds at least one image or kernel row), so no
+forward request grows with the batch; of the backward's, a single-channel
+stem's unfold and the input-gradient block do. No view of it is ever
+returned, stored as a tensor's data or gradient, or kept by a backward
+closure, so the next kernel may overwrite it.
 
 All kernels fail fast on NaN/Inf, naming the offending operation. Under
 ``finite_checks_off`` they skip that scan, and NumPy's floating-point
@@ -116,6 +120,17 @@ def _scratch(shape: tuple, dtype) -> np.ndarray:
         _local.scratch = None  # freed before its replacement is allocated
         _local.scratch = np.empty(nbytes, dtype=np.uint8)
     return _local.scratch[:nbytes].view(dtype).reshape(shape)
+
+
+# Bytes of input rows that conv2d unfolds for one GEMM. 8 MiB keeps capsnet conv2's 6 MB float32
+# unfold at batch 32 whole; at 2 MiB a capsnet 32x32 float32 train step ran 7% slower (faster in 8
+# of 50 alternating pairs), on a Xeon with 2 MiB of L2 per core and one BLAS thread.
+UNFOLD_BYTES = 8 * 2**20
+
+# Bytes of zero-extended input that maxpool2d works through at a time, half that Xeon's L2: with
+# 8 MiB blocks, close to a whole batch of 32, a cnn 64x32 float32 train step ran 4% slower (faster
+# in 7 of 40 alternating pairs).
+POOL_BYTES = 2**20
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -470,35 +485,23 @@ def _taps(extent: int, stride: int, offset: int) -> slice:
     return slice(offset, offset + (extent - 1) * stride + 1, stride)
 
 
-def _im2row(x: np.ndarray, kh: int, kw: int, stride: int, nrows: int) -> np.ndarray:
-    """Rows of ``x`` [N, H, W, C] for a valid kh x kw window, in the scratch: [nrows, kh*kw*C].
+def _im2row(x: np.ndarray, kh: int, kw: int, stride: int, nrows: int, m0: int = 0, m1: Optional[int] = None) -> np.ndarray:
+    """Rows of ``x`` [N, H, W, C] for kernel rows m0 .. m1 - 1 of a valid kh x kw window, in the scratch.
 
-    Row n*Ho*Wo + i*Wo + j is window (i, j) of image n, its columns ordered
-    (m, q, c) by kernel offset (m, q), then channel, so each of a window's kh
-    rows is copied as one run of kw*C cells. The rows past N*Ho*Wo are zero.
+    The result is [nrows, (m1 - m0)*kw*C]. Row n*Ho*Wo + i*Wo + j is window
+    (i, j) of image n, its columns ordered (m, q, c) by kernel offset (m, q),
+    then channel, so each of a window's rows is copied as one run of kw*C
+    cells. The rows past N*Ho*Wo are zero.
     """
+    m1 = kh if m1 is None else m1
     n, h, w, c = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    rows = _scratch((nrows, kh * kw * c), x.dtype)
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    rows[: n * ho * wo].reshape(n, ho, wo, kh, kw, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+    rows = _scratch((nrows, (m1 - m0) * kw * c), x.dtype)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride, :, m0:m1]
+    rows[: n * ho * wo].reshape(n, ho, wo, m1 - m0, kw, c)[...] = win.transpose(0, 1, 2, 4, 5, 3)
     rows[n * ho * wo :] = 0
     return rows
-
-
-def _add_windows(gwin: np.ndarray, xshape: tuple, stride: int) -> np.ndarray:
-    """Sum window gradients ``gwin`` [N, Ho, Wo, kh, kw, C] back onto [N, H, W, C].
-
-    Loops over the kernel offsets, so each input cell adds its terms in
-    increasing kernel-offset order (m, q).
-    """
-    _, ho, wo, kh, kw, _ = gwin.shape
-    gx = np.zeros(xshape, dtype=gwin.dtype)
-    for m in range(kh):
-        for q in range(kw):
-            gx[:, _taps(ho, stride, m), _taps(wo, stride, q)] += gwin[:, :, :, m, q]
-    return gx
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -507,21 +510,25 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ``x`` is [N, H, W, C_in]; kernels are [C_out, kh, kw, C_in]. The output is
     [N, Ho, Wo, C_out] with Ho = floor((H - kh) / stride) + 1 and likewise Wo.
 
-    ``_im2row`` unfolds the input into one matrix, a row per (image, output
-    position) and a column per (m, q, c) kernel cell. The kernels are stored
-    in that order, so ``kmat`` [C_out, kh*kw*C_in] is a view of them. The
-    forward is one GEMM for the batch, ``rows @ kmat.T``, and lands
-    channels-last. Each output is one row's dot product with one kernel row,
-    summed in the same order whatever the other images hold, so an image's
-    output and input gradient are bit-identical to those of a batch of one
-    (the tests check this at every conv shape the models build).
+    ``_im2row`` unfolds the input into rows, one per (image, output position)
+    and a column per (m, q, c) kernel cell. The kernels are stored in that
+    order, so ``kmat`` [C_out, kh*kw*C_in] is a view of them. The forward
+    unfolds as many images at a time as fit ``UNFOLD_BYTES`` (the whole batch
+    when it fits) and writes each block's GEMM, ``rows @ kmat.T``, into its
+    rows of the channels-last output. Each output is one row's dot product
+    with one kernel row, summed in the same order whatever the other images
+    hold, so an image's output and input gradient are bit-identical to those
+    of a batch of one (the tests check this at every conv shape the models
+    build).
 
-    The rows live in the scratch and die with the forward GEMM. The backward
+    The rows live in the scratch and die with their GEMM. The backward
     unfolds the kept input again for the kernel gradient, ``grows.T @ rows``,
-    summing the N*Ho*Wo (image, position) terms image-major. The input
-    gradient is ``grows @ kmat``, one window gradient per row, written into
-    the scratch over those rows and summed back onto the input by kernel
-    offset (``_add_windows``).
+    summing the N*Ho*Wo (image, position) terms image-major; with more than
+    one input channel it unfolds as many kernel rows m at a time as fit
+    ``UNFOLD_BYTES`` and writes each group's GEMM into its columns of the
+    gradient. The input gradient takes one GEMM per kernel offset,
+    ``grows @ kernels[:, m, q, :]``, and adds each straight onto the input
+    cells it read, so every cell sums its terms in kernel-offset order (m, q).
     """
     if stride < 1:
         raise ValueError(f"conv2d stride must be >= 1, got {stride}")
@@ -540,28 +547,45 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     wo = (w - kw) // stride + 1
     p = ho * wo
     kmat = kernels.data.reshape(cout, kh * kw * cin)
-    # With no more rows than C_out, two OpenBLAS threads split this GEMM so that they wait on
-    # each other once per block of K; when both start on one core, each wait took a scheduler
-    # tick (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added).
-    rows = _im2row(x.data, kh, kw, stride, max(n * p, cout + 1))
-    out = (rows @ kmat.T)[: n * p]
+    cell_bytes = p * kw * cin * x.dtype.itemsize  # one image's unfold of one kernel row
+    block = max(1, UNFOLD_BYTES // (kh * cell_bytes))  # images unfolded at a time
+    last = (n - 1) // block * block  # the last block's first image
+    # With no more rows than C_out, two OpenBLAS threads split a GEMM so that they wait on each
+    # other once per block of K; when both start on one core, each wait took a scheduler tick
+    # (100 ms per capsnet conv2 call at batch 1, against 7 ms with zero rows added). A block's
+    # zero rows land on the next block's rows, which its own GEMM then writes.
+    out = np.empty((max(n * p, last * p + cout + 1), cout), dtype=np.result_type(x.data, kmat))
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        rows = _im2row(x.data[i0:i1], kh, kw, stride, max((i1 - i0) * p, cout + 1))
+        np.matmul(rows, kmat.T, out=out[i0 * p : i0 * p + len(rows)])
+    out = out[: n * p]
     out += bias.data
     out = out.reshape(n, ho, wo, cout)
 
     def backward(g: np.ndarray) -> None:
         grows = g.reshape(n * p, cout)  # row n*P + position
         if kernels.requires_grad:
-            rows = _im2row(x.data, kh, kw, stride, n * p)
-            kernels._accumulate((grows.T @ rows).reshape(kernels.shape), "conv2d", fresh=True)
+            # a single-channel stem's unfold stays whole: split by kernel row, its GEMMs
+            # summed some cells in another order (batches 3 and 8 under a 256 KiB budget)
+            group = kh if cin == 1 else max(1, UNFOLD_BYTES // (max(n, 1) * cell_bytes))
+            gk = np.empty(kmat.shape, dtype=np.result_type(grows, x.data))
+            for m0 in range(0, kh, group):
+                m1 = min(m0 + group, kh)
+                rows = _im2row(x.data, kh, kw, stride, n * p, m0, m1)
+                np.matmul(grows.T, rows, out=gk[:, m0 * kw * cin : m1 * kw * cin])
+            kernels._accumulate(gk.reshape(kernels.shape), "conv2d", fresh=True)
         if bias.requires_grad:
             bias._accumulate(grows.sum(axis=0), "conv2d", fresh=True)
         if x.requires_grad:
-            # kmat as the transpose of a C-ordered [K, C_out] copy: given kmat itself, OpenBLAS 0.3.31
-            # summed float64 products under about 1e6 multiply-adds (a stem's image) in another order
-            # than larger ones, so an image's input gradient changed with its batch.
-            kmat_t = np.ascontiguousarray(kmat.T)
-            gwin = np.matmul(grows, kmat_t.T, out=_scratch((n * p, kmat.shape[1]), np.result_type(grows, kmat_t)))
-            x._accumulate(_add_windows(gwin.reshape(n, ho, wo, kh, kw, cin), x.shape, stride), "conv2d", fresh=True)
+            gdtype = np.result_type(grows, kernels.data)
+            gx = np.zeros(x.shape, dtype=gdtype)
+            gtap = _scratch((n, ho, wo, cin), gdtype)
+            for m in range(kh):
+                for q in range(kw):
+                    np.matmul(grows, kernels.data[:, m, q, :], out=gtap.reshape(n * p, cin))
+                    gx[:, _taps(ho, stride, m), _taps(wo, stride, q)] += gtap
+            x._accumulate(gx, "conv2d", fresh=True)
 
     return Tensor._result(out, (x, kernels, bias), backward, "conv2d")
 
@@ -588,6 +612,11 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     order. The gradient of an output flows to its window's winning cell only,
     summed where windows overlap; a zero-extension cell that wins passes
     none on.
+
+    Forward and backward work through as many images at a time as fit
+    ``POOL_BYTES`` once extended, each block's extended input and gradient
+    in the scratch. Windows of different images share no cell, so the
+    blocks change no bit.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d input must be [N, H, W, C], got shape {x.shape}")
@@ -597,36 +626,43 @@ def maxpool2d(x: Tensor, window: tuple, stride: int) -> Tensor:
     wo = -(-w // stride)
     hp = max((ho - 1) * stride + ph, h)
     wp = max((wo - 1) * stride + pw, w)
-    xp = x.data
-    if (hp, wp) != (h, w):
-        xp = _scratch((n, hp, wp, c), x.dtype)
-        xp[:, :h, :w] = x.data
-        xp[:, h:] = 0
-        xp[:, :h, w:] = 0
-    # running maximum over the ph*pw taps, tap t = m * pw + q at window offset (m, q)
-    out = xp[:, _taps(ho, stride, 0), _taps(wo, stride, 0)].copy()
+    block = max(1, min(n, POOL_BYTES // (hp * wp * c * x.dtype.itemsize)))  # images at a time
+    out = np.empty((n, ho, wo, c), dtype=x.dtype)
     winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
-    better = np.empty(out.shape, dtype=bool)
-    for t in range(1, ph * pw):
-        tap = xp[:, _taps(ho, stride, t // pw), _taps(wo, stride, t % pw)]
-        np.greater(tap, out, out=better)  # strict, so the first maximum keeps the window
-        np.maximum(out, tap, out=out)
-        np.maximum(winner, better * winner.dtype.type(t), out=winner)  # every earlier tap is < t
+    for i0 in range(0, n, block):
+        xp = x.data[i0 : i0 + block]
+        if (hp, wp) != (h, w):
+            xp = _scratch((len(xp), hp, wp, c), x.dtype)
+            xp[:, :h, :w] = x.data[i0 : i0 + block]
+            xp[:, h:] = 0
+            xp[:, :h, w:] = 0
+        # running maximum over the ph*pw taps, tap t = m * pw + q at window offset (m, q)
+        top, won = out[i0 : i0 + block], winner[i0 : i0 + block]
+        top[...] = xp[:, _taps(ho, stride, 0), _taps(wo, stride, 0)]
+        better = np.empty(top.shape, dtype=bool)
+        for t in range(1, ph * pw):
+            tap = xp[:, _taps(ho, stride, t // pw), _taps(wo, stride, t % pw)]
+            np.greater(tap, top, out=better)  # strict, so the first maximum keeps the window
+            np.maximum(top, tap, out=top)
+            np.maximum(won, better * won.dtype.type(t), out=won)  # every earlier tap is < t
 
     def backward(g: np.ndarray) -> None:
-        # flat index in the extended buffer of each window's winning cell: the winning tap's
-        # offset, then the window's origin and the channel added in place from broadcasts
-        index = np.int32 if n * hp * wp * c <= np.iinfo(np.int32).max else np.intp
+        # flat index in a block's extended buffer of each window's winning cell: the winning tap's
+        # offset, plus the window's origin and the channel, the same for every block
+        index = np.int32 if block * hp * wp * c <= np.iinfo(np.int32).max else np.intp
         tap_offset = ((np.arange(ph, dtype=index)[:, None] * wp + np.arange(pw, dtype=index)) * c).ravel()
-        cell = tap_offset[winner]
-        origin = np.arange(n, dtype=index)[:, None, None] * (hp * wp) + np.arange(ho, dtype=index)[:, None] * (stride * wp)
-        cell += ((origin + np.arange(wo, dtype=index) * stride) * c)[..., None]
-        cell += np.arange(c, dtype=index)
-        gxp = _scratch((n, hp, wp, c), g.dtype)
-        gxp[...] = 0
-        np.add.at(gxp.reshape(-1), cell.reshape(-1), g.reshape(-1))
-        # copied even where the slice is all of gxp, which the next kernel overwrites
-        x._accumulate(gxp[:, :h, :w].copy(), "maxpool2d", fresh=True)
+        origin = np.arange(block, dtype=index)[:, None, None] * (hp * wp) + np.arange(ho, dtype=index)[:, None] * (stride * wp)
+        base = ((origin + np.arange(wo, dtype=index) * stride) * c)[..., None] + np.arange(c, dtype=index)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        for i0 in range(0, n, block):
+            gb = g[i0 : i0 + block]
+            cell = tap_offset[winner[i0 : i0 + block]]
+            cell += base[: len(gb)]
+            gxp = _scratch((len(gb), hp, wp, c), g.dtype)
+            gxp[...] = 0
+            np.add.at(gxp.reshape(-1), cell.reshape(-1), gb.reshape(-1))
+            gx[i0 : i0 + block] = gxp[:, :h, :w]
+        x._accumulate(gx, "maxpool2d", fresh=True)
 
     return Tensor._result(out, (x,), backward, "maxpool2d")
 

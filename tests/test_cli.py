@@ -54,7 +54,7 @@ def dataset_dir(corpus_dir, tmp_path_factory):
 
 class TestSynth:
     def test_file_and_manifest_counts(self, corpus_dir):
-        manifest = (corpus_dir / "recordings.csv").read_text().strip().splitlines()
+        manifest = (corpus_dir / "recordings.csv").read_text(encoding="utf-8").strip().splitlines()
         f32_files = list(corpus_dir.glob("*.f32"))
         assert len(f32_files) == 8  # 2 channels x 4 subjects
         assert len(manifest) - 1 == 8
@@ -134,7 +134,7 @@ class TestPrepare:
 
     def test_csv_recording_that_is_not_text(self, tmp_path, capsys):
         (tmp_path / "r.csv").write_bytes(b"\xff\xfe\x00\x01")
-        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n")
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n", encoding="utf-8")
         code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -144,7 +144,7 @@ class TestPrepare:
         # a signalling NaN warns when cast to float64, so it must be refused before the cast
         raw = np.full(16, 1.5, dtype="<f4").tobytes()
         (tmp_path / "r.f32").write_bytes(raw[:8] + b"\x01\x00\x80\x7f" + raw[12:])
-        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.f32\n")
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.f32\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
@@ -153,8 +153,8 @@ class TestPrepare:
         assert err.startswith("data error:") and str(tmp_path / "r.f32") in err and "non-finite" in err
 
     def test_multi_column_csv_recording_is_data_error(self, tmp_path, capsys):
-        (tmp_path / "r.csv").write_text("1.5,9\n-2.5,x\n")
-        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n")
+        (tmp_path / "r.csv").write_text("1.5,9\n-2.5,x\n", encoding="utf-8")
+        (tmp_path / "recordings.csv").write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,r.csv\n", encoding="utf-8")
         code = main(["prepare", "--manifest", str(tmp_path / "recordings.csv"), "--channels", "fz", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -165,7 +165,7 @@ class TestPrepare:
     )
     def test_recordings_row_with_missing_or_extra_cell_is_data_error(self, tmp_path, capsys, row):
         manifest = tmp_path / "recordings.csv"
-        manifest.write_text(f"subject_id,pvt,channel,kss,path\n{row}\n")
+        manifest.write_text(f"subject_id,pvt,channel,kss,path\n{row}\n", encoding="utf-8")
         code = main(["prepare", "--manifest", str(manifest), "--channels", "fz", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -174,12 +174,12 @@ class TestPrepare:
 
     @pytest.mark.parametrize("channels", ["fz", "fzpz"])
     def test_duplicate_recording_is_data_error(self, corpus_dir, tmp_path, capsys, channels):
-        header, *rows = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        header, *rows = (corpus_dir / "recordings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         # absolute paths, so the copied manifest still names the corpus files
         rows = [f"{fields},{corpus_dir / name}" for fields, name in (row.rsplit(",", 1) for row in rows)]
         assert ",Fz," in rows[0]
         manifest = tmp_path / "recordings.csv"
-        manifest.write_text(header + "".join(rows) + rows[0])
+        manifest.write_text(header + "".join(rows) + rows[0], encoding="utf-8")
         code = main(["prepare", "--manifest", str(manifest), "--channels", channels, "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert "duplicate Fz recording" in capsys.readouterr().err
@@ -246,7 +246,7 @@ class TestTrainEvalReport:
         assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
         assert (out / "report.csv").exists()
         assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
-        agg = (out / "aggregate.csv").read_text().splitlines()
+        agg = (out / "aggregate.csv").read_text(encoding="utf-8").splitlines()
         assert agg[0] == "metric,mean,std"
         assert [line.split(",")[0] for line in agg[1:]] == ["Accuracy", "F1", "Sensitivity", "Specificity", "Precision"]
         assert (out / "confusion_fold0_normalized.csv").exists()
@@ -306,18 +306,18 @@ class TestTrainEvalReport:
             "model=mlp\n"
             "epochs=7\n"
             "folds=2\n"
-            "seed=1\n"
+            "seed=1\n", encoding="utf-8"
         )
         assert main(["train", "--config", str(cfg), "--epochs", "2"]) == EXIT_OK
-        snapshot = (out / "config.snapshot").read_text()
+        snapshot = (out / "config.snapshot").read_text(encoding="utf-8")
         assert "epochs=2\n" in snapshot  # flag wins over file
         assert "model=mlp\n" in snapshot
-        curve = (out / "curve_fold0.csv").read_text().strip().splitlines()
+        curve = (out / "curve_fold0.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(curve) - 1 == 2
 
     def test_unknown_config_key_listed(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dataset=x\nout_dir=y\nbogus_key=1\nepochs=0\ndropout_keep=2\nl2_beta=-1\naugment_factor=0\n")
+        cfg.write_text("dataset=x\nout_dir=y\nbogus_key=1\nepochs=0\ndropout_keep=2\nl2_beta=-1\naugment_factor=0\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         # all problems listed, not just the first
@@ -374,8 +374,8 @@ class TestTrainEvalReport:
         assert main(["train", *_run_args(dataset_dir, out)]) == EXIT_OK
         assert main(["eval", *_run_args(dataset_dir, out)]) == EXIT_OK
         confusion = out / "confusion_fold1.csv"
-        header, _, drowsy = confusion.read_text().splitlines()
-        confusion.write_text(f"{header}\n{row}\n{drowsy}\n")
+        header, _, drowsy = confusion.read_text(encoding="utf-8").splitlines()
+        confusion.write_text(f"{header}\n{row}\n{drowsy}\n", encoding="utf-8")
         assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{confusion} line 2:" in err and bad in err
@@ -386,15 +386,15 @@ class TestTrainEvalReport:
         for command in ("train", "eval"):
             assert main([command, *_run_args(dataset_dir, out)]) == EXIT_OK
         confusion = out / "confusion_fold0.csv"
-        header, alert, drowsy = confusion.read_text().splitlines()[0], "Alert,2,0", "Drowsy,1,1"
-        confusion.write_text(f"{header}\n{alert}\n{drowsy}\n")
+        header, alert, drowsy = confusion.read_text(encoding="utf-8").splitlines()[0], "Alert,2,0", "Drowsy,1,1"
+        confusion.write_text(f"{header}\n{alert}\n{drowsy}\n", encoding="utf-8")
         assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
         in_order = (out / "aggregate.csv").read_bytes()
-        confusion.write_text(f"{header}\n{drowsy}\n{alert}\n")
+        confusion.write_text(f"{header}\n{drowsy}\n{alert}\n", encoding="utf-8")
         assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_OK
         assert (out / "aggregate.csv").read_bytes() == in_order
         for rows in ((alert, alert), (alert,), (alert, drowsy, drowsy)):
-            confusion.write_text("\n".join((header, *rows)) + "\n")
+            confusion.write_text("\n".join((header, *rows)) + "\n", encoding="utf-8")
             capsys.readouterr()
             assert main(["report", *_run_args(dataset_dir, out)]) == EXIT_DATA
             err = capsys.readouterr().err
@@ -404,11 +404,11 @@ class TestTrainEvalReport:
     def test_dataset_too_small_to_split_is_data_error(self, dataset_dir, tmp_path, capsys, keep):
         small = tmp_path / "small"
         shutil.copytree(dataset_dir, small)
-        header, *rows = (small / "dataset.csv").read_text().splitlines(keepends=True)
+        header, *rows = (small / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         alert = [row for row in rows if ",Alert," in row]
         # two Alert images leave no test image at train_frac 0.8; one Alert image is fewer than the two folds
         rows = alert[:2] if keep == "two-alert" else alert[:1] + [row for row in rows if ",Drowsy," in row]
-        (small / "dataset.csv").write_text(header + "".join(rows))
+        (small / "dataset.csv").write_text(header + "".join(rows), encoding="utf-8")
         assert main(["train", *_run_args(small, tmp_path / "run")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error:")
 
@@ -418,8 +418,8 @@ class TestTrainEvalReport:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         repeated = tmp_path / "repeated"
         shutil.copytree(dataset_dir, repeated)
-        header, first, *rest = (repeated / "dataset.csv").read_text().splitlines(keepends=True)
-        (repeated / "dataset.csv").write_text(header + first + "".join(rest) + first)
+        header, first, *rest = (repeated / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (repeated / "dataset.csv").write_text(header + first + "".join(rest) + first, encoding="utf-8")
         capsys.readouterr()
         for command in ("train", "eval"):
             assert main([command, *_run_args(repeated, out, ["--epochs", "1"])]) == EXIT_DATA
@@ -453,7 +453,7 @@ class TestTrainEvalReport:
             argv = ["train", *_run_args(dataset_dir, out), f"{KEYS[key].option}={value}"]
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"dataset={dataset_dir / 'dataset.csv'}\nout_dir={out}\nmodel=mlp\nfolds=2\n{key}={value}\n")
+            cfg.write_text(f"dataset={dataset_dir / 'dataset.csv'}\nout_dir={out}\nmodel=mlp\nfolds=2\n{key}={value}\n", encoding="utf-8")
             argv = ["train", "--config", str(cfg)]
         assert main(argv) == EXIT_CONFIG
         assert f"config error: {key} must be {rule}, got {float(value)!r}" in capsys.readouterr().err
@@ -462,18 +462,18 @@ class TestTrainEvalReport:
     def test_nul_in_dataset_image_path_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
-        (broken / "dataset.csv").write_text(header + "x\0" + first + "".join(rest))
+        header, first, *rest = (broken / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (broken / "dataset.csv").write_text(header + "x\0" + first + "".join(rest), encoding="utf-8")
         assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{broken / 'dataset.csv'} line 2: bad image_path 'x\\x00" in err
 
     def test_augmented_lineage_of_subject_with_comma_reads_back(self, corpus_dir, tmp_path):
-        header, *rows = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        header, *rows = (corpus_dir / "recordings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         # absolute paths, so the copied manifest still names the corpus files
         rows = [f"{fields},{corpus_dir / name}" for fields, name in (row.rsplit(",", 1) for row in rows)]
         manifest = tmp_path / "recordings.csv"
-        manifest.write_text(header + "".join(row.replace("a00,", '"a,00",', 1) for row in rows))
+        manifest.write_text(header + "".join(row.replace("a00,", '"a,00",', 1) for row in rows), encoding="utf-8")
         assert main(["prepare", "--manifest", str(manifest), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_OK
         out = tmp_path / "run"
         assert main(["train", *_run_args(tmp_path / "ds", out, ["--epochs", "1", "--augment"])]) == EXIT_OK
@@ -554,21 +554,21 @@ class TestTrainEvalReport:
     def test_path_naming_a_directory_is_data_error(self, corpus_dir, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
-        (broken / "dataset.csv").write_text(header + first[first.index(",") :] + "".join(rest))
+        header, first, *rest = (broken / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (broken / "dataset.csv").write_text(header + first[first.index(",") :] + "".join(rest), encoding="utf-8")
         assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
         assert "is a directory" in capsys.readouterr().err
         recordings = tmp_path / "recordings.csv"
-        header, first, *rest = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
-        recordings.write_text(header + first[: first.rindex(",") + 1] + "\n")
+        header, first, *rest = (corpus_dir / "recordings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        recordings.write_text(header + first[: first.rindex(",") + 1] + "\n", encoding="utf-8")
         assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
         assert "is a directory" in capsys.readouterr().err
 
     def test_recording_path_too_long_is_data_error(self, corpus_dir, tmp_path, capsys):
         recordings = tmp_path / "recordings.csv"
-        header, first, *rest = (corpus_dir / "recordings.csv").read_text().splitlines(keepends=True)
+        header, first, *rest = (corpus_dir / "recordings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         name = "x" * 300 + ".f32"
-        recordings.write_text(header + first[: first.rindex(",") + 1] + name + "\n" + "".join(rest))
+        recordings.write_text(header + first[: first.rindex(",") + 1] + name + "\n" + "".join(rest), encoding="utf-8")
         assert main(["prepare", "--manifest", str(recordings), "--channels", "fz", "--out", str(tmp_path / "ds")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot read recording") and name in err
@@ -576,9 +576,9 @@ class TestTrainEvalReport:
     def test_image_path_too_long_is_data_error(self, dataset_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        header, first, *rest = (broken / "dataset.csv").read_text().splitlines(keepends=True)
+        header, first, *rest = (broken / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         name = "x" * 300 + ".pgm"
-        (broken / "dataset.csv").write_text(header + name + first[first.index(",") :] + "".join(rest))
+        (broken / "dataset.csv").write_text(header + name + first[first.index(",") :] + "".join(rest), encoding="utf-8")
         assert main(["train", *_run_args(broken, tmp_path / "run")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot read PGM") and name in err
@@ -732,7 +732,7 @@ class TestTrainEvalReport:
     @pytest.mark.parametrize("command", ["synth", "prepare", "train"])
     def test_out_naming_a_file_is_data_error(self, corpus_dir, dataset_dir, tmp_path, capsys, command):
         out = tmp_path / "taken"
-        out.write_text("not a directory\n")
+        out.write_text("not a directory\n", encoding="utf-8")
         argv = {
             "synth": ["synth", "--subjects", "1,1", "--minutes", "0.5", "--out", str(out)],
             "prepare": ["prepare", "--manifest", str(corpus_dir / "recordings.csv"), "--channels", "fz", "--out", str(out)],
@@ -741,7 +741,7 @@ class TestTrainEvalReport:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
-        assert out.read_text() == "not a directory\n"
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_missing_required_settings(self, capsys):
         assert main(["train", "--model", "mlp"]) == EXIT_CONFIG
@@ -752,9 +752,9 @@ class TestTrainEvalReport:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", *_run_args(dataset_dir, out_a)])
         # rerun from the snapshot alone (as a config file) into a second dir
-        snapshot = (out_a / "config.snapshot").read_text()
+        snapshot = (out_a / "config.snapshot").read_text(encoding="utf-8")
         cfg = tmp_path / "fromsnap.cfg"
-        cfg.write_text(snapshot.replace("model=", "model="))
+        cfg.write_text(snapshot.replace("model=", "model="), encoding="utf-8")
         assert main(["train", "--config", str(cfg), "--out", str(out_b)]) == EXIT_OK
         assert (out_a / "model_fold0.ckpt").read_bytes() == (out_b / "model_fold0.ckpt").read_bytes()
 
@@ -789,7 +789,7 @@ class TestConfigSchema:
         snapshot = settings.snapshot()
         assert "out_dir" not in {line.split("=")[0] for line in snapshot.splitlines()}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(snapshot)
+        cfg.write_text(snapshot, encoding="utf-8")
         assert resolve_run_settings(read_config_file(cfg), {"out_dir": out}) == settings
 
     def test_every_key_has_a_flag(self, tmp_path):
@@ -857,7 +857,7 @@ def trained_run(corpus_dir, dataset_dir, tmp_path_factory):
     run = _run_args(root / "ds", root / "run", ["--epochs", "1", "--seed", "0"])
     for command in ("train", "eval", "report"):
         assert main([command, *run]) == EXIT_OK
-    (root / "run.cfg").write_text(f"out_dir={root / 'run'}\n" + (root / "run" / "config.snapshot").read_text())
+    (root / "run.cfg").write_text(f"out_dir={root / 'run'}\n" + (root / "run" / "config.snapshot").read_text(encoding="utf-8"), encoding="utf-8")
     return root, run
 
 

@@ -60,12 +60,12 @@ class TestRunExperiment:
     def test_aggregate_in_table_order(self, result):
         report, out = result
         assert list(report.aggregate.keys()) == ["Accuracy", "F1", "Sensitivity", "Specificity", "Precision"]
-        header = (out / "report.csv").read_text().splitlines()[0]
+        header = (out / "report.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "fold,Accuracy,F1,Sensitivity,Specificity,Precision"
 
     def test_report_rows_match_outcomes(self, result):
         report, out = result
-        lines = (out / "report.csv").read_text().strip().splitlines()[1:]
+        lines = (out / "report.csv").read_text(encoding="utf-8").strip().splitlines()[1:]
         assert len(lines) == 5
         first_acc = float(lines[0].split(",")[1])
         assert first_acc == pytest.approx(report.folds[0].report.accuracy)
@@ -73,14 +73,14 @@ class TestRunExperiment:
     def test_normalized_rows_sum_to_one(self, result):
         _, out = result
         for i in range(5):
-            lines = (out / f"confusion_fold{i}_normalized.csv").read_text().strip().splitlines()[1:]
+            lines = (out / f"confusion_fold{i}_normalized.csv").read_text(encoding="utf-8").strip().splitlines()[1:]
             for line in lines:
                 vals = [float(v) for v in line.split(",")[1:]]
                 assert sum(vals) == pytest.approx(1.0, abs=1e-12)
 
     def test_snapshot_contains_resolved_config(self, result):
         _, out = result
-        text = (out / "config.snapshot").read_text()
+        text = (out / "config.snapshot").read_text(encoding="utf-8")
         assert "model=mlp\n" in text
         assert "epochs=3\n" in text
         assert "folds=5\n" in text
@@ -129,7 +129,7 @@ class TestAugmentedRun:
         out = tmp_path / "aug"
         report = run_experiment(quick_settings(toy_dataset, out, augment=True, augment_factor=2, epochs=2))
         for i in range(5):
-            lineage = (out / f"augmented_fold{i}.csv").read_text().strip().splitlines()
+            lineage = (out / f"augmented_fold{i}.csv").read_text(encoding="utf-8").strip().splitlines()
             assert lineage[0] == "parent_path,parent_index,copy_index,seed"
             assert len(lineage) == 1 + 32  # factor 2 on 32 train images
         assert len(report.folds) == 5
@@ -137,7 +137,7 @@ class TestAugmentedRun:
     def test_augmented_training_set_size(self, toy_dataset, tmp_path):
         out = tmp_path / "aug3"
         run_experiment(quick_settings(toy_dataset, out, augment=True, augment_factor=3, epochs=1))
-        lineage = (out / "augmented_fold0.csv").read_text().strip().splitlines()
+        lineage = (out / "augmented_fold0.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lineage) - 1 == 2 * 32
 
 

@@ -378,10 +378,10 @@ class TestRecordingIO:
 
     def test_csv_one_number_per_line(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("1.5\n-2.5\n")
+        path.write_text("1.5\n-2.5\n", encoding="utf-8")
         np.testing.assert_array_equal(load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2).samples, [1.5, -2.5])
         for text in ("value\n1.5\n-2.5\n", "1.5,9\n-2.5,x\n"):  # a header line; a second column
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             with pytest.raises(PipelineError, match="non-numeric CSV sample"):
                 load_recording(path, "s0", Pvt.PVT1, Channel.FZ, 2)
 
@@ -397,7 +397,7 @@ class TestRecordingIO:
 
     def test_manifest_path_naming_a_directory(self, tmp_path):
         manifest = tmp_path / "recordings.csv"
-        manifest.write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,\n")
+        manifest.write_text("subject_id,pvt,channel,kss,path\ns0,PVT1,Fz,2,\n", encoding="utf-8")
         with pytest.raises(PipelineError, match="is a directory, not a file"):
             load_recordings_manifest(manifest)
 
@@ -501,20 +501,20 @@ class TestDatasetIO:
 
         # a malformed row, an image path naming a directory or a malformed PGM
         # size line is a PipelineError naming the row or file
-        header, first, *rest = manifest.read_text().splitlines(keepends=True)
+        header, first, *rest = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
         image_path, label, subject_id, channel_set, _ = first.rstrip("\n").split(",")
         for bad_row, bad in (
             (f"{image_path},Sleepy,{subject_id},{channel_set},0\n", "label 'Sleepy'"),
             (f"{image_path},{label},{subject_id},{channel_set},a\n", "segment_index 'a'"),
         ):
-            manifest.write_text(header + bad_row + "".join(rest))
+            manifest.write_text(header + bad_row + "".join(rest), encoding="utf-8")
             with pytest.raises(PipelineError, match=re.escape(f"{manifest} line 2: bad {bad}")):
                 load_dataset(manifest)
         for directory in ("", "."):
-            manifest.write_text(header + f"{directory},{label},{subject_id},{channel_set},0\n" + "".join(rest))
+            manifest.write_text(header + f"{directory},{label},{subject_id},{channel_set},0\n" + "".join(rest), encoding="utf-8")
             with pytest.raises(PipelineError, match=f"{manifest.parent} is a directory, not a PGM file"):
                 load_dataset(manifest)
-        manifest.write_text(header + first + "".join(rest))
+        manifest.write_text(header + first + "".join(rest), encoding="utf-8")
         pgm = manifest.parent / image_path
         raw = pgm.read_bytes()
         for size_line in (b"x 32", b"32"):
@@ -525,13 +525,13 @@ class TestDatasetIO:
     def test_image_listed_twice_is_refused(self, small_corpus, tmp_path):
         # one image in two rows would be trained and tested, or tested twice, in one fold
         manifest = write_dataset(build_dataset(load_recordings_manifest(small_corpus), ChannelSet.FZ), tmp_path / "ds")
-        header, first, *rest = manifest.read_text().splitlines(keepends=True)
+        header, first, *rest = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
         image_path = first.split(",")[0]
         for again in (image_path, f"./{image_path}", f"sub/../{image_path}", str(manifest.parent / image_path)):
-            manifest.write_text(header + first + "".join(rest) + again + first[len(image_path) :])
+            manifest.write_text(header + first + "".join(rest) + again + first[len(image_path) :], encoding="utf-8")
             with pytest.raises(PipelineError, match=re.escape(f"{manifest} lists image {again} twice")):
                 load_dataset(manifest)
-        manifest.write_text(header + first + "".join(rest))
+        manifest.write_text(header + first + "".join(rest), encoding="utf-8")
         assert len(load_dataset(manifest)) == 1 + len(rest)
 
     def test_write_is_idempotent(self, small_corpus, tmp_path):

@@ -14,7 +14,6 @@ from capsroute.tensor import (
     GraphError,
     NumericError,
     Tensor,
-    _add_windows,
     affine,
     conv2d,
     cross_entropy_logits,
@@ -71,6 +70,33 @@ def conv2d_grads_direct(x, k, g, stride):
                     gx[:, r, c, :] += g[:, i, j, :] @ k[:, m, n, :]
                     gk[:, m, n, :] += g[:, i, j, :].T @ x[:, r, c, :]
     return gx, gk
+
+
+def conv2d_gemm_oracles(x, k, b, g, stride):
+    """conv2d's output, kernel gradient and input gradient over [N, H, W, C] by per-image GEMM formulas.
+
+    Each image's window rows are in (m, q, c) column order, as are the
+    columns of the kernel matrix ``kmat`` [C_out, kh*kw*C]. The output is one
+    ``rows_i @ kmat.T`` GEMM per image plus the bias, the kernel gradient an
+    einsum over (image, position) rows, and the input gradient one
+    ``grows_i @ k[:, m, q, :]`` GEMM per image and kernel offset, added onto
+    the input in kernel-offset order (m, q).
+    """
+    n, h, w, c = x.shape
+    cout, kh, kw, _ = k.shape
+    _, ho, wo, _ = g.shape
+    kmat = k.reshape(cout, -1)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
+    out = np.stack([r @ kmat.T + b for r in rows]).reshape(g.shape)
+    grows = g.reshape(n, ho * wo, cout)
+    gk = np.einsum("npo,npk->ok", grows, rows, optimize=True).reshape(k.shape)
+    gx = np.zeros_like(x)
+    for m in range(kh):
+        for q in range(kw):
+            tap = np.stack([gr @ k[:, m, q, :] for gr in grows]).reshape(n, ho, wo, c)
+            gx[:, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += tap
+    return out, gk, gx
 
 
 def maxpool2d_direct(x, window, stride, g):
@@ -202,20 +228,6 @@ class TestConv2d:
         for i in range(3):
             np.testing.assert_array_equal(batched[i], input_grad(xs[i : i + 1], g[i : i + 1])[0])
 
-    @pytest.mark.parametrize("xshape,kshape,stride", GRAD_SHAPES)
-    def test_col2im_sums_in_kernel_offset_order(self, xshape, kshape, stride):
-        """The input gradient's summation, _add_windows, adds each input cell's terms in increasing kernel offset."""
-        _, h, w, c = xshape
-        _, kh, kw, _ = kshape
-        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-        g = np.random.default_rng(14).normal(size=(2, ho, wo, kh, kw, c)).astype(np.float32)
-        want = np.zeros((2, h, w, c), dtype=np.float32)
-        for m in range(kh):
-            for n in range(kw):
-                want[:, m : m + (ho - 1) * stride + 1 : stride, n : n + (wo - 1) * stride + 1 : stride] += g[:, :, :, m, n]
-        got = _add_windows(g, (2, h, w, c), stride)
-        np.testing.assert_array_equal(got, want)
-
     @staticmethod
     @functools.cache
     def model_conv_shapes():
@@ -267,51 +279,58 @@ class TestConv2d:
                     np.testing.assert_array_equal(out, np.concatenate([o for o, _ in want]), err_msg=where)
                     np.testing.assert_array_equal(gx, np.concatenate([g for _, g in want]), err_msg=where)
 
+    @staticmethod
+    def assert_equal_gemm_oracles(xshape, kshape, stride, n, dtype, rng):
+        """conv2d's output and gradients for a random batch of ``n`` images equal ``conv2d_gemm_oracles`` bit for bit."""
+        (h, w, _), (cout, kh, kw, _) = xshape, kshape
+        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+        kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
+        bd = rng.normal(size=cout).astype(dtype)
+        xd = rng.normal(size=(n, *xshape)).astype(dtype)
+        g = rng.normal(size=(n, ho, wo, cout)).astype(dtype)
+        x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
+        out = conv2d(x, k, Tensor(bd), stride=stride)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_gk, want_gx = conv2d_gemm_oracles(xd, kd, bd, g, stride)
+        where = f"{xshape} {kshape}/s{stride}, batch {n}"
+        np.testing.assert_array_equal(out.data, want_out, err_msg=where)
+        np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
+        np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_and_gradients_equal_gemm_oracles_at_model_shapes(self, dtype):
         """Output, kernel and input gradients equal, bit for bit, per-image reference formulas.
 
-        Each image's window rows are in (m, q, c) column order, as are the
-        columns of the kernel matrix ``kmat`` [C_out, kh*kw*C]. The output is
-        checked against one ``rows_i @ kmat.T`` GEMM per image plus the bias,
-        the kernel gradient against an einsum over (image, position) rows, the
-        input gradient against one ``grows_i @ kmat`` GEMM per image, kmat
-        given as the transpose of a C-ordered copy as conv2d gives it, summed
-        back in kernel-offset order. A changed summation order in
-        any of the three fails here, at batches 3, 8 and 36. Capsnet conv2 has
-        no more rows than kernels at batch 3, and at batch 8 on 32x32 inputs,
-        so its rows are zero-padded there.
+        A changed summation order in any of the three fails here, at batches
+        3, 8 and 36. Capsnet conv2 has no more rows than kernels at batch 3,
+        and at batch 8 on 32x32 inputs, so its rows are zero-padded there.
         """
         shapes = self.model_conv_shapes()
         assert len(shapes) == 10
         rng = np.random.default_rng(16)
         for xshape, kshape, stride in shapes:
-            (h, w, c), (cout, kh, kw, _) = xshape, kshape
-            ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-            kd = (rng.normal(size=kshape) / np.sqrt(np.prod(kshape[1:]))).astype(dtype)
-            bd = rng.normal(size=cout).astype(dtype)
-            kmat = kd.reshape(cout, -1)
             for n in (3, 8, 36):
-                xd = rng.normal(size=(n, *xshape)).astype(dtype)
-                g = rng.normal(size=(n, ho, wo, cout)).astype(dtype)
-                x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
-                out = conv2d(x, k, Tensor(bd), stride=stride)
-                (out * Tensor(g)).sum().backward()
+                self.assert_equal_gemm_oracles(xshape, kshape, stride, n, dtype, rng)
 
-                win = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-                rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
-                want_out = np.stack([r @ kmat.T + bd for r in rows]).reshape(out.shape)
-                grows = g.reshape(n, ho * wo, cout)
-                want_gk = np.einsum("npo,npk->ok", grows, rows, optimize=True).reshape(kshape)
-                gwin = np.stack([gr @ np.ascontiguousarray(kmat.T).T for gr in grows]).reshape(n, ho, wo, kh, kw, c)
-                want_gx = np.zeros_like(xd)
-                for m in range(kh):
-                    for q in range(kw):
-                        want_gx[:, m : m + (ho - 1) * stride + 1 : stride, q : q + (wo - 1) * stride + 1 : stride] += gwin[:, :, :, m, q]
-                where = f"{xshape} {kshape}/s{stride}, batch {n}"
-                np.testing.assert_array_equal(out.data, want_out, err_msg=where)
-                np.testing.assert_array_equal(k.grad, want_gk, err_msg=where)
-                np.testing.assert_array_equal(x.grad, want_gx, err_msg=where)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_equal_gemm_oracles_at_model_shapes(self, dtype, monkeypatch):
+        """Split into blocks, a batch's output and gradients still equal the per-image formulas.
+
+        With ``UNFOLD_BYTES`` at two kernel rows of a 36-image unfold, the
+        forward unfolds 72 // kh images at a time and the kernel gradient two
+        kernel rows at a time, and the last block of each is partial. That
+        holds at every multi-channel conv the models build; a single-channel
+        stem's kernel gradient stays one GEMM.
+        """
+        n, rng = 36, np.random.default_rng(17)
+        shapes = [shape for shape in self.model_conv_shapes() if shape[1][3] > 1]
+        assert len(shapes) == 6
+        for xshape, kshape, stride in shapes:
+            (h, w, c), (_, kh, kw, _) = xshape, kshape
+            p = ((h - kh) // stride + 1) * ((w - kw) // stride + 1)
+            monkeypatch.setattr(tensor, "UNFOLD_BYTES", 2 * n * p * kw * c * np.dtype(dtype).itemsize)
+            assert n % (2 * n // kh) and kh % 2, "the last image block and kernel-row group are partial"
+            self.assert_equal_gemm_oracles(xshape, kshape, stride, n, dtype, rng)
 
     def test_recorded_forward_holds_no_unfold(self):
         """The unfolded rows die with the forward GEMM; backward unfolds the kept input again.
@@ -352,6 +371,16 @@ class TestConv2d:
             conv2d(x, Tensor(np.zeros((1, 2, 2, 2))), b, stride=1)  # channel mismatch
         with pytest.raises(ValueError):
             conv2d(x, Tensor(np.zeros((1, 1, 2, 2))), b, stride=0)
+
+    def test_empty_batch(self):
+        """A batch of no images, which splits into no blocks, gives empty outputs and input
+        gradients, and zero kernel gradients, through the conv and the pool."""
+        x = Tensor(np.zeros((0, 8, 8, 3)), requires_grad=True)
+        k = Tensor(np.ones((4, 3, 3, 3)), requires_grad=True)
+        out = maxpool2d(conv2d(x, k, Tensor(np.zeros(4)), stride=1), (2, 2), stride=2)
+        out.sum().backward()
+        assert out.shape == (0, 3, 3, 4) and x.grad.shape == x.shape
+        np.testing.assert_array_equal(k.grad, np.zeros(k.shape))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -400,28 +429,40 @@ class TestMaxpool2d:
         out = maxpool2d(Tensor(np.full((1, 6, 6, 2), 3.5)), (2, 2), stride=2)
         np.testing.assert_array_equal(out.data, np.full((1, 3, 3, 2), 3.5))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "case,shape,window",
-        [
-            ("normal", (2, 8, 6, 3), (2, 2)),
-            ("normal", (2, 7, 5, 3), (2, 2)),
-            ("normal", (2, 9, 5, 3), (4, 2)),
-            ("constant", (1, 7, 6, 2), (2, 2)),
-            ("constant", (1, 9, 5, 2), (4, 2)),
-            ("relu", (2, 8, 6, 3), (2, 2)),
-            ("relu", (2, 9, 5, 3), (4, 2)),
-            ("negative", (1, 7, 5, 2), (2, 2)),
-            ("negative", (1, 9, 5, 2), (4, 2)),
-        ],
-    )
-    def test_matches_direct_loop(self, case, shape, window, dtype):
-        """Values and input gradient equal the window-by-window reference exactly.
+    # (input case, shape, window) at stride 2. Constant and post-ReLU inputs tie within windows,
+    # so the first maximum must win; all-negative inputs with odd extents let a zero-extension
+    # cell win, which must pass no gradient.
+    CASES = [
+        ("normal", (2, 8, 6, 3), (2, 2)),
+        ("normal", (2, 7, 5, 3), (2, 2)),
+        ("normal", (2, 9, 5, 3), (4, 2)),
+        ("constant", (1, 7, 6, 2), (2, 2)),
+        ("constant", (1, 9, 5, 2), (4, 2)),
+        ("relu", (2, 8, 6, 3), (2, 2)),
+        ("relu", (2, 9, 5, 3), (4, 2)),
+        ("negative", (1, 7, 5, 2), (2, 2)),
+        ("negative", (1, 9, 5, 2), (4, 2)),
+    ]
 
-        Constant and post-ReLU inputs tie within windows, so the first
-        maximum must win; all-negative inputs with odd extents let a
-        zero-extension cell win, which must pass no gradient.
-        """
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case,shape,window", CASES)
+    def test_matches_direct_loop(self, case, shape, window, dtype):
+        """Values and input gradient equal the window-by-window reference exactly."""
+        self.assert_matches_direct_loop(case, shape, window, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case,shape,window", CASES)
+    def test_blocks_match_direct_loop(self, case, shape, window, dtype, monkeypatch):
+        """With ``POOL_BYTES`` at two zero-extended images, a batch of 5 pools in blocks of 2, 2
+        and 1, and its values and input gradient still equal the reference exactly."""
+        _, h, w, c = shape
+        hp = max((-(-h // 2) - 1) * 2 + window[0], h)
+        wp = max((-(-w // 2) - 1) * 2 + window[1], w)
+        monkeypatch.setattr(tensor, "POOL_BYTES", 2 * hp * wp * c * np.dtype(dtype).itemsize)
+        self.assert_matches_direct_loop(case, (5, h, w, c), window, dtype)
+
+    @staticmethod
+    def assert_matches_direct_loop(case, shape, window, dtype):
         rng = np.random.default_rng(13)
         data = {
             "normal": rng.normal(size=shape),

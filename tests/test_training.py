@@ -234,21 +234,49 @@ class TestStepMemory:
     @pytest.mark.parametrize(
         "kind, hw, dtype, bound_mb, scratch_mb",
         [
-            # measured 37.5 MB; a step that holds each unfold from forward to backward peaks at 75.5 MB
-            ("cnn", (64, 32), np.float32, 40, 18.0),  # scratch: conv2's [16384, 288] rows
-            # measured 59.5 MB; 140.6 MB with the unfolds held
-            ("capsnet", (64, 32), np.float64, 64, 41.8),  # scratch: conv2's [1056, 5184] rows
+            # measured 36.9 MB; a step that holds each unfold from forward to backward peaks at 75.5 MB
+            ("cnn", (64, 32), np.float32, 40, 8.0),  # scratch: the L2 term's squares of fc1_w [512, 4096]
+            # measured 54.0 MB; 140.6 MB with the unfolds held
+            ("capsnet", (64, 32), np.float64, 64, 7.8),  # scratch: a 6-image block of conv2's rows, [198, 5184]
         ],
         ids=["cnn-64x32-float32", "capsnet-64x32-float64"],
     )
     def test_peak_of_a_warm_batch_32_step(self, kind, hw, dtype, bound_mb, scratch_mb):
         """tracemalloc's peak for a train step at batch 32, not counting the per-thread scratch,
-        which the warm-up step allocated at the size of the largest unfold. The steps run on a
+        which the warm-up step allocated at the size of its largest request. The steps run on a
         thread of their own, so that scratch holds no larger request of an earlier test."""
         with ThreadPoolExecutor(max_workers=1) as fresh_thread:
             peak, scratch_bytes = fresh_thread.submit(self._warm_step_peak, kind, hw, dtype).result()
         assert round(scratch_bytes / 2**20, 1) == scratch_mb
         assert peak <= bound_mb * 2**20, f"step peak {peak / 2**20:.1f} MB beside a {scratch_mb} MB scratch"
+
+    def test_predict_scratch_does_not_follow_the_eval_batch(self, monkeypatch):
+        """``predict`` of 184 cnn 64x32 float32 images, in batches of ``EVAL_BATCH`` (128), leaves
+        its thread a 7.9 MiB scratch, conv1's largest unfold block under ``UNFOLD_BYTES``; unfolded
+        a whole batch at a time, conv2 grew it to 72 MiB. Its predictions are those of kernels
+        that run the whole batch in one block."""
+        params = CnnParams.init((64, 32), np.random.default_rng(0), np.float32)
+        pixels = np.random.default_rng(1).integers(0, 256, size=(184, 64, 32), dtype=np.uint8)
+        preds, scratch_bytes = self._predict_on_a_fresh_thread(params, pixels)
+        assert round(scratch_bytes / 2**20, 1) == 7.9
+        assert scratch_bytes <= tensor.UNFOLD_BYTES
+        monkeypatch.setattr(tensor, "UNFOLD_BYTES", 2**40)
+        monkeypatch.setattr(tensor, "POOL_BYTES", 2**40)
+        whole, whole_bytes = self._predict_on_a_fresh_thread(params, pixels)
+        assert whole_bytes > 70 * 2**20
+        assert 0 < preds.sum() < len(preds)  # both classes, so the comparison can see a change
+        np.testing.assert_array_equal(preds, whole)
+
+    @staticmethod
+    def _predict_on_a_fresh_thread(params, pixels) -> tuple[np.ndarray, int]:
+        """(``predict``'s classes, the bytes of the scratch it leaves its thread)."""
+
+        def run():
+            preds = predict(params, pixels)
+            return preds, tensor._local.scratch.nbytes
+
+        with ThreadPoolExecutor(max_workers=1) as fresh_thread:
+            return fresh_thread.submit(run).result()
 
     @staticmethod
     def _warm_step_peak(kind, hw, dtype) -> tuple[int, int]:
@@ -288,7 +316,7 @@ class TestStepMemory:
     def _faults_in_fresh_process(helper, kind, hw, dtype) -> list[int]:
         child = f"import json, sys; sys.path[:0] = json.loads(sys.argv[1]); from test_training import {helper}; print(json.dumps({helper}(*json.loads(sys.argv[2]))))"
         args = json.dumps([kind, hw, np.dtype(dtype).name])
-        run = subprocess.run([sys.executable, "-c", child, json.dumps(sys.path), args], capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-c", child, json.dumps(sys.path), args], capture_output=True, text=True, encoding="utf-8")
         assert run.returncode == 0, run.stderr
         return json.loads(run.stdout)
 
